@@ -2,10 +2,13 @@
 planar diagrams; exact pairwise linking numbers by two independent methods;
 the obstruction classification over the linking matrix.
 
-The simplicial method is purely homological: pass to the second barycentric
-subdivision, remove a neighborhood of one component, and solve for the
-class of the other component as a multiple of the meridian in the first
-homology of the complement, which is infinite cyclic.
+The simplicial method is purely homological: Lk(i, j) is the class of
+component i, as a multiple of the meridian of j, in the first homology of
+the complement of j, which is infinite cyclic.  If j is a full subcomplex,
+its complement deformation-retracts onto the full subcomplex spanned by the
+other vertices (Rourke-Sanderson, Introduction to Piecewise-Linear
+Topology, on derived neighbourhoods).  Squares of a flag complex are full;
+if some component is not, one barycentric subdivision makes all of them full.
 """
 
 import heapq
@@ -14,7 +17,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, barycentric_subdivision, find_squares
+from .complexes import barycentric_subdivision, find_squares
 from .homology import IntegerMatrix, is_homology_3sphere, smith_normal_form
 
 
@@ -23,16 +26,24 @@ class EdgeCycleLink:
 
     def __init__(self, ambient, components, orientations=None):
         self.ambient = ambient
+        if (not isinstance(components, (list, tuple))
+                or any(not isinstance(c, (list, tuple)) for c in components)):
+            raise ValueError("components must be a list of vertex-id lists")
         self.components = tuple(tuple(c) for c in components)
         if orientations is None:
             orientations = (1,) * len(self.components)
-        self.orientations = tuple(int(o) for o in orientations)
+        if (not isinstance(orientations, (list, tuple))
+                or any(type(o) is not int or o not in (1, -1) for o in orientations)):
+            raise ValueError("orientations must be a list of +1 or -1")
+        self.orientations = tuple(orientations)
         if len(self.orientations) != len(self.components):
             raise ValueError("one orientation per component required")
-        if any(o not in (1, -1) for o in self.orientations):
-            raise ValueError("orientations must be +1 or -1")
         seen = set()
         for ci, comp in enumerate(self.components):
+            for v in comp:
+                if type(v) is not int or not 0 <= v < ambient.vertex_count:
+                    raise ValueError("component %d names %r, not a vertex id in "
+                                     "range(%d)" % (ci, v, ambient.vertex_count))
             if len(comp) < 3 or len(set(comp)) != len(comp):
                 raise ValueError("component %d must have >= 3 distinct vertices" % ci)
             for k in range(len(comp)):
@@ -59,7 +70,7 @@ class EdgeCycleLink:
 
     @classmethod
     def from_json(cls, ambient, data):
-        if "components" not in data:
+        if not isinstance(data, dict) or "components" not in data:
             raise ValueError("link JSON needs 'components'")
         return cls(ambient, data["components"], data.get("orientations"))
 
@@ -130,7 +141,11 @@ class LinkingMatrix:
     """Symmetric integer matrix of pairwise linking numbers, zero diagonal."""
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
+        if not isinstance(entries, (list, tuple)) or any(
+                not isinstance(row, (list, tuple))
+                or any(type(x) is not int for x in row) for row in entries):
+            raise ValueError("linking matrix entries must be integers, row by row")
+        self.entries = tuple(tuple(row) for row in entries)
         self.m = len(self.entries)
         for i, row in enumerate(self.entries):
             if len(row) != self.m:
@@ -361,14 +376,17 @@ def whitehead_double_diagram(m, twists):
 
 # -- simplicial linking numbers --------------------------------------------
 
-_PERM4 = []
-for _p in permutations(range(4)):
-    _par = 1
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _p[_i] > _p[_j]:
-                _par = -_par
-    _PERM4.append((_p, _par))
+def _parity(seq):
+    """Sign of the permutation that sorts ``seq``."""
+    par = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                par = -par
+    return par
+
+
+_PERM4 = [(p, _parity(p)) for p in permutations(range(4))]
 
 
 def _sd_oriented(facets_signed):
@@ -438,8 +456,7 @@ def _edge_link_cycle(facets_signed, a, b):
         raise ValueError("edge link of (%d,%d) is not a circle" % (a, b))
     t0, s0 = min(around)
     w0, w1 = (x for x in t0 if x != a and x != b)
-    par = _tuple_parity((a, b, w0, w1), t0)
-    if par * s0 < 0:
+    if _parity((a, b, w0, w1)) * s0 < 0:
         w0, w1 = w1, w0
     cycle = [w0, w1]
     while True:
@@ -453,28 +470,18 @@ def _edge_link_cycle(facets_signed, a, b):
     return tuple(cycle)
 
 
-def _tuple_parity(seq, sorted_ref):
-    pos = [sorted_ref.index(x) for x in seq]
-    par = 1
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if pos[i] > pos[j]:
-                par = -par
-    return par
-
-
 class LinkingInternalError(RuntimeError):
     """An exact solve contradicted the homology-sphere invariants."""
 
 
-def _class_multiple(edges, triangles, target, generator):
-    """Solve [target] = lambda * [generator] in H_1 of a complex.
+def _class_multiples(edges, triangles, generator, targets):
+    """Solve [target] = lambda * [generator] in H_1 of a complex, per target.
 
-    ``edges``/``triangles`` describe the complex; target and generator are
+    ``edges``/``triangles`` describe the complex; generator and targets are
     1-cycles as {sorted edge: coefficient}.  Verifies that H_1 is infinite
     cyclic and that the generator generates; anything else aborts loudly.
     Elimination: spanning-forest gauge, then unit-pivot reduction of the
-    boundary-image lattice with the two cycles carried through the row
+    boundary-image lattice with every cycle carried through the row
     operations, finishing with a Smith form (with transforms) on the core.
     """
     # spanning forest over the 1-skeleton
@@ -510,8 +517,7 @@ def _class_multiple(edges, triangles, target, generator):
                 out[idx] = c
         return out
 
-    t_vec = project(target)
-    g_vec = project(generator)
+    carried = [project(generator)] + [project(t) for t in targets]
 
     rows = {}
     cols = {}
@@ -544,38 +550,30 @@ def _class_multiple(edges, triangles, target, generator):
                 if new:
                     col_j2[k] = new
                     rows[k][j2] = new
-                else:
-                    if k in col_j2:
-                        del col_j2[k]
-                        del rows[k][j2]
+                elif k in col_j2:
+                    del col_j2[k]
+                    del rows[k][j2]
             del col_j2[i]
             if not col_j2:
                 del cols[j2]
         rows[i] = {j: s}
+        pivots = [(vec, vec.pop(i)) for vec in carried if i in vec]
         for k, vkj in list(col_j.items()):
             if k == i:
                 continue
             factor = vkj * s
-            if i in t_vec:
-                nv = t_vec.get(k, 0) - factor * t_vec[i]
+            for vec, vi in pivots:
+                nv = vec.get(k, 0) - factor * vi
                 if nv:
-                    t_vec[k] = nv
+                    vec[k] = nv
                 else:
-                    t_vec.pop(k, None)
-            if i in g_vec:
-                nv = g_vec.get(k, 0) - factor * g_vec[i]
-                if nv:
-                    g_vec[k] = nv
-                else:
-                    g_vec.pop(k, None)
+                    vec.pop(k, None)
             del rows[k][j]
             if not rows[k]:
                 del rows[k]
         del rows[i]
         del cols[j]
         alive.discard(i)
-        t_vec.pop(i, None)
-        g_vec.pop(i, None)
 
     # phase 1: queue-driven eliminations of singleton rows/columns
     queue = deque()
@@ -673,27 +671,39 @@ def _class_multiple(edges, triangles, target, generator):
         raise LinkingInternalError(
             "complement H_1 has rank %d, expected 1" % (m_star - rank))
 
-    def transformed(vec, row):
-        # row `row` of U applied to the carried vector
-        total = 0
-        for (i, k), uv in snf.U.entries.items():
-            if i == row:
-                val = vec.get(live[k], 0)
-                if val:
-                    total += uv * val
-        return total
-
-    free_row = rank  # the single zero row of the diagonal form
-    h = transformed(g_vec, free_row)
+    # row `rank` of U, the single zero row of the diagonal form, reads off
+    # the class of a carried vector in H_1 = Z
+    free_row = {live[k]: uv for (i, k), uv in snf.U.entries.items() if i == rank}
+    h, *ys = (sum(uv * vec.get(r, 0) for r, uv in free_row.items())
+              for vec in carried)
     if h not in (1, -1):
         raise LinkingInternalError(
             "meridian class is %d times a generator of H_1, expected a unit" % h)
-    y = transformed(t_vec, free_row)
-    return y * h
+    return [y * h for y in ys]
 
 
-class _LinkingContext:
-    """Shared state for linking computations over one ambient complex."""
+def _skeleton(facets_signed):
+    """Edge and triangle sets of an oriented facet list."""
+    edges = set()
+    triangles = set()
+    for (a, b, c, d), _ in facets_signed:
+        edges.update(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
+        triangles.update(((a, b, c), (a, b, d), (a, c, d), (b, c, d)))
+    return edges, triangles
+
+
+def _is_full(cycle, edges, triangles):
+    """Whether the cycle's vertices span only the cycle: no chord, no triangle."""
+    ordered = sorted(cycle)
+    spanned = sum(1 for e in combinations(ordered, 2) if e in edges)
+    return spanned == len(cycle) and tuple(ordered) not in triangles
+
+
+class _Complements:
+    """Complements of the components of a link, all full after ``level``
+    (0 or 1) barycentric subdivisions.  One makes any edge cycle full: its
+    vertices then alternate vertices and edge midpoints, and two of them
+    span an edge only when one is an end of the other."""
 
     def __init__(self, sigma, link, orientation=None):
         if link.ambient is not sigma and link.ambient != sigma:
@@ -705,50 +715,43 @@ class _LinkingContext:
                     "ambient is not a verified homology 3-sphere: %s" % report.note)
             orientation = report.manifold.orientation
         facets_signed = sorted(orientation.items())
-        # second barycentric subdivision with the components carried along
-        f1, map1 = _sd_oriented(facets_signed)
-        carried1 = [_carry_cycle(c, map1) for c in link.components]
-        f2, map2 = _sd_oriented(f1)
-        self.facets2 = f2
-        self.components2 = [_carry_cycle(c, map2) for c in carried1]
+        self.level = 0
         self.orientations = link.orientations
-        edge_set = set()
-        tri_set = set()
-        for f, _ in f2:
-            a, b, c, d = f
-            edge_set.update(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
-            tri_set.update(((a, b, c), (a, b, d), (a, c, d), (b, c, d)))
-        self.edges = sorted(edge_set)
-        self.triangles = sorted(tri_set)
+        self.components = link.components
+        edges, triangles = _skeleton(facets_signed)
+        if not all(_is_full(c, edges, triangles) for c in self.components):
+            self.level = 1
+            facets_signed, face_id = _sd_oriented(facets_signed)
+            self.components = [_carry_cycle(c, face_id) for c in self.components]
+            edges, triangles = _skeleton(facets_signed)
+        self.facets_signed = facets_signed
+        self.edges = sorted(edges)
+        self.triangles = sorted(triangles)
 
-    def pair(self, i, j):
-        """Linking number of components i and j via the complement class."""
-        comp_i = self.components2[i]
-        comp_j = self.components2[j]
-        excluded = set(comp_j)
-        if excluded & set(comp_i):
-            raise ValueError("components %d and %d are not disjoint" % (i, j))
-        edges = [e for e in self.edges
-                 if e[0] not in excluded and e[1] not in excluded]
-        tris = [t for t in self.triangles
-                if t[0] not in excluded and t[1] not in excluded
-                and t[2] not in excluded]
+    def column(self, j, others):
+        """{i: Lk(i, j)} for each i in ``others``, from one elimination over
+        the complement of j, the full subcomplex on the other vertices."""
+        removed = set(self.components[j])
+        edges = [e for e in self.edges if e[0] not in removed and e[1] not in removed]
+        triangles = [t for t in self.triangles if t[0] not in removed
+                     and t[1] not in removed and t[2] not in removed]
 
-        # meridian around the first edge of component j
-        a, b = comp_j[0], comp_j[1]
+        # meridian: the link circle of the first edge of component j
+        a, b = self.components[j][0], self.components[j][1]
         if self.orientations[j] < 0:
             a, b = b, a
-        mu_cycle = _edge_link_cycle(self.facets2, a, b)
-        if set(mu_cycle) & excluded:
+        mu_cycle = _edge_link_cycle(self.facets_signed, a, b)
+        if set(mu_cycle) & removed:
             raise LinkingInternalError("meridian touches the removed component")
 
-        target = _cycle_chain(comp_i, self.orientations[i])
         meridian = _cycle_chain(mu_cycle)
+        targets = [_cycle_chain(self.components[i], self.orientations[i])
+                   for i in others]
         edge_ok = set(edges)
-        for chain in (target, meridian):
+        for chain in [meridian] + targets:
             if any(e not in edge_ok for e in chain):
                 raise LinkingInternalError("cycle leaves the complement subcomplex")
-        return _class_multiple(edges, tris, target, meridian)
+        return dict(zip(others, _class_multiples(edges, triangles, meridian, targets)))
 
 
 def simplicial_linking_number(sigma, link, i, j, orientation=None):
@@ -760,31 +763,27 @@ def simplicial_linking_number(sigma, link, i, j, orientation=None):
     """
     if i == j:
         raise ValueError("need two distinct components")
-    ctx = _LinkingContext(sigma, link, orientation=orientation)
-    return ctx.pair(i, j)
+    return _Complements(sigma, link, orientation).column(j, [i])[i]
 
 
-def linking_matrix(sigma, link, orientation=None, verify_symmetry=False):
-    """All pairwise linking numbers of an edge-cycle link."""
-    m = len(link.components)
-    if m <= 1:
-        if orientation is None:
-            report = is_homology_3sphere(sigma)
-            if not report.is_homology_sphere:
-                raise ValueError(
-                    "ambient is not a verified homology 3-sphere: %s" % report.note)
-        return LinkingMatrix([[0] * m for _ in range(m)])
-    ctx = _LinkingContext(sigma, link, orientation=orientation)
+def linking_matrix(sigma, link, orientation=None):
+    """All pairwise linking numbers of an edge-cycle link.
+
+    Lk(i, j) and Lk(j, i) come from different eliminations, so every entry
+    is checked for symmetry.
+    """
+    complements = _Complements(sigma, link, orientation)
+    m = len(link)
+    columns = [complements.column(j, [i for i in range(m) if i != j])
+               for j in range(m)]
     pairs = {}
     for i in range(m):
         for j in range(i + 1, m):
-            value = ctx.pair(i, j)
-            if verify_symmetry:
-                other = ctx.pair(j, i)
-                if other != value:
-                    raise LinkingInternalError(
-                        "linking number asymmetry: Lk(%d,%d)=%d but Lk(%d,%d)=%d"
-                        % (i, j, value, j, i, other))
+            value, other = columns[j][i], columns[i][j]
+            if other != value:
+                raise LinkingInternalError(
+                    "linking number asymmetry: Lk(%d,%d)=%d but Lk(%d,%d)=%d"
+                    % (i, j, value, j, i, other))
             pairs[(i, j)] = value
     return LinkingMatrix.from_pairs(m, pairs)
 

@@ -1,13 +1,17 @@
 """Independent brute-force oracles shared by the test modules.
 
 Deliberately naive implementations on different algorithmic routes than
-the library: clique growth for flagness, 4-tuple scans for squares, and
-Tits-style commutation-class reduction for Coxeter words.
+the library: clique growth for flagness, 4-tuple scans for squares,
+Tits-style commutation-class reduction for Coxeter words, and linking
+numbers in the second barycentric subdivision.
 """
 
 from itertools import combinations
 
 from flatlink.complexes import Square, clique_complex
+from flatlink.homology import is_homology_3sphere
+from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
+                            _cycle_chain, _edge_link_cycle, _sd_oriented, _skeleton)
 
 
 def brute_force_is_flag(k):
@@ -100,3 +104,34 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+
+
+def second_subdivision_linking_matrix(sigma, link, orientation=None):
+    """Linking matrix with every complement taken in the second subdivision.
+
+    Whatever the components, two barycentric subdivisions make each one the
+    core of its own regular neighbourhood; Lk(i, j) is solved separately
+    for each pair i < j, removing component j and every simplex touching
+    it, regardless of fullness.
+    """
+    if orientation is None:
+        orientation = is_homology_3sphere(sigma).manifold.orientation
+    facets, face_id = _sd_oriented(sorted(orientation.items()))
+    components = [_carry_cycle(c, face_id) for c in link.components]
+    facets, face_id = _sd_oriented(facets)
+    components = [_carry_cycle(c, face_id) for c in components]
+    all_edges, all_triangles = map(sorted, _skeleton(facets))
+    m = len(components)
+    pairs = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            removed = set(components[j])
+            edges = [e for e in all_edges if not removed & set(e)]
+            triangles = [t for t in all_triangles if not removed & set(t)]
+            a, b = components[j][0], components[j][1]
+            if link.orientations[j] < 0:
+                a, b = b, a
+            meridian = _cycle_chain(_edge_link_cycle(facets, a, b))
+            target = _cycle_chain(components[i], link.orientations[i])
+            pairs[(i, j)] = _class_multiples(edges, triangles, meridian, [target])[0]
+    return LinkingMatrix.from_pairs(m, pairs)

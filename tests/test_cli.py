@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -150,6 +151,35 @@ def test_lk_simplicial_bad_ambient_exit_1(write_fixture, tmp_path):
     rc, report = run_json(["lk", "simplicial", cpath, str(lpath)], tmp_path)
     assert rc == 1
     assert report["verdicts"]["prerequisites"] == "failed"
+
+
+@pytest.mark.parametrize("link, message", [
+    ({"components": [["0", "2", "1", "3"], ["4", "6", "5", "7"]]},
+     "'0', not a vertex id"),
+    ({"components": [[True, 2, 4], [5, 3, 7]]}, "True, not a vertex id"),
+    ({"components": [[0, 2, 1.0], [4, 6, 5]]}, "1.0, not a vertex id"),
+    ({"components": [[0, 2, 16], [4, 6, 5]]}, "16, not a vertex id in range\\(8\\)"),
+    ({"components": [5]}, "list of vertex-id lists"),
+    ({"components": [[0, 2, 4]], "orientations": [True]}, "orientations"),
+    (5, "needs 'components'"),
+])
+def test_lk_simplicial_malformed_link_is_input_error(write_fixture, tmp_path, capsys,
+                                                      link, message):
+    cpath = write_fixture("boundary-16-cell")
+    lpath = tmp_path / "link.json"
+    lpath.write_text(json.dumps(link))
+    assert main(["lk", "simplicial", cpath, str(lpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad link:")
+    assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_build_non_integer_entries_is_input_error(tmp_path, capsys):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps({"entries": [[0, "1"], ["1", 0]]}))
+    assert main(["build", str(target)]) == 2
+    assert "integers" in capsys.readouterr().err
 
 
 def test_fixture_unknown_name_is_input_error():

@@ -117,6 +117,10 @@ def test_linking_matrix_validation():
         LinkingMatrix([[1, 0], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         LinkingMatrix([[0, 1]])
+    for bad in ([[0, "1"], ["1", 0]], [[0, True], [True, 0]], [[0, 1.0], [1.0, 0]],
+                [0], 5):
+        with pytest.raises(ValueError, match="integers"):
+            LinkingMatrix(bad)
 
 
 def test_linking_matrix_equivalence():
@@ -186,7 +190,7 @@ def test_linking_symmetric_under_argument_swap():
 
 def test_linking_matrix_hopf_with_symmetry_check():
     ambient, link = hopf_pair()
-    matrix = linking_matrix(ambient, link, verify_symmetry=True)
+    matrix = linking_matrix(ambient, link)
     assert matrix.entries[0][1] in (1, -1)
     assert matrix.entries[0][0] == matrix.entries[1][1] == 0
 
@@ -297,3 +301,29 @@ def test_mixed_configuration_hopf_plus_bounding_triangle():
             == ObstructionVerdict.MIXED_NEEDS_ISOTOPY_CHECK)
     assert (obstruction_report(matrix, nontrivial_certificate=True).verdict
             == ObstructionVerdict.LINKING_OBSTRUCTION)
+
+
+def test_full_complement_route_matches_second_subdivision_oracle():
+    # the route subdivides only when some component is not full; the
+    # second-subdivision oracle never looks at fullness
+    from flatlink.complexes import barycentric_subdivision
+    from flatlink.fixtures import solomon_pair
+    from flatlink.links import _Complements
+    from oracles import second_subdivision_linking_matrix
+
+    def level(ambient, link):
+        return _Complements(ambient, link).level
+
+    c66 = fixture("join-c6-c6")
+    fibers = (c66, EdgeCycleLink(c66, [(k, 6 + k, k + 3, 9 + k) for k in range(3)]))
+    cases = [(hopf_pair(), 0), (fibers, 0), (split_pair(), 1), (solomon_pair(), 1)]
+    for (ambient, link), expected_level in cases:
+        assert level(ambient, link) == expected_level
+        assert (linking_matrix(ambient, link)
+                == second_subdivision_linking_matrix(ambient, link))
+
+    ambient, hopf = hopf_pair()
+    sd, face_map = barycentric_subdivision(ambient, return_face_map=True)
+    _, sd_hopf = subdivide_link(ambient, hopf)
+    triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
+    assert level(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == 1
