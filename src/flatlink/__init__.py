@@ -11,8 +11,8 @@ from .complexes import (InvalidComplexError, IsomorphismWitness, SearchBudgetExc
                         has_isolated_squares, is_flag, is_isomorphic, join,
                         vertex_link)
 from .coxeter import (CapraceReport, DavisBall, FlatSubcomplex, Racg,
-                      ResourceLimitError, ball_sizes, caprace_criterion, davis_ball,
-                      flat_from_square, normal_form, racg_from_skeleton)
+                      ResourceLimitError, caprace_criterion, davis_ball,
+                      flat_from_square, racg_from_skeleton)
 from .cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
                     cubical_chain_complex, pk_vertex_link, torus_subcomplex,
                     verify_vertex_links)

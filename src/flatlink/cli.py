@@ -17,10 +17,10 @@ import time
 from . import __version__
 from .complexes import (InvalidComplexError, SimplicialComplex, find_squares,
                         has_isolated_squares, is_flag)
-from .coxeter import caprace_criterion, davis_ball, racg_from_skeleton
+from .coxeter import caprace_criterion, davis_ball, racg_from_skeleton, sphere_sizes
 from .cubes import DEFAULT_MAX_GROUND, build_pk, cubical_chain_complex
 from .fixtures import attempt_type_l_build, fixture, fixture_names
-from .homology import homology, is_closed_orientable_3manifold, is_homology_3sphere
+from .homology import homology, is_homology_3sphere
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
                     diagram_linking_matrix, link_from_squares, linking_matrix,
                     obstruction_report)
@@ -107,12 +107,11 @@ def _verify_checks(complex_):
     sphere_ok = False
     orientation = None
     try:
-        manifold = is_closed_orientable_3manifold(complex_)
-        manifold_ok = manifold.passed
-        if not manifold.passed:
-            checks["manifold_failures"] = list(manifold.failures)
-        if manifold_ok:
-            sphere = is_homology_3sphere(complex_)
+        sphere = is_homology_3sphere(complex_)
+        manifold_ok = sphere.manifold.passed
+        if not manifold_ok:
+            checks["manifold_failures"] = list(sphere.manifold.failures)
+        else:
             sphere_ok = sphere.is_homology_sphere
             orientation = sphere.manifold.orientation
             checks["homology_profile"] = sphere.profile.to_json()
@@ -207,7 +206,7 @@ def cmd_davis(opts):
     ball = davis_ball(group, complex_, opts.radius)
     checks = {
         "radius": opts.radius,
-        "sphere_sizes": group.ball_sizes(opts.radius),
+        "sphere_sizes": sphere_sizes(ball.vertices, opts.radius),
         "vertices": len(ball.vertices),
         "f_vector": list(ball.f_vector()),
         "interior_vertices": len(ball.interior_vertices()),
@@ -286,6 +285,8 @@ def cmd_build(opts):
     try:
         with open(opts.target, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("target JSON must be an object")
         if "entries" in data:
             target = LinkingMatrix(data["entries"])
         elif "crossings" in data:

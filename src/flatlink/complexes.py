@@ -59,10 +59,14 @@ class SimplicialComplex:
                 small.update(combinations(f, size))
         self._faces_small = frozenset(small)
 
+        # facet vertices lie in range(vertex_count): equal sizes mean all are
+        # covered, and the first uncovered vertex is at most len(covered)
         covered = {v for f in self.facets for v in f}
-        if covered != set(range(self.vertex_count)):
-            missing = sorted(set(range(self.vertex_count)) - covered)
-            raise InvalidComplexError("vertices %r appear in no facet" % (missing,))
+        if len(covered) != self.vertex_count:
+            first = next(v for v in range(self.vertex_count) if v not in covered)
+            raise InvalidComplexError(
+                "vertex %d appears in no facet (%d of %d covered)"
+                % (first, len(covered), self.vertex_count))
 
         # no facet contains another; only cross-size pairs can violate this
         by_size = {}
@@ -160,13 +164,16 @@ class SimplicialComplex:
         facets = data["facets"]
         if not isinstance(facets, list):
             raise InvalidComplexError("'facets' must be a list")
+        vertices = data["vertices"]
+        if type(vertices) is not int or vertices < 0:
+            raise InvalidComplexError("'vertices' must be a non-negative integer")
         for idx, f in enumerate(facets):
-            if not isinstance(f, list) or not all(isinstance(v, int) for v in f):
+            if not isinstance(f, list) or not all(type(v) is int for v in f):
                 raise InvalidComplexError("facet #%d is not a list of integers" % idx)
             if f != sorted(set(f)):
                 raise InvalidComplexError(
                     "facet #%d (%r) is not sorted and duplicate-free" % (idx, f))
-        return cls(data["vertices"], facets)
+        return cls(vertices, facets)
 
     @classmethod
     def load(cls, path):

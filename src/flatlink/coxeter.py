@@ -90,21 +90,8 @@ class Racg:
         return len(self.normal_form(word))
 
     def ball_sizes(self, radius):
-        """Sphere sizes |S_0| .. |S_radius| by breadth-first search."""
-        sphere = {()}
-        seen = {()}
-        sizes = [1]
-        for _ in range(radius):
-            nxt = set()
-            for w in sphere:
-                for g in range(self.n):
-                    nf = self.normal_form(w + (g,))
-                    if nf not in seen and len(nf) == len(w) + 1:
-                        nxt.add(nf)
-            seen |= nxt
-            sizes.append(len(nxt))
-            sphere = nxt
-        return sizes
+        """Sphere sizes |S_0| .. |S_radius|, counted over ``ball``."""
+        return sphere_sizes(self.ball(radius), radius)
 
     def ball(self, radius):
         """All normal forms of length <= radius."""
@@ -142,12 +129,12 @@ def racg_from_skeleton(complex_):
     return Racg(complex_.vertex_count, complex_.faces(1))
 
 
-def normal_form(group, word):
-    return group.normal_form(word)
-
-
-def ball_sizes(group, radius):
-    return group.ball_sizes(radius)
+def sphere_sizes(words, radius):
+    """How many of the normal forms ``words`` have each length 0..radius."""
+    sizes = [0] * (max(radius, 0) + 1)
+    for w in words:
+        sizes[len(w)] += 1
+    return sizes
 
 
 class DavisBall:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union,
                         find_squares, has_isolated_squares, is_flag, join)
 from .coxeter import caprace_criterion
-from .homology import is_closed_orientable_3manifold, is_homology_3sphere
+from .homology import is_homology_3sphere
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
                     diagram_linking_matrix, link_from_squares, linking_matrix)
 
@@ -373,10 +373,10 @@ def corpus_properties(name):
     }
     if k.dim() == 3 and k.is_pure(3):
         try:
-            manifold = is_closed_orientable_3manifold(k)
-            profile["closed_orientable_3manifold"] = manifold.passed
-            if manifold.passed:
-                profile["homology_3sphere"] = is_homology_3sphere(k).is_homology_sphere
+            sphere = is_homology_3sphere(k)
+            profile["closed_orientable_3manifold"] = sphere.manifold.passed
+            if sphere.manifold.passed:
+                profile["homology_3sphere"] = sphere.is_homology_sphere
         except ValueError:
             profile["closed_orientable_3manifold"] = False
     return profile

@@ -1,12 +1,18 @@
 """Exact integer chain complexes, Smith normal form and 3-manifold checks.
 
 Everything here is over the integers with unbounded precision; no floating
-point.  The Smith normal form runs a sparse unit-pivot elimination first
-and falls back to a dense textbook elimination once fill-in passes 30% of
-the remaining block (or when no unit pivots are left).
+point.  One sparse kernel, ``eliminate_unit_pivots``, serves the Smith
+normal form and the linking-number solves in ``links`` (the reduction
+scheme of Dumas-Heckenbach-Saunders-Welker, 2003).  It pivots on +-1
+entries, singleton rows and columns first through a queue, then by least
+Markowitz cost, optionally carrying vectors through its row operations.
+It stops when no unit entry is left or, checked every 64 pivots, when
+fill-in passes 30% of the live block; a dense textbook elimination
+finishes the core.
 """
 
 import heapq
+from collections import deque
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -227,118 +233,138 @@ def _dense_snf(dense, m, n, want_transforms):
     return invariants, u, v
 
 
+def eliminate_unit_pivots(rows, cols, carried=()):
+    """Sparse unit-pivot elimination in place; returns the pivot rows.
+
+    ``rows`` is {row: {col: value}} and ``cols`` the same entries as
+    {col: {row: value}}, with no zeros and no empty dicts.  A pivot is a
+    +-1 entry (i, j): column operations clear row i, row operations clear
+    column j, and row i and column j leave both dicts, each pivot standing
+    for one invariant factor 1.  Singleton rows and columns, which cause
+    no fill-in, go first through a queue; otherwise the unit entry of least
+    Markowitz cost (|row| - 1) * (|column| - 1) is taken from a lazy heap.
+    Every carried vector ({row: value}) goes through the same row
+    operations and drops its pivot coordinates, so it keeps its class in
+    the cokernel.  The elimination stops when no unit entry is left, or
+    when fill-in passes 30% of the live block, checked every 64 pivots;
+    what is left in ``rows``/``cols`` is the core.
+    """
+    pivots = []
+    nnz = sum(len(r) for r in rows.values())
+    queue = deque([("r", i) for i in sorted(rows) if len(rows[i]) == 1]
+                  + [("c", j) for j in sorted(cols) if len(cols[j]) == 1])
+    heap = None
+
+    def push_units(k):
+        rk = rows[k]
+        cost = len(rk) - 1
+        for j, val in rk.items():
+            if val in (1, -1):
+                heapq.heappush(heap, (cost * (len(cols[j]) - 1), k, j))
+
+    while True:
+        if queue:
+            kind, key = queue.popleft()
+            line = (rows if kind == "r" else cols).get(key)
+            if line is None or len(line) != 1:
+                continue
+            i, j = (key, next(iter(line))) if kind == "r" else (next(iter(line)), key)
+            if rows[i][j] not in (1, -1):
+                continue
+        else:
+            if heap is None:
+                heap = []
+                for k in rows:
+                    push_units(k)
+            while heap:
+                cost, i, j = heapq.heappop(heap)
+                if i not in rows or rows[i].get(j) not in (1, -1):
+                    continue
+                cur = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+                if cur > cost:
+                    heapq.heappush(heap, (cur, i, j))
+                    continue
+                break
+            else:
+                return pivots
+
+        row_i = rows.pop(i)
+        col_j = cols.pop(j)
+        s = row_i.pop(j)
+        del col_j[i]
+        nnz -= 1 + len(row_i) + len(col_j)
+        # column operations: col j2 -= v * s * col j clears row i
+        for j2, v in row_i.items():
+            factor = v * s
+            col_j2 = cols[j2]
+            del col_j2[i]
+            for k, vkj in col_j.items():
+                had = k in col_j2
+                new = col_j2.get(k, 0) - factor * vkj
+                if new:
+                    col_j2[k] = new
+                    rows[k][j2] = new
+                    nnz += not had
+                elif had:
+                    del col_j2[k]
+                    del rows[k][j2]
+                    nnz -= 1
+            if not col_j2:
+                del cols[j2]
+            elif len(col_j2) == 1:
+                queue.append(("c", j2))
+        # row operations: row k -= vkj * s * row i clears column j
+        moving = [(vec, vec.pop(i)) for vec in carried if i in vec]
+        for k, vkj in col_j.items():
+            factor = vkj * s
+            for vec, vi in moving:
+                new = vec.get(k, 0) - factor * vi
+                if new:
+                    vec[k] = new
+                else:
+                    vec.pop(k, None)
+            row_k = rows[k]
+            del row_k[j]
+            if not row_k:
+                del rows[k]
+                continue
+            if len(row_k) == 1:
+                queue.append(("r", k))
+            if heap is not None:
+                push_units(k)
+        pivots.append(i)
+        if len(pivots) % 64 == 0 and rows and nnz * 10 > 3 * len(rows) * len(cols):
+            return pivots
+
+
 def smith_normal_form(matrix, want_transforms=False):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
     With ``want_transforms`` the unimodular U (rows x rows) and
     V (cols x cols) with U @ M @ V diagonal are returned as well; that
     path uses the dense algorithm throughout, which is fine at the sizes
-    transforms are requested for.
+    transforms are requested for.  Otherwise ``eliminate_unit_pivots``
+    reduces the matrix and the dense algorithm finishes its core.
     """
     m, n = matrix.rows, matrix.cols
     if want_transforms:
         inv, u, v = _dense_snf(matrix.to_dense(), m, n, True)
         return SmithNormalForm(tuple(inv), IntegerMatrix.from_dense(u),
                                IntegerMatrix.from_dense(v))
-
-    # sparse unit-pivot phase
     rows = {}
     cols = {}
     for (i, j), val in matrix.entries.items():
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, {})[i] = val
-
-    ones = 0
-    nnz = len(matrix.entries)
-    heap = []
-    for i, r in rows.items():
-        for j, val in r.items():
-            if val in (1, -1):
-                heap.append(((len(r) - 1) * (len(cols[j]) - 1), i, j))
-    heapq.heapify(heap)
-
-    def eliminate(i, j):
-        nonlocal nnz
-        s = rows[i][j]
-        row_i = rows[i]
-        col_j = cols[j]
-        # column ops: clear row i
-        for j2, coeff in [(j2, c) for j2, c in row_i.items() if j2 != j]:
-            factor = coeff * s
-            col_j2 = cols[j2]
-            for k, vkj in col_j.items():
-                if k == i:
-                    continue
-                had = k in col_j2
-                new = col_j2.get(k, 0) - factor * vkj
-                if new:
-                    col_j2[k] = new
-                    rows[k][j2] = new
-                    if not had:
-                        nnz += 1
-                elif had:
-                    del col_j2[k]
-                    del rows[k][j2]
-                    nnz -= 1
-            del col_j2[i]
-            del rows[i][j2]
-            nnz -= 1
-            if not col_j2:
-                del cols[j2]
-        # row i and column j vanish together with the pivot
-        for k in list(col_j):
-            if k != i:
-                del rows[k][j]
-                nnz -= 1
-                if not rows[k]:
-                    del rows[k]
-        del rows[i]
-        del cols[j]
-        nnz -= 1
-
-    since_check = 0
-    while True:
-        while heap:
-            cost, i, j = heapq.heappop(heap)
-            if i not in rows or j not in rows[i]:
-                continue
-            if rows[i][j] not in (1, -1):
-                continue
-            cur = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if cur > cost:
-                heapq.heappush(heap, (cur, i, j))
-                continue
-            touched_rows = set(cols[j]) - {i}
-            eliminate(i, j)
-            ones += 1
-            since_check += 1
-            if since_check >= 64:
-                since_check = 0
-                # dense fallback once fill-in passes 30% of the live block
-                if rows and nnz * 10 > 3 * len(rows) * len(cols):
-                    heap.clear()
-                    break
-            for k in touched_rows:
-                if k in rows:
-                    rk = rows[k]
-                    for j2, val in rk.items():
-                        if val in (1, -1):
-                            heapq.heappush(
-                                heap, ((len(rk) - 1) * (len(cols[j2]) - 1), k, j2))
-        if not rows:
-            return SmithNormalForm((1,) * ones, None, None)
-        # no unit entries remain (or fill-in forced us here): go dense
-        live_rows = sorted(rows)
-        live_cols = sorted(cols)
-        ri = {r: i for i, r in enumerate(live_rows)}
-        ci = {c: i for i, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for r, rowdict in rows.items():
-            for c, val in rowdict.items():
-                dense[ri[r]][ci[c]] = val
-        inv, _, _ = _dense_snf(dense, len(live_rows), len(live_cols), False)
-        invariants = [1] * ones + sorted(inv)
-        return SmithNormalForm(tuple(invariants), None, None)
+    ones = len(eliminate_unit_pivots(rows, cols))
+    live_rows = sorted(rows)
+    ci = {c: k for k, c in enumerate(sorted(cols))}
+    dense = [[0] * len(ci) for _ in live_rows]
+    for out, r in zip(dense, live_rows):
+        for c, val in rows[r].items():
+            out[ci[c]] = val
+    inv, _, _ = _dense_snf(dense, len(live_rows), len(ci), False)
+    return SmithNormalForm(tuple([1] * ones + sorted(inv)), None, None)
 
 
 class HomologyProfile:
@@ -579,7 +605,7 @@ def _relative_sign(facet_a, facet_b, tri):
 
 class SphereReport(NamedTuple):
     is_homology_sphere: bool
-    profile: HomologyProfile
+    profile: Optional[HomologyProfile]  # None when the manifold check fails
     manifold: Manifold3Report
     note: str
 
@@ -590,13 +616,16 @@ S3_PROFILE = HomologyProfile([(1, ()), (0, ()), (0, ()), (1, ())])
 def is_homology_3sphere(complex_):
     """Verify the integral homology of the 3-sphere.
 
-    Requires the closed-orientable-3-manifold check to pass first.
-    Simple connectivity is NOT checked; a true result certifies a homology
-    3-sphere only.
+    Runs the closed-orientable-3-manifold check once and returns its
+    report as ``manifold``; when it fails, the answer is no and the
+    homology is not computed (``profile`` is None).  Non-pure and
+    disconnected input raise ValueError.  Simple connectivity is NOT
+    checked; a true result certifies a homology 3-sphere only.
     """
     manifold = is_closed_orientable_3manifold(complex_)
     if not manifold.passed:
-        raise ValueError("not a closed orientable 3-manifold: %s" % (manifold.failures,))
+        return SphereReport(False, None, manifold, "not a closed orientable "
+                            "3-manifold: %s" % (manifold.failures,))
     profile = homology(simplicial_chain_complex(complex_))
     ok = profile == S3_PROFILE
     return SphereReport(

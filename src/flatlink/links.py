@@ -11,14 +11,19 @@ Topology, on derived neighbourhoods).  Squares of a flag complex are full;
 if some component is not, one barycentric subdivision makes all of them full.
 """
 
-import heapq
 from collections import deque
 from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .complexes import barycentric_subdivision, find_squares
-from .homology import IntegerMatrix, is_homology_3sphere, smith_normal_form
+from .homology import (IntegerMatrix, eliminate_unit_pivots, is_homology_3sphere,
+                       smith_normal_form)
+
+
+def _ints(seq):
+    """Whether ``seq`` is a list or tuple of plain ints (bool is not one)."""
+    return isinstance(seq, (list, tuple)) and all(type(x) is int for x in seq)
 
 
 class EdgeCycleLink:
@@ -100,9 +105,14 @@ class PlanarDiagram:
     """
 
     def __init__(self, m, crossings, order):
-        self.m = int(m)
-        self.crossings = tuple((int(o), int(u), int(s)) for o, u, s in crossings)
-        self.order = tuple(tuple(int(c) for c in comp) for comp in order)
+        if (type(m) is not int or not isinstance(crossings, (list, tuple))
+                or not all(_ints(c) and len(c) == 3 for c in crossings)
+                or not isinstance(order, (list, tuple)) or not all(map(_ints, order))):
+            raise ValueError("diagram needs an integer m, (over, under, sign) "
+                             "integer triples and lists of crossing indices")
+        self.m = m
+        self.crossings = tuple(tuple(c) for c in crossings)
+        self.order = tuple(tuple(comp) for comp in order)
         if self.m < 0:
             raise ValueError("component count must be non-negative")
         for idx, (over, under, sign) in enumerate(self.crossings):
@@ -130,9 +140,14 @@ class PlanarDiagram:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("diagram JSON must be an object")
         for key in ("m", "crossings", "order"):
             if key not in data:
                 raise ValueError("diagram JSON needs %r" % key)
+        if (not isinstance(data["crossings"], list)
+                or not all(isinstance(c, dict) for c in data["crossings"])):
+            raise ValueError("diagram 'crossings' must be a list of objects")
         crossings = [(c["over"], c["under"], c["sign"]) for c in data["crossings"]]
         return cls(data["m"], crossings, data["order"])
 
@@ -141,9 +156,7 @@ class LinkingMatrix:
     """Symmetric integer matrix of pairwise linking numbers, zero diagonal."""
 
     def __init__(self, entries):
-        if not isinstance(entries, (list, tuple)) or any(
-                not isinstance(row, (list, tuple))
-                or any(type(x) is not int for x in row) for row in entries):
+        if not isinstance(entries, (list, tuple)) or not all(map(_ints, entries)):
             raise ValueError("linking matrix entries must be integers, row by row")
         self.entries = tuple(tuple(row) for row in entries)
         self.m = len(self.entries)
@@ -480,9 +493,12 @@ def _class_multiples(edges, triangles, generator, targets):
     ``edges``/``triangles`` describe the complex; generator and targets are
     1-cycles as {sorted edge: coefficient}.  Verifies that H_1 is infinite
     cyclic and that the generator generates; anything else aborts loudly.
-    Elimination: spanning-forest gauge, then unit-pivot reduction of the
-    boundary-image lattice with every cycle carried through the row
-    operations, finishing with a Smith form (with transforms) on the core.
+    A spanning-forest gauge makes the non-tree edges the coordinates of
+    the cycles, and the triangle boundaries span the relations.
+    ``eliminate_unit_pivots`` reduces the relations (singleton queue, then
+    Markowitz unit pivots, stopping at no unit entry or at the 64-pivot
+    fill-in check) with every cycle carried through its row operations; a
+    Smith form with transforms on the core then reads off the classes.
     """
     # spanning forest over the 1-skeleton
     adj = {}
@@ -534,126 +550,8 @@ def _class_multiples(edges, triangles, generator, targets):
             for r, v in col.items():
                 rows.setdefault(r, {})[cid] = v
 
-    alive = set(range(n_coords))
-
-    def eliminate(i, j):
-        s = rows[i][j]
-        row_i = rows[i]
-        col_j = cols[j]
-        for j2, coeff in [(x, c) for x, c in row_i.items() if x != j]:
-            factor = coeff * s
-            col_j2 = cols[j2]
-            for k, vkj in col_j.items():
-                if k == i:
-                    continue
-                new = col_j2.get(k, 0) - factor * vkj
-                if new:
-                    col_j2[k] = new
-                    rows[k][j2] = new
-                elif k in col_j2:
-                    del col_j2[k]
-                    del rows[k][j2]
-            del col_j2[i]
-            if not col_j2:
-                del cols[j2]
-        rows[i] = {j: s}
-        pivots = [(vec, vec.pop(i)) for vec in carried if i in vec]
-        for k, vkj in list(col_j.items()):
-            if k == i:
-                continue
-            factor = vkj * s
-            for vec, vi in pivots:
-                nv = vec.get(k, 0) - factor * vi
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            del rows[k][j]
-            if not rows[k]:
-                del rows[k]
-        del rows[i]
-        del cols[j]
-        alive.discard(i)
-
-    # phase 1: queue-driven eliminations of singleton rows/columns
-    queue = deque()
-    for i in sorted(rows):
-        if len(rows[i]) == 1:
-            queue.append(("r", i))
-    for j in sorted(cols):
-        if len(cols[j]) == 1:
-            queue.append(("c", j))
-
-    def push_candidates(row_ids, col_ids):
-        for k in row_ids:
-            if k in rows and len(rows[k]) == 1:
-                queue.append(("r", k))
-        for c in col_ids:
-            if c in cols and len(cols[c]) == 1:
-                queue.append(("c", c))
-
-    def run_queue():
-        while queue:
-            kind, key = queue.popleft()
-            if kind == "r":
-                if key not in rows or len(rows[key]) != 1:
-                    continue
-                j = next(iter(rows[key]))
-                if rows[key][j] not in (1, -1):
-                    continue
-                affected_rows = [k for k in cols[j] if k != key]
-                eliminate(key, j)
-                push_candidates(affected_rows, ())
-            else:
-                if key not in cols or len(cols[key]) != 1:
-                    continue
-                i = next(iter(cols[key]))
-                if cols[key][i] not in (1, -1):
-                    continue
-                affected_cols = [x for x in rows[i] if x != key]
-                eliminate(i, key)
-                push_candidates((), affected_cols)
-
-    run_queue()
-
-    # phase 2: general unit pivots by Markowitz cost until none remain
-    while rows:
-        heap = []
-        for i, row in rows.items():
-            ri = len(row) - 1
-            for j, val in row.items():
-                if val in (1, -1):
-                    heap.append((ri * (len(cols[j]) - 1), i, j))
-        if not heap:
-            break
-        heapq.heapify(heap)
-        progressed = False
-        while heap:
-            cost, i, j = heapq.heappop(heap)
-            if i not in rows or j not in rows[i] or rows[i][j] not in (1, -1):
-                continue
-            cur = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if cur > cost:
-                heapq.heappush(heap, (cur, i, j))
-                continue
-            affected_rows = [k for k in cols[j] if k != i]
-            affected_cols = [x for x in rows[i] if x != j]
-            eliminate(i, j)
-            progressed = True
-            push_candidates(affected_rows, affected_cols)
-            run_queue()
-            for k in affected_rows:
-                if k in rows:
-                    rk = rows[k]
-                    ri = len(rk) - 1
-                    for j2, val in rk.items():
-                        if val in (1, -1):
-                            heapq.heappush(heap, (ri * (len(cols[j2]) - 1), k, j2))
-        if not progressed:
-            break
-
-    # phase 3: Smith form with transforms on the small core
-    live = sorted(alive)
+    pivots = set(eliminate_unit_pivots(rows, cols, carried))
+    live = [r for r in range(n_coords) if r not in pivots]
     m_star = len(live)
     ri = {r: k for k, r in enumerate(live)}
     live_cols = sorted(cols)

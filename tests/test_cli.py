@@ -1,12 +1,15 @@
 """End-to-end command-line flows: exit codes, report shape, determinism."""
 
+import importlib
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from flatlink.cli import main
+from flatlink.coxeter import Racg
 
 
 @pytest.fixture()
@@ -180,6 +183,93 @@ def test_build_non_integer_entries_is_input_error(tmp_path, capsys):
     target.write_text(json.dumps({"entries": [[0, "1"], ["1", 0]]}))
     assert main(["build", str(target)]) == 2
     assert "integers" in capsys.readouterr().err
+
+
+_DIAGRAM = {"m": 2, "crossings": [{"over": 0, "under": 1, "sign": 1},
+                                  {"over": 1, "under": 0, "sign": 1}],
+            "order": [[0, 1], [0, 1]]}
+
+
+def _diagram_with(**changes):
+    data = json.loads(json.dumps(_DIAGRAM))
+    for key, value in changes.items():
+        if key in ("over", "under", "sign"):
+            data["crossings"][0][key] = value
+        else:
+            data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("lk diagram", _diagram_with(sign=True), "integer"),
+    ("lk diagram", _diagram_with(over=False), "integer"),
+    ("lk diagram", _diagram_with(under=1.0), "integer"),
+    ("lk diagram", _diagram_with(m=True), "integer"),
+    ("lk diagram", _diagram_with(order=[[0, True], [0, 1]]), "integer"),
+    ("lk diagram", _diagram_with(crossings=[5]), "list of objects"),
+    ("lk diagram", 5, "must be an object"),
+    ("build", 5, "must be an object"),
+    ("build", "entries", "must be an object"),
+    ("build", _diagram_with(sign=True), "integer"),
+])
+def test_malformed_diagram_or_target_is_input_error(tmp_path, capsys, command, data,
+                                                     message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(command.split() + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices": 2, "facets": [[0, true]]}', "not a list of integers"),
+    ('{"vertices": true, "facets": [[0]]}', "non-negative integer"),
+    ('{"vertices": 1000000000000, "facets": [[0, 1]]}', "vertex 2 appears in no facet"),
+])
+def test_verify_malformed_complex_is_input_error(tmp_path, capsys, text, message):
+    # 10^12 declared vertices is rejected by counting, before any allocation
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through every flatlink binding of it."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("flatlink.")]
+    for target in [owner] + modules:
+        if vars(target).get(name) is original:
+            monkeypatch.setattr(target, name, counting)
+    return calls
+
+
+def test_one_manifold_check_per_verify_and_obstruct(write_fixture, tmp_path, monkeypatch):
+    # the 600-cell passes every prerequisite, so obstruct reaches linking_matrix
+    homology_module = importlib.import_module("flatlink.homology")
+    calls = _count_calls(monkeypatch, homology_module, "is_closed_orientable_3manifold")
+    path = write_fixture("600-cell")
+    for command in ("verify", "obstruct"):
+        calls.clear()
+        assert run_json([command, path], tmp_path)[0] == 0
+        assert len(calls) == 1
+
+
+def test_one_coxeter_bfs_per_davis(write_fixture, tmp_path, monkeypatch):
+    calls = (_count_calls(monkeypatch, Racg, "ball"),
+             _count_calls(monkeypatch, Racg, "ball_sizes"))
+    rc, report = run_json(["davis", write_fixture("c4"), "-n", "3"], tmp_path)
+    assert rc == 0
+    assert report["checks"]["sphere_sizes"] == [1, 4, 8, 12]
+    assert [len(c) for c in calls] == [1, 0]
 
 
 def test_fixture_unknown_name_is_input_error():

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from flatlink.complexes import SimplicialComplex
 from flatlink.fixtures import fixture
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
-                               S3_PROFILE, homology, is_closed_orientable_3manifold,
-                               is_homology_3sphere, simplicial_chain_complex,
-                               smith_normal_form)
+                               S3_PROFILE, eliminate_unit_pivots, homology,
+                               is_closed_orientable_3manifold, is_homology_3sphere,
+                               simplicial_chain_complex, smith_normal_form)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -202,6 +202,74 @@ def test_snf_sparse_path_matches_oracle_on_larger_random():
         rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(12)] for _ in range(9)]
         m = IntegerMatrix.from_dense(rows)
         assert smith_normal_form(m).invariants == oracle_invariant_factors(rows)
+
+
+def _row_and_col_dicts(matrix):
+    rows, cols = {}, {}
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, {})[i] = v
+    return rows, cols
+
+
+def _free_class(matrix, vec):
+    """|class| of a vector in a cokernel Z, read off U of a transformed Smith form."""
+    snf = smith_normal_form(matrix, want_transforms=True)
+    assert set(snf.invariants) <= {1} and matrix.rows - snf.rank() == 1
+    return abs(sum(u * vec.get(k, 0) for (i, k), u in snf.U.entries.items()
+                   if i == snf.rank()))
+
+
+def test_eliminate_unit_pivots_keeps_the_class_of_a_carried_vector():
+    rng = random.Random(5)
+    m, n = 9, 12
+    cores = classes = 0
+    for _ in range(25):
+        # cokernel Z, hidden by random unimodular row and column operations;
+        # the row (2, 3) has no unit entry, so most cases leave a core
+        dense = [[0] * n for _ in range(m)]
+        dense[0][:2] = [2, 3]
+        for i in range(1, m - 1):
+            dense[i][i + 1] = 1
+        for _ in range(12):
+            a, b = rng.sample(range(m), 2)
+            q = rng.choice((1, -1))
+            dense[a] = [x + q * y for x, y in zip(dense[a], dense[b])]
+            c, d = rng.sample(range(n), 2)
+            q = rng.choice((1, -1))
+            for row in dense:
+                row[c] += q * row[d]
+        matrix = IntegerMatrix.from_dense(dense)
+        vec = {i: v for i in range(m) if (v := rng.randint(-3, 3))}
+        rows, cols = _row_and_col_dicts(matrix)
+        carried = dict(vec)
+        pivots = eliminate_unit_pivots(rows, cols, [carried])
+        live = [r for r in range(m) if r not in pivots]
+        assert set(carried) <= set(live)
+        index = {r: k for k, r in enumerate(live)}
+        core = IntegerMatrix(len(live), len(cols), {
+            (index[r], k): v for k, j in enumerate(sorted(cols))
+            for r, v in cols[j].items()})
+        expected = _free_class(matrix, vec)
+        assert _free_class(core, {index[r]: v for r, v in carried.items()}) == expected
+        cores += bool(cols)
+        classes += bool(expected)
+    assert cores > 15 and classes > 15
+
+
+def test_eliminate_unit_pivots_fill_in_fallback_matches_oracle():
+    # 64 cheap unit pivots on the identity block leave a dense 6 x 6 core:
+    # the fill-in check after pivot 64 hands it to the dense elimination
+    # while unit entries are still left in it
+    rng = random.Random(0)
+    n = 70
+    dense = [[int(i == j) if i < 64 and j < 64 else rng.choice((1, -1))
+              for j in range(n)] for i in range(n)]
+    matrix = IntegerMatrix.from_dense(dense)
+    rows, cols = _row_and_col_dicts(matrix)
+    assert len(eliminate_unit_pivots(rows, cols)) == 64
+    assert any(v in (1, -1) for row in rows.values() for v in row.values())
+    assert smith_normal_form(matrix).invariants == oracle_invariant_factors(dense)
 
 
 # -- chain complexes and homology -------------------------------------------------

@@ -1,0 +1,36 @@
+"""The benchmark tracer's span targets still name flatlink functions.
+
+``perfbench/tracer.py`` patches its targets by module and attribute name;
+a renamed or deleted target would only fail a traced benchmark run.  The
+tracer's source is read and executed here, never imported as a module.
+"""
+
+import importlib
+import os
+
+TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "perfbench", "tracer.py")
+
+
+def _tracer_targets():
+    with open(TRACER, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(source, TRACER, "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_tracer_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    for module_name, attr, _, _ in targets:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            # the tracer patches the method found in the class's own __dict__
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            assert cls is not None, "%s has no class %s" % (module_name, cls_name)
+            target = vars(cls).get(method)
+        else:
+            target = getattr(owner, attr, None)
+        assert callable(target), "%s.%s is gone" % (module_name, attr)
