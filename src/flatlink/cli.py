@@ -393,8 +393,8 @@ def main(argv=None):
     except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, KeyError) as exc:
-        # bad user data (resource bounds included), never a traceback
+    except (ValueError, KeyError, OSError) as exc:
+        # bad user data (resource bounds, unwritable output paths), never a traceback
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -93,8 +93,9 @@ class Racg:
         """Sphere sizes |S_0| .. |S_radius|, counted over ``ball``."""
         return sphere_sizes(self.ball(radius), radius)
 
-    def ball(self, radius):
-        """All normal forms of length <= radius."""
+    def ball(self, radius, max_vertices=None):
+        """All normal forms of length <= radius; ResourceLimitError as soon
+        as more than ``max_vertices`` (when given) are found."""
         sphere = {()}
         seen = {()}
         for _ in range(radius):
@@ -104,9 +105,24 @@ class Racg:
                     nf = self.normal_form(w + (g,))
                     if nf not in seen and len(nf) == len(w) + 1:
                         nxt.add(nf)
+                        if max_vertices is not None and len(seen) + len(nxt) > max_vertices:
+                            raise ResourceLimitError(
+                                "ball of radius %d exceeds the bound of %d vertices"
+                                % (radius, max_vertices))
             seen |= nxt
             sphere = nxt
         return seen
+
+    def right_descents(self, word):
+        """Generators s with len(word * s) < len(word), for a normal-form word:
+        those with no blocker after their last letter, which can move to the end."""
+        descents = set()
+        later = set()
+        for g in reversed(word):
+            if self._blockers[g].isdisjoint(later):
+                descents.add(g)
+            later.add(g)
+        return frozenset(descents)
 
     def min_coset_rep(self, word, parabolic):
         """ShortLex least element of word * W_J by greedy descent."""
@@ -140,36 +156,24 @@ def sphere_sizes(words, radius):
 class DavisBall:
     """Finite ball in the Davis complex of a RACG over a complex K.
 
-    Cube cells are (g, J): J a simplex vertex set of K and g the ShortLex
-    least representative of the coset g W_J.  A cell is kept when all of
-    its vertices lie within word length <= radius.
+    Cells are the cosets wW_J, J a simplex of K (Davis 2008), stored as
+    (w, J) with w the shortest element, so J misses the right descents
+    D_R(w) (Bjorner-Brenti 2005).  The ball of radius r keeps the cells
+    with len(w) + |J| <= r; g is interior when len(g) + |J - D_R(g)| <= r
+    for every J.
     """
 
     def __init__(self, group, complex_, radius, max_vertices=200000):
         self.group = group
         self.base = complex_
         self.radius = int(radius)
-        vertices = group.ball(self.radius)
-        if len(vertices) > max_vertices:
-            raise ResourceLimitError("Davis ball has %d vertices, over the bound %d"
-                                     % (len(vertices), max_vertices))
-        self.vertices = frozenset(vertices)
-        simplices = [tuple(f) for f in complex_.all_faces()]
-        cells = set()
-        for g in sorted(self.vertices):
-            for J in simplices:
-                rep = group.min_coset_rep(g, J)
-                if (rep, J) in cells:
-                    continue
-                if all(v in self.vertices for v in self._cell_vertices(rep, J)):
-                    cells.add((rep, J))
+        self.vertices = frozenset(group.ball(self.radius, max_vertices=max_vertices))
+        self._descents = {w: group.right_descents(w) for w in self.vertices}
+        faces_by_dim = [complex_.faces(d) for d in range(complex_.dim() + 1)]
+        cells = [(w, J) for w, descents in self._descents.items()
+                 for faces in faces_by_dim[:self.radius - len(w)]
+                 for J in faces if descents.isdisjoint(J)]
         self.cells = tuple(sorted(cells, key=lambda c: (len(c[1]), c[1], c[0])))
-
-    def _cell_vertices(self, rep, J):
-        verts = [rep]
-        for s in J:
-            verts += [self.group.normal_form(v + (s,)) for v in verts]
-        return verts
 
     def cells_of_dim(self, d):
         return [c for c in self.cells if len(c[1]) == d]
@@ -180,31 +184,18 @@ class DavisBall:
         counts += [len(self.cells_of_dim(d)) for d in range(1, top + 1)]
         return tuple(counts)
 
-    def cells_at_vertex(self, g):
-        """Cells of the ambient Davis complex containing g, ball membership aside."""
-        out = []
-        for J in (tuple(f) for f in self.base.all_faces()):
-            out.append((self.group.min_coset_rep(g, J), J))
-        return out
-
-    def is_interior(self, g):
-        """True when the whole star of g in the Davis complex lies in the ball."""
-        if g not in self.vertices:
-            return False
-        for rep, J in self.cells_at_vertex(g):
-            if any(v not in self.vertices for v in self._cell_vertices(rep, J)):
-                return False
-        return True
-
     def interior_vertices(self):
-        return sorted(v for v in self.vertices if self.is_interior(v))
+        """Vertices whose whole star in the Davis complex lies in the ball."""
+        facets = [set(f) for f in self.base.facets]
+        return sorted(w for w, descents in self._descents.items()
+                      if all(len(w) + len(f - descents) <= self.radius for f in facets))
 
     def vertex_link(self, g):
         """Simplicial complex on the generator set spanned by the cells at g."""
-        facets = {}
-        for rep, J in self.cells:
-            if g in self._cell_vertices(rep, J):
-                facets[J] = True
+        descents = self._descents.get(g)
+        facets = [] if descents is None else [
+            J for J in self.base.all_faces()
+            if len(g) + len(set(J) - descents) <= self.radius]
         maximal = []
         for J in sorted(facets, key=len, reverse=True):
             if not any(set(J) <= set(m) for m in maximal):

@@ -2,11 +2,13 @@
 
 Deliberately naive implementations on different algorithmic routes than
 the library: clique growth for flagness, 4-tuple scans for squares,
-Tits-style commutation-class reduction for Coxeter words, and linking
+Tits-style commutation-class reduction for Coxeter words, coset
+representatives and explicit cell vertices for Davis balls, and linking
 numbers in the second barycentric subdivision.
 """
 
 from itertools import combinations
+from typing import NamedTuple
 
 from flatlink.complexes import Square, clique_complex
 from flatlink.homology import is_homology_3sphere
@@ -98,6 +100,51 @@ def oracle_equal(group, u, v):
 
 def oracle_canonical(group, word):
     return min(oracle_reduce(group, word))
+
+
+class BruteForceDavisBall(NamedTuple):
+    vertices: frozenset
+    cells: tuple     # (rep, J), sorted by (len(J), J, rep)
+    interior: list   # sorted interior vertices
+    links: dict      # vertex -> maximal simplices J of the ball's cells at it
+
+
+def brute_force_davis_ball(group, complex_, radius):
+    """Davis ball by coset-representative search and explicit cell vertices.
+
+    Each (word, simplex J) pair gets the ShortLex least representative of
+    its coset word W_J; the cell is kept when all 2^|J| of its vertices lie
+    in the ball, and a vertex is interior when every cell of its star in
+    the whole Davis complex does.  The link at g is spanned by the J whose
+    cell at g, (min_coset_rep(g, J), J), is a cell of the ball.
+    """
+    vertices = frozenset(group.ball(radius))
+    simplices = complex_.all_faces()
+
+    def cell_vertices(rep, J):
+        verts = [rep]
+        for s in J:
+            verts += [group.normal_form(v + (s,)) for v in verts]
+        return verts
+
+    def in_ball(rep, J):
+        return all(v in vertices for v in cell_vertices(rep, J))
+
+    cells = set()
+    for g in sorted(vertices):
+        for J in simplices:
+            rep = group.min_coset_rep(g, J)
+            if (rep, J) not in cells and in_ball(rep, J):
+                cells.add((rep, J))
+    cells = tuple(sorted(cells, key=lambda c: (len(c[1]), c[1], c[0])))
+    interior = sorted(g for g in vertices
+                      if all(in_ball(group.min_coset_rep(g, J), J) for J in simplices))
+    cell_set = set(cells)
+    links = {}
+    for g in vertices:
+        spanned = [J for J in simplices if (group.min_coset_rep(g, J), J) in cell_set]
+        links[g] = sorted(J for J in spanned if not any(set(J) < set(o) for o in spanned))
+    return BruteForceDavisBall(vertices, cells, interior, links)
 
 
 def all_graphs(n):

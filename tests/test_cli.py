@@ -272,6 +272,20 @@ def test_one_coxeter_bfs_per_davis(write_fixture, tmp_path, monkeypatch):
     assert [len(c) for c in calls] == [1, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixture", "c4", "{missing}"],
+    ["verify", "{c4}", "--out", "{missing}"],
+    ["pk", "{c4}", "--cells-out", "{missing}"],
+    ["davis", "{c4}", "-n", "1", "--cells-out", "{missing}"],
+])
+def test_unwritable_output_path_is_input_error(argv, write_fixture, tmp_path, capsys):
+    paths = {"c4": write_fixture("c4"), "missing": str(tmp_path / "no-dir" / "x.json")}
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-dir" in err and "Traceback" not in err
+
+
 def test_fixture_unknown_name_is_input_error():
     assert main(["fixture", "klein-bottle"]) == 2
 

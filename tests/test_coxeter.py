@@ -8,14 +8,15 @@ import pytest
 
 from flatlink.complexes import (SimplicialComplex, clique_complex, find_squares,
                                 has_isolated_squares, is_isomorphic)
-from flatlink.coxeter import (Racg, caprace_criterion, davis_ball, flat_from_square,
-                              racg_from_skeleton)
+from flatlink.coxeter import (Racg, ResourceLimitError, caprace_criterion, davis_ball,
+                              flat_from_square, racg_from_skeleton)
 from flatlink.fixtures import fixture
 
 
 # -- oracles: see tests/oracles.py -------------------------------------------
 
-from oracles import all_graphs, oracle_canonical, oracle_equal
+from oracles import (all_graphs, brute_force_davis_ball, oracle_canonical, oracle_equal,
+                     random_flag_complex)
 
 
 # -- normal form ---------------------------------------------------------------
@@ -123,6 +124,61 @@ def test_davis_ball_interior_links_radius_3():
     for v in interior:
         link = b.vertex_link(v)
         assert is_isomorphic(link, k) is not None
+
+
+def _assert_davis_ball_matches_oracle(k, radius):
+    group = racg_from_skeleton(k)
+    ball = davis_ball(group, k, radius)
+    ref = brute_force_davis_ball(group, k, radius)
+    assert ball.cells == ref.cells
+    assert ball.vertices == ref.vertices
+    assert ball.interior_vertices() == ref.interior
+    generators = set(range(k.vertex_count))
+    for g in ball.vertices:
+        assert group.right_descents(g) == {
+            s for s in range(group.n) if len(group.normal_form(g + (s,))) < len(g)}
+        # a link that misses a generator is no complex on the generator set
+        if {v for J in ref.links[g] for v in J} == generators:
+            assert ball.vertex_link(g) == SimplicialComplex(k.vertex_count, ref.links[g])
+    return ball
+
+
+@pytest.mark.parametrize("name,radius", [("c4", r) for r in range(7)] + [
+    ("octahedron", 3), ("suspension-3-points", 4), ("boundary-16-cell", 3),
+    ("join-c6-c6", 1)])
+def test_davis_ball_matches_brute_force_oracle(name, radius):
+    _assert_davis_ball_matches_oracle(fixture(name), radius)
+
+
+def test_davis_ball_single_simplex_top_element_is_interior():
+    # W_K is (Z/2)^3, finite: its top element has every generator as a descent
+    k = SimplicialComplex(3, [(0, 1, 2)])
+    for radius in range(5):
+        ball = _assert_davis_ball_matches_oracle(k, radius)
+        assert ((0, 1, 2) in ball.interior_vertices()) == (radius >= 3)
+
+
+def test_davis_ball_matches_brute_force_oracle_random_flag_complexes():
+    rng = random.Random(41)
+    for _ in range(30):
+        _assert_davis_ball_matches_oracle(random_flag_complex(rng, max_vertices=7),
+                                          rng.randint(0, 3))
+
+
+def test_davis_ball_bound_stops_the_search_early(monkeypatch):
+    k = fixture("boundary-16-cell")
+    group = racg_from_skeleton(k)
+    calls = []
+    original = Racg.normal_form
+
+    def counting(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(Racg, "normal_form", counting)
+    with pytest.raises(ResourceLimitError, match="bound"):
+        davis_ball(group, k, 6, max_vertices=10)
+    assert len(calls) <= 300
 
 
 def test_davis_ball_rejects_negative_radius():
