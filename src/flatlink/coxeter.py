@@ -191,16 +191,21 @@ class DavisBall:
                       if all(len(w) + len(f - descents) <= self.radius for f in facets))
 
     def vertex_link(self, g):
-        """Simplicial complex on the generator set spanned by the cells at g."""
+        """Link of g: the J with len(g) + |J - D_R(g)| <= r, relabelled onto
+        0..k-1 in sorted order of the generators they cover, as
+        ``complexes.vertex_link`` does.  ValueError when g is no vertex."""
+        g = tuple(g)
         descents = self._descents.get(g)
-        facets = [] if descents is None else [
-            J for J in self.base.all_faces()
-            if len(g) + len(set(J) - descents) <= self.radius]
+        if descents is None:
+            raise ValueError("word %r is not a vertex of the ball" % (g,))
+        spanned = [J for J in self.base.all_faces()
+                   if len(g) + len(set(J) - descents) <= self.radius]
         maximal = []
-        for J in sorted(facets, key=len, reverse=True):
+        for J in sorted(spanned, key=len, reverse=True):
             if not any(set(J) <= set(m) for m in maximal):
                 maximal.append(J)
-        return SimplicialComplex(self.base.vertex_count, sorted(maximal))
+        index = {v: i for i, v in enumerate(sorted({v for J in maximal for v in J}))}
+        return SimplicialComplex(len(index), [tuple(index[v] for v in J) for J in maximal])
 
     def to_json(self):
         return {

@@ -180,8 +180,9 @@ def cubical_chain_complex(cubical, check=True):
                 sign = 1 if rank % 2 == 0 else -1
                 top = CubicalCell(sub, cell.coset)            # bit 0: coordinate +1
                 bottom = CubicalCell(sub, cell.coset | (1 << b))
-                mat.set(lower[top], col, mat.get(lower[top], col) + sign)
-                mat.set(lower[bottom], col, mat.get(lower[bottom], col) - sign)
+                # written once: faces differ in type across b, in bit b within
+                mat.entries[(lower[top], col)] = sign
+                mat.entries[(lower[bottom], col)] = -sign
         boundaries[d] = mat
     counts = [len(cubical.cells[d]) for d in dims]
     labels = {d: cubical.cells[d] for d in dims}

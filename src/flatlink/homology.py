@@ -9,6 +9,12 @@ Markowitz cost, optionally carrying vectors through its row operations.
 It stops when no unit entry is left or, checked every 64 pivots, when
 fill-in passes 30% of the live block; a dense textbook elimination
 finishes the core.
+
+``homology`` reduces top-down with clearing (Chen-Kerber 2011; Bauer-
+Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
+rows P of the d_{d+1} elimination.  Unit pivots give det d_{d+1}[P,Q] = +-1,
+so d_d d_{d+1} = 0 puts those columns in the integer span of the others:
+the column lattice of d_d, its rank and its invariant factors stay.
 """
 
 import heapq
@@ -99,6 +105,7 @@ class SmithNormalForm(NamedTuple):
     invariants: tuple  # d_1 | d_2 | ... , all positive
     U: Optional[IntegerMatrix]  # U @ M @ V has the invariants on the diagonal
     V: Optional[IntegerMatrix]
+    pivot_rows: tuple = ()  # rows eliminated by sparse unit pivots, in pivot order
 
     def rank(self):
         return len(self.invariants)
@@ -344,7 +351,8 @@ def smith_normal_form(matrix, want_transforms=False):
     V (cols x cols) with U @ M @ V diagonal are returned as well; that
     path uses the dense algorithm throughout, which is fine at the sizes
     transforms are requested for.  Otherwise ``eliminate_unit_pivots``
-    reduces the matrix and the dense algorithm finishes its core.
+    reduces the matrix, the dense algorithm finishes its core, and the
+    rows of the unit pivots come back as ``pivot_rows``.
     """
     m, n = matrix.rows, matrix.cols
     if want_transforms:
@@ -356,7 +364,7 @@ def smith_normal_form(matrix, want_transforms=False):
     for (i, j), val in matrix.entries.items():
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, {})[i] = val
-    ones = len(eliminate_unit_pivots(rows, cols))
+    pivots = eliminate_unit_pivots(rows, cols)
     live_rows = sorted(rows)
     ci = {c: k for k, c in enumerate(sorted(cols))}
     dense = [[0] * len(ci) for _ in live_rows]
@@ -364,7 +372,8 @@ def smith_normal_form(matrix, want_transforms=False):
         for c, val in rows[r].items():
             out[ci[c]] = val
     inv, _, _ = _dense_snf(dense, len(live_rows), len(ci), False)
-    return SmithNormalForm(tuple([1] * ones + sorted(inv)), None, None)
+    return SmithNormalForm(tuple([1] * len(pivots) + sorted(inv)), None, None,
+                           tuple(pivots))
 
 
 class HomologyProfile:
@@ -440,13 +449,24 @@ class ChainComplex:
 
 
 def homology(chain_complex):
-    """Integral homology H_d = ker d_d / im d_{d+1}, exactly."""
+    """Integral homology H_d = ker d_d / im d_{d+1}, exactly.
+
+    Top-down with clearing, see above; relies on d_d d_{d+1} = 0, which
+    ``ChainComplex`` checks by default.
+    """
     ranks = {}
     torsions = {}
-    for d in range(1, chain_complex.dim + 1):
-        snf = smith_normal_form(chain_complex.boundary(d))
+    cleared = frozenset()
+    for d in range(chain_complex.dim, 0, -1):
+        mat = chain_complex.boundary(d)
+        if cleared:
+            kept = IntegerMatrix(mat.rows, mat.cols)
+            kept.entries = {ij: v for ij, v in mat.entries.items() if ij[1] not in cleared}
+            mat = kept
+        snf = smith_normal_form(mat)
         ranks[d] = snf.rank()
         torsions[d] = tuple(t for t in snf.invariants if t > 1)
+        cleared = frozenset(snf.pivot_rows)
     groups = []
     for d in range(chain_complex.dim + 1):
         n_d = chain_complex.cell_counts[d]

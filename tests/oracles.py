@@ -3,15 +3,16 @@
 Deliberately naive implementations on different algorithmic routes than
 the library: clique growth for flagness, 4-tuple scans for squares,
 Tits-style commutation-class reduction for Coxeter words, coset
-representatives and explicit cell vertices for Davis balls, and linking
-numbers in the second barycentric subdivision.
+representatives and explicit cell vertices for Davis balls, linking
+numbers in the second barycentric subdivision, and homology from one
+independent Smith form per boundary, without clearing.
 """
 
 from itertools import combinations
 from typing import NamedTuple
 
 from flatlink.complexes import Square, clique_complex
-from flatlink.homology import is_homology_3sphere
+from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
 from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
                             _cycle_chain, _edge_link_cycle, _sd_oriented, _skeleton)
 
@@ -182,3 +183,19 @@ def second_subdivision_linking_matrix(sigma, link, orientation=None):
             target = _cycle_chain(components[i], link.orientations[i])
             pairs[(i, j)] = _class_multiples(edges, triangles, meridian, [target])[0]
     return LinkingMatrix.from_pairs(m, pairs)
+
+
+def independent_snf_homology(chain_complex):
+    """Homology bottom-up, each boundary reduced whole and on its own."""
+    ranks = {}
+    torsions = {}
+    for d in range(1, chain_complex.dim + 1):
+        snf = smith_normal_form(chain_complex.boundary(d))
+        ranks[d] = snf.rank()
+        torsions[d] = tuple(t for t in snf.invariants if t > 1)
+    groups = []
+    for d in range(chain_complex.dim + 1):
+        n_d = chain_complex.cell_counts[d]
+        betti = n_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        groups.append((betti, torsions.get(d + 1, ())))
+    return HomologyProfile(groups)

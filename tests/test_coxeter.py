@@ -116,6 +116,19 @@ def test_davis_ball_c4_radius_2_grid():
     assert b.vertex_link(()) == k
 
 
+def test_davis_ball_boundary_vertex_link_is_relabelled():
+    k = fixture("c4")
+    b = davis_ball(racg_from_skeleton(k), k, 2)
+    # (0, 3) has length r: only the J inside D_R = {0, 3} keep their cells,
+    # one edge, relabelled 0 -> 0 and 3 -> 1
+    assert b.vertex_link((0, 3)) == SimplicialComplex(2, [(0, 1)])
+    assert b.vertex_link((0,)) == SimplicialComplex(4, [(2,), (0, 1), (0, 3)])
+    assert davis_ball(racg_from_skeleton(k), k, 1).vertex_link((0,)) == \
+        SimplicialComplex(1, [(0,)])
+    with pytest.raises(ValueError, match=r"\(0, 2, 0\)"):
+        b.vertex_link((0, 2, 0))
+
+
 def test_davis_ball_interior_links_radius_3():
     k = fixture("c4")
     b = davis_ball(racg_from_skeleton(k), k, 3)
@@ -133,13 +146,14 @@ def _assert_davis_ball_matches_oracle(k, radius):
     assert ball.cells == ref.cells
     assert ball.vertices == ref.vertices
     assert ball.interior_vertices() == ref.interior
-    generators = set(range(k.vertex_count))
     for g in ball.vertices:
         assert group.right_descents(g) == {
             s for s in range(group.n) if len(group.normal_form(g + (s,))) < len(g)}
-        # a link that misses a generator is no complex on the generator set
-        if {v for J in ref.links[g] for v in J} == generators:
-            assert ball.vertex_link(g) == SimplicialComplex(k.vertex_count, ref.links[g])
+        # boundary links miss generators: relabel onto the covered ones
+        covered = sorted({v for J in ref.links[g] for v in J})
+        index = {v: i for i, v in enumerate(covered)}
+        assert ball.vertex_link(g) == SimplicialComplex(
+            len(covered), [tuple(index[v] for v in J) for J in ref.links[g]])
     return ball
 
 

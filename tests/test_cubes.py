@@ -7,7 +7,7 @@ from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, buil
                             cubical_chain_complex, pk_vertex_link, torus_subcomplex,
                             verify_vertex_links)
 from flatlink.fixtures import fixture
-from flatlink.homology import HomologyProfile, homology
+from flatlink.homology import HomologyProfile, IntegerMatrix, homology
 
 
 def test_pk_point_is_segment():
@@ -66,6 +66,29 @@ def test_segment_boundary_matrix():
     cc = cubical_chain_complex(p)
     # vertices ordered (coset 0, coset 1); bit 0 is the top (+1) face
     assert cc.boundary(1).to_dense() == [[1], [-1]]
+
+
+def _accumulated_boundaries(cubical):
+    """Boundary matrices summed face by face onto whatever entry is there."""
+    out = {}
+    for d in range(1, cubical.dim() + 1):
+        lower = {c: i for i, c in enumerate(cubical.cells[d - 1])}
+        mat = IntegerMatrix(len(cubical.cells[d - 1]), len(cubical.cells[d]))
+        for col, cell in enumerate(cubical.cells[d]):
+            free = [b for b in range(cubical.ground) if cell.J >> b & 1]
+            for rank, b in enumerate(free):
+                sub = cell.J & ~(1 << b)
+                for face, sign in ((CubicalCell(sub, cell.coset), (-1) ** rank),
+                                   (CubicalCell(sub, cell.coset | 1 << b), -(-1) ** rank)):
+                    mat.set(lower[face], col, mat.get(lower[face], col) + sign)
+        out[d] = mat
+    return out
+
+
+@pytest.mark.parametrize("name", ["octahedron", "boundary-16-cell"])
+def test_boundaries_match_face_by_face_accumulation(name):
+    p = build_pk(fixture(name))
+    assert cubical_chain_complex(p).boundaries == _accumulated_boundaries(p)
 
 
 def test_boundary_of_boundary_vanishes():

@@ -5,6 +5,7 @@ elimination, and homology examples against independently built boundary
 matrices.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatlink.complexes import SimplicialComplex
-from flatlink.fixtures import fixture
+from flatlink.cubes import build_pk, cubical_chain_complex
+from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
                                S3_PROFILE, eliminate_unit_pivots, homology,
                                is_closed_orientable_3manifold, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
+from oracles import independent_snf_homology, random_flag_complex
 
 
 # -- independent oracle -------------------------------------------------------
@@ -329,6 +332,84 @@ def test_euler_poincare_on_corpus():
         alt_cells = k.euler_characteristic()
         alt_betti = sum((-1) ** d * prof.betti(d) for d in range(k.dim() + 1))
         assert alt_cells == alt_betti, name
+
+
+# -- clearing ----------------------------------------------------------------------
+
+def _mixed_bases(chain_complex, rng, ops):
+    """The same complex in other bases: random +-1 basis changes e_a += q e_b.
+
+    Such a change in degree k adds q times column b to column a of d_k and
+    subtracts q times row a from row b of d_{k+1}; d d = 0 and the homology
+    stay, the unit entries the elimination feeds on thin out.
+    """
+    dense = {d: chain_complex.boundary(d).to_dense() for d in range(1, chain_complex.dim + 1)}
+    for _ in range(ops):
+        k = rng.randrange(chain_complex.dim + 1)
+        if chain_complex.cell_counts[k] < 2:
+            continue
+        a, b = rng.sample(range(chain_complex.cell_counts[k]), 2)
+        q = rng.choice((1, -1))
+        if k >= 1:
+            for row in dense[k]:
+                row[a] += q * row[b]
+        if k < chain_complex.dim:
+            upper = dense[k + 1]
+            upper[b] = [y - q * x for x, y in zip(upper[a], upper[b])]
+    return ChainComplex(chain_complex.cell_counts,
+                        {d: IntegerMatrix.from_dense(m) for d, m in dense.items()})
+
+
+def _cleared_homology_cases():
+    for name in fixture_names():
+        yield "fixture " + name, simplicial_chain_complex(fixture(name))
+    rng = random.Random(23)
+    for k in range(30):
+        yield "random flag %d" % k, simplicial_chain_complex(random_flag_complex(rng))
+    for name in ("c4", "octahedron", "projective-plane-6", "torus-7"):
+        yield "P_K of " + name, cubical_chain_complex(build_pk(fixture(name)))
+
+
+def test_cleared_homology_matches_independent_oracle():
+    profiles = {}
+    for case, chain_complex in _cleared_homology_cases():
+        profiles[case] = homology(chain_complex)
+        assert profiles[case] == independent_snf_homology(chain_complex), case
+    # H_2(P_K) of the 6-vertex projective plane has 2-torsion
+    assert profiles["P_K of projective-plane-6"].groups[2] == (31, (2,))
+
+
+@pytest.mark.parametrize("name,ops,seed", [
+    ("boundary-4-simplex", 60, 1),      # pivots stop at a core with no unit entry
+    ("join-c10-c10", 600, 1),           # pivots stop after 64, at the fill-in bound
+])
+def test_cleared_homology_matches_oracle_on_a_partial_pivot_set(name, ops, seed):
+    chain_complex = _mixed_bases(simplicial_chain_complex(fixture(name)),
+                                 random.Random(seed), ops)
+    top = smith_normal_form(chain_complex.boundary(3))
+    assert 0 < len(top.pivot_rows) < top.rank()
+    assert homology(chain_complex) == independent_snf_homology(chain_complex) == S3_PROFILE
+
+
+def test_homology_clears_the_pivot_rows_of_the_boundary_above(monkeypatch):
+    homology_module = importlib.import_module("flatlink.homology")
+    handed = []
+    original = homology_module.smith_normal_form
+
+    def recording(matrix, *args, **kwargs):
+        snf = original(matrix, *args, **kwargs)
+        handed.append((matrix, snf))
+        return snf
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", recording)
+    chain_complex = simplicial_chain_complex(fixture("sd-boundary-4-simplex"))
+    assert homology(chain_complex) == S3_PROFILE
+    assert [m.cols for m, _ in handed] == [chain_complex.cell_counts[d] for d in (3, 2, 1)]
+    for (_, upper), (lower, _) in zip(handed, handed[1:]):
+        assert upper.pivot_rows
+        assert not {j for _, j in lower.entries} & set(upper.pivot_rows)
+    assert (sum(m.nnz() for m, _ in handed)
+            < sum(chain_complex.boundary(d).nnz() for d in (1, 2, 3)))
 
 
 # -- 3-manifold checks --------------------------------------------------------------
