@@ -9,16 +9,17 @@ from .complexes import (InvalidComplexError, IsomorphismWitness, SearchBudgetExc
                         SimplicialComplex, Square, barycentric_subdivision,
                         clique_complex, disjoint_union, full_subcomplex, find_squares,
                         has_isolated_squares, is_flag, is_isomorphic, join,
-                        vertex_link)
+                        scan_nonadjacent_pairs, vertex_link)
 from .coxeter import (CapraceReport, DavisBall, FlatSubcomplex, Racg,
                       ResourceLimitError, caprace_criterion, davis_ball,
                       flat_from_square, racg_from_skeleton)
 from .cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
                     cubical_chain_complex, pk_vertex_link, torus_subcomplex,
                     verify_vertex_links)
-from .fixtures import (BuildOutcome, TypeLReport, attempt_type_l_build, fixture,
-                       fixture_names, flagify, hopf_pair, product_triangulation,
-                       solomon_pair, split_pair, verify_type_l, zigzag_cycle)
+from .fixtures import (BuildOutcome, HypothesisReport, TypeLReport, attempt_type_l_build,
+                       check_hypotheses, fixture, fixture_names, flagify, hopf_pair,
+                       product_triangulation, solomon_pair, split_pair, verify_type_l,
+                       zigzag_cycle)
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, Manifold3Report,
                        SmithNormalForm, SphereReport, homology,
                        is_closed_orientable_3manifold, is_homology_3sphere,

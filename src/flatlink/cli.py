@@ -15,15 +15,13 @@ import sys
 import time
 
 from . import __version__
-from .complexes import (InvalidComplexError, SimplicialComplex, find_squares,
-                        has_isolated_squares, is_flag)
-from .coxeter import caprace_criterion, davis_ball, racg_from_skeleton, sphere_sizes
+from .complexes import InvalidComplexError, SimplicialComplex
+from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
 from .cubes import DEFAULT_MAX_GROUND, build_pk, cubical_chain_complex
-from .fixtures import attempt_type_l_build, fixture, fixture_names
-from .homology import homology, is_homology_3sphere
+from .fixtures import attempt_type_l_build, check_hypotheses, fixture, fixture_names
+from .homology import homology
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
-                    diagram_linking_matrix, link_from_squares, linking_matrix,
-                    obstruction_report)
+                    diagram_linking_matrix, linking_matrix, obstruction_report)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,66 +89,25 @@ class SystemExit2(Exception):
     """Bad input or usage: exit code 2 with a diagnostic."""
 
 
-def _verify_checks(complex_):
-    checks = {}
-    flag = is_flag(complex_)
-    checks["is_flag"] = flag.is_flag
-    if not flag.is_flag:
-        checks["flag_witness"] = list(flag.witness)
-    squares = find_squares(complex_)
-    checks["square_count"] = len(squares)
-    isolated = has_isolated_squares(complex_, squares)
-    checks["has_isolated_squares"] = isolated.has_isolated_squares
-    if not isolated.has_isolated_squares:
-        checks["isolated_offending_vertex"] = isolated.offending_vertex
-    manifold_ok = False
-    sphere_ok = False
-    orientation = None
-    try:
-        sphere = is_homology_3sphere(complex_)
-        manifold_ok = sphere.manifold.passed
-        if not manifold_ok:
-            checks["manifold_failures"] = list(sphere.manifold.failures)
-        else:
-            sphere_ok = sphere.is_homology_sphere
-            orientation = sphere.manifold.orientation
-            checks["homology_profile"] = sphere.profile.to_json()
-            checks["simple_connectivity"] = "not checked (homology sphere only)"
-    except ValueError as exc:
-        checks["manifold_error"] = str(exc)
-    checks["is_closed_orientable_3manifold"] = manifold_ok
-    checks["is_homology_3sphere"] = sphere_ok
-    caprace = caprace_criterion(complex_)
-    checks["caprace_criterion"] = caprace.passes
-    if not caprace.passes:
-        checks["caprace_witnesses"] = [
-            {"vertices": list(vs), "type": kind} for vs, kind in caprace.witnesses]
-    passed = (flag.is_flag and isolated.has_isolated_squares and manifold_ok
-              and sphere_ok and caprace.passes)
-    return checks, passed, orientation, squares
-
-
 def cmd_verify(opts):
     started = time.time()
-    complex_ = _load_complex(opts.complex)
-    checks, passed, _, _ = _verify_checks(complex_)
-    report = _report("verify", [opts.complex], checks,
-                     {"all_checks_pass": passed}, started)
-    _emit(report, opts)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    report = check_hypotheses(_load_complex(opts.complex))
+    _emit(_report("verify", [opts.complex], report.checks,
+                  {"all_checks_pass": report.passed}, started), opts)
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_obstruct(opts):
     started = time.time()
     complex_ = _load_complex(opts.complex)
-    checks, passed, orientation, _ = _verify_checks(complex_)
-    if not passed:
-        report = _report("obstruct", [opts.complex], checks,
-                         {"prerequisites": "failed"}, started)
-        _emit(report, opts)
+    report = check_hypotheses(complex_)
+    checks = report.checks
+    if not report.passed:
+        _emit(_report("obstruct", [opts.complex], checks,
+                      {"prerequisites": "failed"}, started), opts)
         return EXIT_CHECK_FAILED
-    link = link_from_squares(complex_)
-    matrix = linking_matrix(complex_, link, orientation=orientation)
+    link = EdgeCycleLink(complex_, [s.cycle for s in report.squares])
+    matrix = linking_matrix(complex_, link, orientation=report.orientation)
     verdict = obstruction_report(matrix, nontrivial_certificate=opts.certify_nontrivial)
     checks["component_count"] = len(link)
     checks["linking_matrix"] = matrix.to_json()

@@ -27,10 +27,11 @@ class SimplicialComplex:
 
     Vertices are 0..vertex_count-1, every vertex appears in some facet,
     and no facet contains another.  Faces up to dimension 3 are hashed at
-    construction; higher faces are answered by scanning facets.
+    construction; higher faces are answered by scanning facets.  The
+    facets at each vertex are listed on the first call of ``star``.
     """
 
-    __slots__ = ("vertex_count", "facets", "_faces_small", "_adj")
+    __slots__ = ("vertex_count", "facets", "_faces_small", "_adj", "_stars")
 
     def __init__(self, vertex_count, facets):
         self.vertex_count = int(vertex_count)
@@ -87,6 +88,7 @@ class SimplicialComplex:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
+        self._stars = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -132,6 +134,16 @@ class SimplicialComplex:
 
     def neighbors(self, v):
         return self._adj[v]
+
+    def star(self, v):
+        """The facets containing vertex v, in facet order."""
+        if self._stars is None:
+            stars = [[] for _ in range(self.vertex_count)]
+            for f in self.facets:
+                for u in f:
+                    stars[u].append(f)
+            self._stars = tuple(map(tuple, stars))
+        return self._stars[v]
 
     def is_pure(self, dim=None):
         sizes = {len(f) for f in self.facets}
@@ -181,7 +193,7 @@ class SimplicialComplex:
             text = fh.read()
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise InvalidComplexError("malformed complex JSON: %s" % exc) from exc
         return cls.from_json(data)
 
@@ -283,26 +295,53 @@ def is_flag(complex_):
     return FlagReport(True, None)
 
 
-def find_squares(complex_):
-    """All empty squares, canonical form, sorted lexicographically.
+class PairScan(NamedTuple):
+    squares: list     # sorted canonical Squares
+    caprace_witnesses: tuple  # sorted ((5-vertex tuple, "3-points" | "edge-point"), ...)
 
-    Enumerates non-adjacent vertex pairs as candidate diagonals and
-    intersects their neighborhoods, avoiding a 4-fold loop.
+
+def scan_nonadjacent_pairs(complex_):
+    """Squares and Caprace witnesses from the common neighbourhoods C(p, q).
+
+    C(p, q) of every non-adjacent pair p < q is gathered by walking the
+    paths p - m - q of length two (work: the sum of squared degrees).  A
+    square is a non-adjacent pair x < y in C(p, q), taken once, when p is
+    its least vertex and so (p, x, q, y) its canonical cycle.  A witness is
+    a triple of C(p, q) spanning no edge (the full subcomplex is the
+    suspension of 3 points), or exactly one edge uv with puv and quv faces
+    (the suspension of an edge and a point).
     """
     adj = complex_._adj
-    found = set()
-    n = complex_.vertex_count
-    for v1 in range(n):
-        for v3 in range(v1 + 1, n):
-            if v3 in adj[v1]:
-                continue
-            common = sorted(adj[v1] & adj[v3])
-            for i, v2 in enumerate(common):
-                for v4 in common[i + 1:]:
-                    if v4 in adj[v2]:
-                        continue
-                    found.add(Square.canonical((v1, v2, v3, v4)))
-    return sorted(found)
+    squares = []
+    witnesses = set()
+    for p in range(complex_.vertex_count):
+        common = {}
+        for m in adj[p]:
+            for q in adj[m]:
+                if q > p and q not in adj[p]:
+                    common.setdefault(q, []).append(m)
+        for q, mids in common.items():
+            mids.sort()
+            for i, x in enumerate(mids):
+                for y in mids[i + 1:]:
+                    if p < x and y not in adj[x]:
+                        squares.append(Square((p, x, q, y)))
+            for x, y, z in combinations(mids, 3):
+                edges = [(u, v) for u, v in ((x, y), (x, z), (y, z)) if v in adj[u]]
+                if not edges:
+                    kind = "3-points"
+                elif (len(edges) == 1 and complex_.has_face((p,) + edges[0])
+                      and complex_.has_face((q,) + edges[0])):
+                    kind = "edge-point"
+                else:
+                    continue
+                witnesses.add((tuple(sorted((p, q, x, y, z))), kind))
+    return PairScan(sorted(squares), tuple(sorted(witnesses)))
+
+
+def find_squares(complex_):
+    """All empty squares, canonical form, sorted lexicographically."""
+    return scan_nonadjacent_pairs(complex_).squares
 
 
 def has_isolated_squares(complex_, squares=None):
@@ -327,13 +366,8 @@ def vertex_link(complex_, v):
         raise ValueError("vertex %d out of range" % v)
     nbrs = sorted(complex_.neighbors(v))
     index = {u: i for i, u in enumerate(nbrs)}
-    facets = set()
-    for f in complex_.facets:
-        if v in f:
-            rest = tuple(index[u] for u in f if u != v)
-            if rest:
-                facets.add(rest)
-    return SimplicialComplex(len(nbrs), sorted(facets))
+    facets = [tuple(index[u] for u in f if u != v) for f in complex_.star(v)]
+    return SimplicialComplex(len(nbrs), sorted(f for f in facets if f))
 
 
 def full_subcomplex(complex_, vertices):
@@ -391,12 +425,10 @@ def _chains_of(facet):
 
 
 def _vertex_invariant(complex_, v):
-    nbrs = complex_.neighbors(v)
     fv = {}
-    for f in complex_.facets:
-        if v in f:
-            fv[len(f)] = fv.get(len(f), 0) + 1
-    return (len(nbrs), tuple(sorted(fv.items())))
+    for f in complex_.star(v):
+        fv[len(f)] = fv.get(len(f), 0) + 1
+    return (len(complex_.neighbors(v)), tuple(sorted(fv.items())))
 
 
 def is_isomorphic(k1, k2, node_budget=200000):

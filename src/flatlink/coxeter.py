@@ -6,10 +6,9 @@ generator indices; the normal form is the ShortLex least word for the
 element, computed with the piling (heap of pieces) representation.
 """
 
-from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square
+from .complexes import SimplicialComplex, Square, scan_nonadjacent_pairs
 
 
 class ResourceLimitError(ValueError):
@@ -257,27 +256,9 @@ def caprace_criterion(complex_):
     """Scan for full subcomplexes forbidden by the relative-hyperbolicity test.
 
     Forbidden: a full 5-vertex subcomplex isomorphic to the suspension of
-    3 points, or of (edge and a point).  The suspension points p, q are a
-    non-adjacent pair; the other three vertices are common neighbors, so
-    candidates are generated from non-adjacent pairs and their common
-    neighborhoods rather than all 5-subsets.
+    3 points, or of (edge and a point).  The suspension points are a
+    non-adjacent pair and the other three vertices lie in their common
+    neighbourhood; ``scan_nonadjacent_pairs`` finds them.
     """
-    witnesses = []
-    n = complex_.vertex_count
-    for p in range(n):
-        nbrs_p = complex_.neighbors(p)
-        for q in range(p + 1, n):
-            if q in nbrs_p:
-                continue
-            common = sorted(nbrs_p & complex_.neighbors(q))
-            for x, y, z in combinations(common, 3):
-                edges = [(u, v) for u, v in ((x, y), (x, z), (y, z))
-                         if complex_.has_face((u, v))]
-                if len(edges) == 0:
-                    witnesses.append((tuple(sorted((p, q, x, y, z))), "3-points"))
-                elif len(edges) == 1:
-                    u, v = edges[0]
-                    if (complex_.has_face(tuple(sorted((p, u, v)))) and
-                            complex_.has_face(tuple(sorted((q, u, v))))):
-                        witnesses.append((tuple(sorted((p, q, x, y, z))), "edge-point"))
-    return CapraceReport(not witnesses, tuple(sorted(set(witnesses))))
+    witnesses = scan_nonadjacent_pairs(complex_).caprace_witnesses
+    return CapraceReport(not witnesses, witnesses)

@@ -1,22 +1,23 @@
-"""Canonical fixture complexes, the type-L verifier, flagification, and a
-budgeted search for triangulations matching a target link type.
+"""Canonical fixture complexes, the hypothesis-check pipeline, the type-L
+verifier, flagification, and a budgeted search for triangulations matching
+a target link type.
 
 The registry is generated by code (see fixtures.md for the catalogue).
-The type verifier checks the full hypotheses chain: flag, isolated squares,
-homology 3-sphere, and the square-link's component count and linking
-matrix against the expectation.  Matching linking data is necessary but
-not sufficient for matching the link type up to isotopy.
+``check_hypotheses`` runs the hypothesis chain once and returns one report;
+``verify``, ``obstruct``, the type verifier and the corpus property
+profiles all read it.  The type verifier adds the square-link's component
+count and linking matrix against the expectation.  Matching linking data is
+necessary but not sufficient for matching the link type up to isotopy.
 """
 
 import itertools
 from typing import NamedTuple, Optional
 
 from .complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union,
-                        find_squares, has_isolated_squares, is_flag, join)
-from .coxeter import caprace_criterion
+                        has_isolated_squares, is_flag, join, scan_nonadjacent_pairs)
 from .homology import is_homology_3sphere
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
-                    diagram_linking_matrix, link_from_squares, linking_matrix)
+                    diagram_linking_matrix, linking_matrix)
 
 
 def _points(k):
@@ -231,6 +232,57 @@ def solomon_pair():
     return ambient, EdgeCycleLink(ambient, [a, b])
 
 
+class HypothesisReport(NamedTuple):
+    checks: dict      # results and failure witnesses, in the order --human prints them
+    passed: bool
+    orientation: Optional[dict]  # facet -> +-1 when the manifold check passes
+    squares: list     # sorted canonical Squares
+
+
+def check_hypotheses(complex_):
+    """The hypothesis chain of the obstruction, each check run once.
+
+    In order: flag, isolated squares, closed orientable 3-manifold,
+    homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
+    pairs yields both the squares and the Caprace witnesses, and the
+    manifold is certified once.  Simple connectivity is NOT checked.
+    """
+    checks = {}
+    flag = is_flag(complex_)
+    checks["is_flag"] = flag.is_flag
+    if not flag.is_flag:
+        checks["flag_witness"] = list(flag.witness)
+    scan = scan_nonadjacent_pairs(complex_)
+    checks["square_count"] = len(scan.squares)
+    isolated = has_isolated_squares(complex_, scan.squares)
+    checks["has_isolated_squares"] = isolated.has_isolated_squares
+    if not isolated.has_isolated_squares:
+        checks["isolated_offending_vertex"] = isolated.offending_vertex
+    manifold_ok = sphere_ok = False
+    orientation = None
+    try:
+        sphere = is_homology_3sphere(complex_)
+        manifold_ok = sphere.manifold.passed
+        if not manifold_ok:
+            checks["manifold_failures"] = list(sphere.manifold.failures)
+        else:
+            sphere_ok = sphere.is_homology_sphere
+            orientation = sphere.manifold.orientation
+            checks["homology_profile"] = sphere.profile.to_json()
+            checks["simple_connectivity"] = "not checked (homology sphere only)"
+    except ValueError as exc:
+        checks["manifold_error"] = str(exc)
+    checks["is_closed_orientable_3manifold"] = manifold_ok
+    checks["is_homology_3sphere"] = sphere_ok
+    checks["caprace_criterion"] = not scan.caprace_witnesses
+    if scan.caprace_witnesses:
+        checks["caprace_witnesses"] = [
+            {"vertices": list(vs), "type": kind} for vs, kind in scan.caprace_witnesses]
+    passed = (flag.is_flag and isolated.has_isolated_squares and sphere_ok
+              and not scan.caprace_witnesses)
+    return HypothesisReport(checks, passed, orientation, scan.squares)
+
+
 class TypeLReport(NamedTuple):
     flags: dict
     square_link: Optional[EdgeCycleLink]
@@ -250,47 +302,30 @@ def _expected_matrix(expected):
 def verify_type_l(sigma, expected):
     """Check the type hypotheses of a triangulation against a target link.
 
-    Runs flagness, isolated squares, the homology-3-sphere check, extracts
-    the square-link and its linking matrix, and compares component count
-    and matrix up to simultaneous permutation and global sign.  A passing
+    Reads flagness, isolated squares and the homology-3-sphere check from
+    ``check_hypotheses``, takes the squares as the square-link, and
+    compares its component count and linking matrix with the target up to
+    simultaneous permutation and global sign.  Flagness and the Caprace
+    criterion are not required before the matrix is computed.  A passing
     verdict certifies matching linking data, which is NECESSARY but not
     sufficient for carrying the link type up to isotopy.
     """
     target = _expected_matrix(expected)
-    flags = {
-        "is_flag": False,
-        "has_isolated_squares": False,
-        "is_homology_3sphere": False,
-        "component_count_matches": False,
-        "linking_matrix_matches": False,
-    }
-    flags["is_flag"] = is_flag(sigma).is_flag
-    flags["has_isolated_squares"] = has_isolated_squares(sigma).has_isolated_squares
-
-    sphere_report = None
-    try:
-        sphere_report = is_homology_3sphere(sigma)
-        flags["is_homology_3sphere"] = sphere_report.is_homology_sphere
-    except ValueError:
-        flags["is_homology_3sphere"] = False
-
+    report = check_hypotheses(sigma)
+    flags = {key: report.checks[key]
+             for key in ("is_flag", "has_isolated_squares", "is_homology_3sphere")}
     square_link = None
+    if flags["has_isolated_squares"]:
+        square_link = EdgeCycleLink(sigma, [s.cycle for s in report.squares])
+    flags["component_count_matches"] = (square_link is not None
+                                        and len(square_link) == target.m)
     matrix = None
-    try:
-        square_link = link_from_squares(sigma)
-        flags["component_count_matches"] = len(square_link) == target.m
-    except ValueError:
-        flags["component_count_matches"] = False
-
-    if (square_link is not None and flags["component_count_matches"]
-            and flags["is_homology_3sphere"]):
-        orientation = sphere_report.manifold.orientation
-        matrix = linking_matrix(sigma, square_link, orientation=orientation)
-        flags["linking_matrix_matches"] = matrix.equivalent_to(target)
-    elif square_link is not None and target.m == 0 and len(square_link) == 0:
+    if flags["component_count_matches"] and flags["is_homology_3sphere"]:
+        matrix = linking_matrix(sigma, square_link, orientation=report.orientation)
+    elif flags["component_count_matches"] and target.m == 0:
         matrix = LinkingMatrix([])
-        flags["linking_matrix_matches"] = flags["is_homology_3sphere"]
-
+    flags["linking_matrix_matches"] = (flags["is_homology_3sphere"] and matrix is not None
+                                       and matrix.equivalent_to(target))
     verdict = all(flags.values())
     return TypeLReport(
         flags, square_link, matrix, verdict,
@@ -359,24 +394,21 @@ def standard_corpus():
 
 
 def corpus_properties(name):
-    """Golden property profile of a fixture, recomputed on demand."""
+    """Golden property profile of a fixture, read from ``check_hypotheses``."""
     k = fixture(name)
-    squares = find_squares(k)
+    checks = check_hypotheses(k).checks
     profile = {
         "vertices": k.vertex_count,
         "facets": len(k.facets),
         "dim": k.dim(),
-        "is_flag": is_flag(k).is_flag,
-        "squares": len(squares),
-        "has_isolated_squares": has_isolated_squares(k, squares).has_isolated_squares,
-        "caprace_passes": caprace_criterion(k).passes,
+        "is_flag": checks["is_flag"],
+        "squares": checks["square_count"],
+        "has_isolated_squares": checks["has_isolated_squares"],
+        "caprace_passes": checks["caprace_criterion"],
     }
     if k.dim() == 3 and k.is_pure(3):
-        try:
-            sphere = is_homology_3sphere(k)
-            profile["closed_orientable_3manifold"] = sphere.manifold.passed
-            if sphere.manifold.passed:
-                profile["homology_3sphere"] = sphere.is_homology_sphere
-        except ValueError:
-            profile["closed_orientable_3manifold"] = False
+        manifold = checks["is_closed_orientable_3manifold"]
+        profile["closed_orientable_3manifold"] = manifold
+        if manifold:
+            profile["homology_3sphere"] = checks["is_homology_3sphere"]
     return profile

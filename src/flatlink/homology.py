@@ -167,17 +167,21 @@ def _dense_snf(dense, m, n, want_transforms):
             u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
+        c_nnz = [0] * n
+        for i in range(t, m):
+            for j, x in enumerate(a[i][t:], t):
+                if x:
+                    c_nnz[j] += 1
         best = None
         for i in range(t, m):
             ai = a[i]
+            r_nnz = sum(1 for y in ai[t:] if y)
             for j in range(t, n):
                 x = ai[j]
                 if x:
-                    r_nnz = sum(1 for y in ai[t:] if y)
-                    c_nnz = sum(1 for k in range(t, m) if a[k][j])
-                    key = (abs(x), r_nnz + c_nnz, i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
+                    key = (abs(x), r_nnz + c_nnz[j], i, j)
+                    if best is None or key < best:
+                        best = key
         return best
 
     invariants = []
@@ -186,7 +190,7 @@ def _dense_snf(dense, m, n, want_transforms):
         best = find_pivot(t)
         if best is None:
             break
-        _, pi, pj = best
+        _, _, pi, pj = best
         swap_rows(t, pi)
         swap_cols(t, pj)
         if a[t][t] < 0:
@@ -508,33 +512,25 @@ class Manifold3Report(NamedTuple):
 
 
 def _link_is_2sphere(complex_, v):
+    """A connected closed surface (every edge in two triangles) with chi = 2."""
     link = vertex_link(complex_, v)
     if not link.facets or not link.is_pure(2):
         return False
-    # closed surface: every edge in exactly two triangles
     edge_count = {}
     for f in link.facets:
         for e in combinations(f, 2):
             edge_count[e] = edge_count.get(e, 0) + 1
     if any(c != 2 for c in edge_count.values()):
         return False
-    # connected
-    adj = {}
-    for f in link.facets:
-        for a, b in combinations(f, 2):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
+    seen = {0}
+    stack = [0]
     while stack:
-        for nb in adj[stack.pop()]:
+        for nb in link.neighbors(stack.pop()):
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    if len(seen) != link.vertex_count:
-        return False
-    return link.euler_characteristic() == 2
+    return (len(seen) == link.vertex_count
+            and link.vertex_count - len(edge_count) + len(link.facets) == 2)
 
 
 def is_closed_orientable_3manifold(complex_):

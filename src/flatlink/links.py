@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .complexes import barycentric_subdivision, find_squares
+from .complexes import barycentric_subdivision, find_squares, has_isolated_squares
 from .homology import (IntegerMatrix, eliminate_unit_pivots, is_homology_3sphere,
                        smith_normal_form)
 
@@ -87,12 +87,10 @@ def link_from_squares(sigma):
     canonical (lexicographic) traversals.
     """
     squares = find_squares(sigma)
-    seen = {}
-    for s in squares:
-        for v in s.cycle:
-            if v in seen:
-                raise ValueError("squares are not disjoint: vertex %d is shared" % v)
-            seen[v] = s
+    isolated = has_isolated_squares(sigma, squares)
+    if not isolated.has_isolated_squares:
+        raise ValueError("squares are not disjoint: vertex %d is shared"
+                         % isolated.offending_vertex)
     return EdgeCycleLink(sigma, [s.cycle for s in squares])
 
 

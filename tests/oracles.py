@@ -2,16 +2,17 @@
 
 Deliberately naive implementations on different algorithmic routes than
 the library: clique growth for flagness, 4-tuple scans for squares,
-Tits-style commutation-class reduction for Coxeter words, coset
+5-subset scans against the two forbidden suspensions for the Caprace
+criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, linking
 numbers in the second barycentric subdivision, and homology from one
 independent Smith form per boundary, without clearing.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from flatlink.complexes import Square, clique_complex
+from flatlink.complexes import Square, clique_complex, full_subcomplex
 from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
 from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
                             _cycle_chain, _edge_link_cycle, _sd_oriented, _skeleton)
@@ -47,6 +48,55 @@ def brute_force_squares(k):
                     and not k.has_face(tuple(sorted((b, d))))):
                 out.add(Square.canonical(cyc))
     return sorted(out)
+
+
+# the suspensions of 3 points and of (edge and point), on vertices 0..4
+FORBIDDEN_SUSPENSIONS = (
+    ("3-points", [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]),
+    ("edge-point", [(0, 1, 3), (0, 1, 4), (2, 3), (2, 4)]),
+)
+
+
+def _degrees(edges):
+    return [sum(v in e for e in edges) for v in range(5)]
+
+
+def _degree_preserving_maps(degrees, target_degrees):
+    """Every bijection p of 0..4 with target_degrees[p[v]] == degrees[v]."""
+    classes = sorted(set(degrees))
+    sources = [[v for v in range(5) if degrees[v] == d] for d in classes]
+    images = [[v for v in range(5) if target_degrees[v] == d] for d in classes]
+    for choice in product(*(permutations(img) for img in images)):
+        p = [None] * 5
+        for src, img in zip(sources, choice):
+            for v, w in zip(src, img):
+                p[v] = w
+        yield p
+
+
+def brute_force_caprace_witnesses(k):
+    """Every 5-subset whose full subcomplex is a forbidden suspension.
+
+    Each subset's full subcomplex is compared with both suspensions under
+    every relabelling that keeps vertex degrees, an isomorphism invariant
+    that also skips most subsets before any relabelling is tried.
+    """
+    targets = []
+    for kind, facets in FORBIDDEN_SUSPENSIONS:
+        edges = {e for f in facets for e in combinations(f, 2)}
+        targets.append((kind, facets, _degrees(edges)))
+    out = []
+    for five in combinations(range(k.vertex_count), 5):
+        degrees = _degrees([(i, j) for i, j in combinations(range(5), 2)
+                            if k.has_face((five[i], five[j]))])
+        for kind, target, target_degrees in targets:
+            if sorted(degrees) != sorted(target_degrees):
+                continue
+            facets = full_subcomplex(k, five).facets
+            if any(sorted(tuple(sorted(p[v] for v in f)) for f in facets) == target
+                   for p in _degree_preserving_maps(degrees, target_degrees)):
+                out.append((five, kind))
+    return tuple(out)
 
 
 def random_flag_complex(rng, max_vertices=12):

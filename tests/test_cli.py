@@ -10,6 +10,8 @@ import pytest
 
 from flatlink.cli import main
 from flatlink.coxeter import Racg
+from flatlink.fixtures import corpus_properties, fixture, fixture_names, verify_type_l
+from flatlink.links import LinkingMatrix
 
 
 @pytest.fixture()
@@ -255,12 +257,30 @@ def _count_calls(monkeypatch, owner, name):
 def test_one_manifold_check_per_verify_and_obstruct(write_fixture, tmp_path, monkeypatch):
     # the 600-cell passes every prerequisite, so obstruct reaches linking_matrix
     homology_module = importlib.import_module("flatlink.homology")
-    calls = _count_calls(monkeypatch, homology_module, "is_closed_orientable_3manifold")
+    complexes_module = importlib.import_module("flatlink.complexes")
+    calls = (_count_calls(monkeypatch, homology_module, "is_closed_orientable_3manifold"),
+             _count_calls(monkeypatch, complexes_module, "scan_nonadjacent_pairs"))
     path = write_fixture("600-cell")
     for command in ("verify", "obstruct"):
-        calls.clear()
+        for c in calls:
+            c.clear()
         assert run_json([command, path], tmp_path)[0] == 0
-        assert len(calls) == 1
+        assert [len(c) for c in calls] == [1, 1]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_verify_type_l_and_corpus_properties_agree_with_verify(name, write_fixture,
+                                                               tmp_path):
+    checks = run_json(["verify", write_fixture(name)], tmp_path)[1]["checks"]
+    flags = verify_type_l(fixture(name), LinkingMatrix([])).flags
+    profile = corpus_properties(name)
+    for key in ("is_flag", "has_isolated_squares", "is_homology_3sphere"):
+        assert flags[key] == checks[key], key
+    renamed = {"squares": "square_count", "caprace_passes": "caprace_criterion",
+               "closed_orientable_3manifold": "is_closed_orientable_3manifold",
+               "homology_3sphere": "is_homology_3sphere"}
+    for key in profile.keys() - {"vertices", "facets", "dim"}:
+        assert profile[key] == checks[renamed.get(key, key)], key
 
 
 def test_one_coxeter_bfs_per_davis(write_fixture, tmp_path, monkeypatch):

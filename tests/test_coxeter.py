@@ -10,13 +10,13 @@ from flatlink.complexes import (SimplicialComplex, clique_complex, find_squares,
                                 has_isolated_squares, is_isomorphic)
 from flatlink.coxeter import (Racg, ResourceLimitError, caprace_criterion, davis_ball,
                               flat_from_square, racg_from_skeleton)
-from flatlink.fixtures import fixture
+from flatlink.fixtures import fixture, fixture_names
 
 
 # -- oracles: see tests/oracles.py -------------------------------------------
 
-from oracles import (all_graphs, brute_force_davis_ball, oracle_canonical, oracle_equal,
-                     random_flag_complex)
+from oracles import (all_graphs, brute_force_caprace_witnesses, brute_force_davis_ball,
+                     oracle_canonical, oracle_equal, random_flag_complex)
 
 
 # -- normal form ---------------------------------------------------------------
@@ -265,6 +265,29 @@ def test_caprace_witness_is_full_forbidden_subcomplex():
         degree3 = [v for v in verts
                    if len(set(verts) & k.neighbors(v)) == 3]
         assert len(degree3) >= 2, (verts, kind)
+
+
+def _random_2_complex(rng, n):
+    """Random triangles and edges on n vertices: rarely flag, so a triangle
+    puv can be present while quv is missing."""
+    triangles = [t for t in combinations(range(n), 3) if rng.random() < 0.3]
+    covered = {e for t in triangles for e in combinations(t, 2)}
+    edges = [e for e in combinations(range(n), 2) if e not in covered and rng.random() < 0.3]
+    used = {v for f in triangles + edges for v in f}
+    return SimplicialComplex(n, triangles + edges + [(v,) for v in range(n) if v not in used])
+
+
+def test_caprace_witnesses_match_five_subset_oracle():
+    cases = [(name, fixture(name)) for name in fixture_names()
+             if fixture(name).vertex_count <= 20]
+    rng = random.Random(41)
+    cases += [("random flag %d" % i, random_flag_complex(rng)) for i in range(30)]
+    cases += [("random 2-complex %d" % i, _random_2_complex(rng, rng.randint(5, 9)))
+              for i in range(30)]
+    for name, k in cases:
+        assert caprace_criterion(k).witnesses == brute_force_caprace_witnesses(k), name
+    kinds = {kind for _, k in cases for _, kind in caprace_criterion(k).witnesses}
+    assert kinds == {"3-points", "edge-point"}
 
 
 def test_isolated_squares_imply_caprace_on_corpus():

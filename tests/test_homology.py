@@ -391,6 +391,28 @@ def test_cleared_homology_matches_oracle_on_a_partial_pivot_set(name, ops, seed)
     assert homology(chain_complex) == independent_snf_homology(chain_complex) == S3_PROFILE
 
 
+def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
+    # 800 basis changes leave d_3 of sd-boundary-4-simplex with a 173 x 56
+    # core after 64 unit pivots; the dense Smith form finishes it
+    d3 = _mixed_bases(simplicial_chain_complex(fixture("sd-boundary-4-simplex")),
+                      random.Random(0), 800).boundary(3)
+    rows, cols = {}, {}
+    for (i, j), val in d3.entries.items():
+        rows.setdefault(i, {})[j] = val
+        cols.setdefault(j, {})[i] = val
+    pivots = eliminate_unit_pivots(rows, cols)
+    core = [[rows[r].get(c, 0) for c in sorted(cols)] for r in sorted(rows)]
+    assert (len(pivots), len(core), len(core[0])) == (64, 173, 56)
+    matrix = IntegerMatrix.from_dense(core)
+    snf = smith_normal_form(matrix, want_transforms=True)
+    product = snf.U @ matrix @ snf.V
+    assert product == snf.diagonal_matrix(173, 56)
+    # a matrix and its transpose share invariant factors; the oracle's
+    # unguided Bezout steps stay short on the 56-row side
+    assert snf.invariants == oracle_invariant_factors([list(c) for c in zip(*core)])
+    assert smith_normal_form(d3).invariants == (1,) * 64 + snf.invariants
+
+
 def test_homology_clears_the_pivot_rows_of_the_boundary_above(monkeypatch):
     homology_module = importlib.import_module("flatlink.homology")
     handed = []
