@@ -89,6 +89,16 @@ class SystemExit2(Exception):
     """Bad input or usage: exit code 2 with a diagnostic."""
 
 
+def _read_json(path, what, parse):
+    """``parse`` of the JSON in a file; an unreadable, malformed or too
+    deeply nested file, or data ``parse`` rejects, is "bad <what>"."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        raise SystemExit2("bad %s: %s" % (what, exc))
+
+
 def cmd_verify(opts):
     started = time.time()
     report = check_hypotheses(_load_complex(opts.complex))
@@ -182,11 +192,7 @@ def cmd_davis(opts):
 def cmd_lk(opts):
     started = time.time()
     if opts.mode == "diagram":
-        try:
-            with open(opts.diagram, "r", encoding="utf-8") as fh:
-                diagram = PlanarDiagram.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise SystemExit2("bad diagram: %s" % exc)
+        diagram = _read_json(opts.diagram, "diagram", PlanarDiagram.from_json)
         matrix = diagram_linking_matrix(diagram)
         verdict = obstruction_report(matrix,
                                      nontrivial_certificate=opts.certify_nontrivial)
@@ -197,11 +203,8 @@ def cmd_lk(opts):
         _emit(report, opts)
         return EXIT_OK
     complex_ = _load_complex(opts.complex)
-    try:
-        with open(opts.link, "r", encoding="utf-8") as fh:
-            link = EdgeCycleLink.from_json(complex_, json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit2("bad link: %s" % exc)
+    link = _read_json(opts.link, "link",
+                      lambda data: EdgeCycleLink.from_json(complex_, data))
     try:
         matrix = linking_matrix(complex_, link)
     except ValueError as exc:
@@ -237,21 +240,19 @@ def cmd_fixture(opts):
     return EXIT_OK
 
 
+def _build_target(data):
+    if not isinstance(data, dict):
+        raise ValueError("target JSON must be an object")
+    if "entries" in data:
+        return LinkingMatrix(data["entries"])
+    if "crossings" in data:
+        return PlanarDiagram.from_json(data)
+    raise ValueError("target JSON needs 'entries' (matrix) or 'crossings'")
+
+
 def cmd_build(opts):
     started = time.time()
-    try:
-        with open(opts.target, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("target JSON must be an object")
-        if "entries" in data:
-            target = LinkingMatrix(data["entries"])
-        elif "crossings" in data:
-            target = PlanarDiagram.from_json(data)
-        else:
-            raise ValueError("target JSON needs 'entries' (matrix) or 'crossings'")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise SystemExit2("bad target: %s" % exc)
+    target = _read_json(opts.target, "target", _build_target)
     outcome = attempt_type_l_build(target, budget=opts.budget, seed=opts.seed)
     checks = {"candidates_tried": outcome.candidates_tried, "note": outcome.note}
     extra = {}

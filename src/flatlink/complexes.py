@@ -7,7 +7,8 @@ subdivision and small-scale isomorphism testing.
 """
 
 import json
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
 
@@ -370,6 +371,16 @@ def vertex_link(complex_, v):
     return SimplicialComplex(len(nbrs), sorted(f for f in facets if f))
 
 
+def maximal_faces(faces):
+    """The faces contained in no other face, sorted; repeats count once."""
+    kept = []
+    for f in sorted(set(faces), key=len, reverse=True):
+        fs = set(f)
+        if not any(fs <= g for g in kept):
+            kept.append(fs)
+    return sorted(tuple(sorted(g)) for g in kept)
+
+
 def full_subcomplex(complex_, vertices):
     """Faces of the complex entirely contained in the given vertex set.
 
@@ -380,48 +391,61 @@ def full_subcomplex(complex_, vertices):
         raise ValueError("vertex set not contained in the complex")
     inside = set(vs)
     index = {u: i for i, u in enumerate(vs)}
-    best = {}
-    for f in complex_.facets:
-        kept = tuple(index[u] for u in f if u in inside)
-        if kept:
-            best[kept] = True
-    # drop faces contained in other kept faces
-    kept_faces = sorted(best, key=len, reverse=True)
-    facets = []
-    for f in kept_faces:
-        fs = set(f)
-        if not any(fs < set(g) for g in facets):
-            facets.append(f)
-    return SimplicialComplex(len(vs), sorted(facets))
+    kept = (tuple(index[u] for u in f if u in inside) for f in complex_.facets)
+    return SimplicialComplex(len(vs), maximal_faces(f for f in kept if f))
+
+
+def _parity(seq):
+    """Sign of the permutation that sorts ``seq``."""
+    par = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                par = -par
+    return par
+
+
+def _subfaces(facet):
+    """The nonempty faces of a facet, listed by (size, lex)."""
+    return [face for k in range(1, len(facet) + 1) for face in combinations(facet, k)]
+
+
+@lru_cache(maxsize=None)
+def _flag_table(size):
+    """Per vertex order of a facet of the given size: its parity and the
+    positions of its prefixes in ``_subfaces`` of the facet."""
+    position = {face: i for i, face in enumerate(_subfaces(range(size)))}
+    return tuple((_parity(order),
+                  tuple(position[tuple(sorted(order[:k]))] for k in range(1, size + 1)))
+                 for order in permutations(range(size)))
+
+
+def oriented_subdivision(facets_signed):
+    """Barycentric subdivision of a list of (sorted facet, sign) pairs.
+
+    One new vertex per face, numbered by (dimension, lex); one new facet per
+    flag v0 < v0v1 < ... of each facet, that is per order in which the flag
+    adds the facet's vertices, signed by the facet's sign times the parity
+    of that order.  Returns the signed facets and the face -> id map.
+    """
+    subfaces = [_subfaces(f) for f, _ in facets_signed]
+    faces = sorted({face for own in subfaces for face in own}, key=lambda t: (len(t), t))
+    face_id = {f: i for i, f in enumerate(faces)}
+    out = []
+    for (f, sign), own in zip(facets_signed, subfaces):
+        ids = list(map(face_id.__getitem__, own))
+        for parity, prefixes in _flag_table(len(f)):
+            out.append((tuple(map(ids.__getitem__, prefixes)), sign * parity))
+    return out, face_id
 
 
 def barycentric_subdivision(complex_, return_face_map=False):
-    """Order complex of the face poset.
-
-    One vertex per nonempty face (numbered by (dimension, lex) order),
-    one facet per maximal chain of faces.
-    """
-    faces = complex_.all_faces()
-    face_id = {f: i for i, f in enumerate(faces)}
-    facets = []
-    for top in complex_.facets:
-        for chain in _chains_of(top):
-            facets.append(tuple(face_id[c] for c in chain))
-    sd = SimplicialComplex(len(faces), sorted(facets))
+    """Order complex of the face poset: ``oriented_subdivision`` unsigned."""
+    signed, face_id = oriented_subdivision([(f, 1) for f in complex_.facets])
+    sd = SimplicialComplex(len(face_id), sorted(f for f, _ in signed))
     if return_face_map:
         return sd, face_id
     return sd
-
-
-def _chains_of(facet):
-    """All maximal chains of subfaces of a facet, as tuples of sorted faces."""
-    if len(facet) == 1:
-        yield (facet,)
-        return
-    for drop in facet:
-        sub = tuple(x for x in facet if x != drop)
-        for chain in _chains_of(sub):
-            yield chain + (facet,)
 
 
 def _vertex_invariant(complex_, v):

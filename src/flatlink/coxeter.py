@@ -8,7 +8,7 @@ element, computed with the piling (heap of pieces) representation.
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square, scan_nonadjacent_pairs
+from .complexes import SimplicialComplex, Square, maximal_faces, scan_nonadjacent_pairs
 
 
 class ResourceLimitError(ValueError):
@@ -197,12 +197,8 @@ class DavisBall:
         descents = self._descents.get(g)
         if descents is None:
             raise ValueError("word %r is not a vertex of the ball" % (g,))
-        spanned = [J for J in self.base.all_faces()
-                   if len(g) + len(set(J) - descents) <= self.radius]
-        maximal = []
-        for J in sorted(spanned, key=len, reverse=True):
-            if not any(set(J) <= set(m) for m in maximal):
-                maximal.append(J)
+        maximal = maximal_faces(J for J in self.base.all_faces()
+                                if len(g) + len(set(J) - descents) <= self.radius)
         index = {v: i for i, v in enumerate(sorted({v for J in maximal for v in J}))}
         return SimplicialComplex(len(index), [tuple(index[v] for v in J) for J in maximal])
 

@@ -8,10 +8,9 @@ Bit b = 0 means coordinate +1, so the face with bit 0 in a direction is
 the top face.
 """
 
-import json
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square
+from .complexes import SimplicialComplex, Square, maximal_faces
 from .homology import ChainComplex, IntegerMatrix
 
 
@@ -129,11 +128,6 @@ class CubicalComplex:
             cells.append(CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)))
         return cls(data["ground"], cells)
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 def build_pk(complex_, max_ground=None):
     """Build P_K from a simplicial complex K on ground set I.
@@ -207,13 +201,7 @@ def pk_vertex_link(cubical, vertex):
         for cell in cubical.cells[d]:
             if vertex & ~cell.J == cell.coset:
                 simplices.append(_unmask(cell.J))
-    maximal = []
-    simplices.sort(key=len, reverse=True)
-    for s in simplices:
-        ss = set(s)
-        if not any(ss <= set(t) for t in maximal):
-            maximal.append(s)
-    return SimplicialComplex(cubical.ground, sorted(maximal))
+    return SimplicialComplex(cubical.ground, maximal_faces(simplices))
 
 
 def verify_vertex_links(cubical, complex_, vertices=None):

@@ -13,7 +13,7 @@ necessary but not sufficient for matching the link type up to isotopy.
 import itertools
 from typing import NamedTuple, Optional
 
-from .complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union,
+from .complexes import (SimplicialComplex, _parity, barycentric_subdivision, disjoint_union,
                         has_isolated_squares, is_flag, join, scan_nonadjacent_pairs)
 from .homology import is_homology_3sphere
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
@@ -116,8 +116,7 @@ def _six_hundred_cell():
         verts.add(tuple(((1 if signs >> i & 1 else -1), 0) for i in range(4)))
     base = [(0, 1), (1, 0), (-1, 1), (0, 0)]  # phi, 1, phi-1, 0 (halved)
     for p in itertools.permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-        if inversions % 2:
+        if _parity(p) < 0:
             continue
         for s0 in (1, -1):
             for s1 in (1, -1):
@@ -386,11 +385,6 @@ def attempt_type_l_build(target, budget=32, seed=0):
                         "no verified triangulation found within budget %d "
                         "(construction beyond registry search is out of scope)"
                         % budget)
-
-
-def standard_corpus():
-    """The fixture complexes exercised by the property suites."""
-    return [(name, fixture(name)) for name in fixture_names()]
 
 
 def corpus_properties(name):

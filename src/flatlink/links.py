@@ -16,7 +16,8 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .complexes import barycentric_subdivision, find_squares, has_isolated_squares
+from .complexes import (_parity, barycentric_subdivision, find_squares, has_isolated_squares,
+                        oriented_subdivision)
 from .homology import (IntegerMatrix, eliminate_unit_pivots, is_homology_3sphere,
                        smith_normal_form)
 
@@ -387,45 +388,6 @@ def whitehead_double_diagram(m, twists):
 
 # -- simplicial linking numbers --------------------------------------------
 
-def _parity(seq):
-    """Sign of the permutation that sorts ``seq``."""
-    par = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                par = -par
-    return par
-
-
-_PERM4 = [(p, _parity(p)) for p in permutations(range(4))]
-
-
-def _sd_oriented(facets_signed):
-    """Barycentric subdivision of an oriented facet list.
-
-    Input: list of (sorted vertex 4-tuple, sign).  Output: the subdivided
-    oriented facet list over new vertex ids (one per face, numbered by
-    (dimension, lex)), plus the face -> id map.
-    """
-    faces = set()
-    for f, _ in facets_signed:
-        for size in range(1, 5):
-            faces.update(combinations(f, size))
-    ordered = sorted(faces, key=lambda t: (len(t), t))
-    face_id = {f: i for i, f in enumerate(ordered)}
-    out = []
-    for f, sign in facets_signed:
-        for perm, parity in _PERM4:
-            seq = (f[perm[0]], f[perm[1]], f[perm[2]], f[perm[3]])
-            out.append((
-                (face_id[(seq[0],)],
-                 face_id[tuple(sorted(seq[:2]))],
-                 face_id[tuple(sorted(seq[:3]))],
-                 face_id[tuple(sorted(seq))]),
-                sign * parity))
-    return out, face_id
-
-
 def _carry_cycle(cycle, face_id):
     """Push an edge cycle through one subdivision: vertex, midpoint, vertex."""
     out = []
@@ -617,7 +579,7 @@ class _Complements:
         edges, triangles = _skeleton(facets_signed)
         if not all(_is_full(c, edges, triangles) for c in self.components):
             self.level = 1
-            facets_signed, face_id = _sd_oriented(facets_signed)
+            facets_signed, face_id = oriented_subdivision(facets_signed)
             self.components = [_carry_cycle(c, face_id) for c in self.components]
             edges, triangles = _skeleton(facets_signed)
         self.facets_signed = facets_signed

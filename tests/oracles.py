@@ -5,17 +5,19 @@ the library: clique growth for flagness, 4-tuple scans for squares,
 5-subset scans against the two forbidden suspensions for the Caprace
 criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, linking
-numbers in the second barycentric subdivision, and homology from one
+numbers in the second barycentric subdivision, the subdivision itself
+from recursively enumerated chains of faces, and homology from one
 independent Smith form per boundary, without clearing.
 """
 
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from flatlink.complexes import Square, clique_complex, full_subcomplex
+from flatlink.complexes import (SimplicialComplex, Square, clique_complex, full_subcomplex,
+                                oriented_subdivision)
 from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
 from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
-                            _cycle_chain, _edge_link_cycle, _sd_oriented, _skeleton)
+                            _cycle_chain, _edge_link_cycle, _skeleton)
 
 
 def brute_force_is_flag(k):
@@ -204,6 +206,30 @@ def all_graphs(n):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
 
 
+def _chains_of(facet):
+    """All maximal chains of subfaces of a facet, as tuples of sorted faces."""
+    if len(facet) == 1:
+        yield (facet,)
+        return
+    for drop in facet:
+        sub = tuple(x for x in facet if x != drop)
+        for chain in _chains_of(sub):
+            yield chain + (facet,)
+
+
+def chain_subdivision(k):
+    """Barycentric subdivision as the order complex of the face poset.
+
+    Every maximal chain of faces is grown by recursively dropping vertices;
+    faces are numbered by (dimension, lex).  Returns the subdivision and
+    the face -> id map.
+    """
+    face_id = {f: i for i, f in enumerate(k.all_faces())}
+    facets = [tuple(face_id[c] for c in chain)
+              for top in k.facets for chain in _chains_of(top)]
+    return SimplicialComplex(len(face_id), facets), face_id
+
+
 def second_subdivision_linking_matrix(sigma, link, orientation=None):
     """Linking matrix with every complement taken in the second subdivision.
 
@@ -214,9 +240,9 @@ def second_subdivision_linking_matrix(sigma, link, orientation=None):
     """
     if orientation is None:
         orientation = is_homology_3sphere(sigma).manifold.orientation
-    facets, face_id = _sd_oriented(sorted(orientation.items()))
+    facets, face_id = oriented_subdivision(sorted(orientation.items()))
     components = [_carry_cycle(c, face_id) for c in link.components]
-    facets, face_id = _sd_oriented(facets)
+    facets, face_id = oriented_subdivision(facets)
     components = [_carry_cycle(c, face_id) for c in components]
     all_edges, all_triangles = map(sorted, _skeleton(facets))
     m = len(components)

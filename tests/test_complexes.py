@@ -11,13 +11,16 @@ from flatlink.complexes import (InvalidComplexError, SearchBudgetExceeded,
                                 SimplicialComplex, Square, barycentric_subdivision,
                                 clique_complex, disjoint_union, find_squares,
                                 full_subcomplex, has_isolated_squares, is_flag,
-                                is_isomorphic, join, vertex_link)
-from flatlink.fixtures import fixture
+                                is_isomorphic, join, maximal_faces,
+                                oriented_subdivision, vertex_link)
+from flatlink.fixtures import fixture, fixture_names
+from flatlink.homology import is_closed_orientable_3manifold
 
 
 # -- independent oracles ----------------------------------------------------
 
-from oracles import brute_force_is_flag, brute_force_squares, random_flag_complex
+from oracles import (brute_force_is_flag, brute_force_squares, chain_subdivision,
+                     random_flag_complex)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -249,6 +252,50 @@ def test_subdivision_face_map_consistent():
     assert len(face_map) == sd.vertex_count
     for (u, v) in k.faces(1):
         assert sd.has_face(tuple(sorted((face_map[(u,)], face_map[(u, v)]))))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_subdivision_matches_chain_oracle_on_registry(name):
+    sd, face_map = barycentric_subdivision(fixture(name), return_face_map=True)
+    assert (sd, face_map) == chain_subdivision(fixture(name))
+
+
+def test_subdivision_matches_chain_oracle_on_random_flag_complexes():
+    rng = random.Random(23)
+    for _ in range(30):
+        k = random_flag_complex(rng, max_vertices=9)
+        assert barycentric_subdivision(k, return_face_map=True) == chain_subdivision(k)
+
+
+@pytest.mark.parametrize("name", ["join-c10-c10", "boundary-16-cell",
+                                  "sd-boundary-4-simplex", "600-cell", "s2-x-s1"])
+def test_carried_orientation_matches_certified_orientation_of_subdivision(name):
+    # the sign rule (facet sign times the parity of the order in which the
+    # flag adds vertices) against sign propagation over sd(K) from scratch
+    k = fixture(name)
+    orientation = is_closed_orientable_3manifold(k).orientation
+    signed, face_map = oriented_subdivision(sorted(orientation.items()))
+    sd = barycentric_subdivision(k)
+    assert face_map == barycentric_subdivision(k, return_face_map=True)[1]
+    assert sorted(f for f, _ in signed) == list(sd.facets)
+    certified = is_closed_orientable_3manifold(sd).orientation
+    flip = certified[signed[0][0]] * signed[0][1]
+    assert all(certified[f] == flip * s for f, s in signed)
+
+
+def test_oriented_subdivision_of_a_triangle_and_mixed_sizes():
+    signed, face_map = oriented_subdivision([((0, 1, 2), -1)])
+    assert len(face_map) == 7 and len(signed) == 6
+    # flag 0 < 01 < 012 follows the vertex order (0, 1, 2): the facet's sign
+    assert ((face_map[(0,)], face_map[(0, 1)], face_map[(0, 1, 2)]), -1) in signed
+    assert ((face_map[(1,)], face_map[(0, 1)], face_map[(0, 1, 2)]), 1) in signed
+    signed, face_map = oriented_subdivision([((0, 1), 1), ((2,), 1)])
+    assert signed == [((0, 3), 1), ((1, 3), -1), ((2,), 1)]
+
+
+def test_maximal_faces_drops_contained_and_repeated_faces():
+    assert maximal_faces([(0,), (0, 1), (1, 2), (0, 1), (2,), (3,)]) == [(0, 1), (1, 2), (3,)]
+    assert maximal_faces([]) == []
 
 
 # -- isomorphism -----------------------------------------------------------------

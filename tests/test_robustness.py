@@ -1,5 +1,6 @@
 """Every complex file, however malformed, ends in exit 0, 1 or 2 without a
-traceback: generated and mutated complex JSON fed to ``cli.main``.
+traceback: generated and mutated complex JSON fed to ``cli.main``.  Link,
+diagram and build-target files nested past the recursion limit exit 2.
 
 Inputs stay at 8 vertices or fewer, well under the ``pk`` ground bound.
 """
@@ -96,4 +97,21 @@ def test_cli_exits_0_1_or_2_without_traceback(command, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(command[:1] + [path] + command[1:])
     assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", [["lk", "simplicial", "{c4}", "{deep}"],
+                                     ["lk", "diagram", "{deep}"], ["build", "{deep}"]],
+                         ids=lambda c: " ".join(w for w in c if "{" not in w))
+def test_deeply_nested_link_diagram_and_target_files_exit_2(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"c4": os.path.join(tmp, "c4.json"), "deep": os.path.join(tmp, "deep.json")}
+        fixture("c4").dump(paths["c4"])
+        with open(paths["deep"], "w", encoding="utf-8") as fh:
+            fh.write("[" * 100000 + "]" * 100000)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([arg.format(**paths) for arg in command])
+    assert rc == 2
+    assert err.getvalue().startswith("error: bad ")
     assert "Traceback" not in err.getvalue()
