@@ -14,8 +14,8 @@ from .coxeter import (CapraceReport, DavisBall, FlatSubcomplex, Racg,
                       ResourceLimitError, caprace_criterion, davis_ball,
                       flat_from_square, racg_from_skeleton)
 from .cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
-                    cubical_chain_complex, pk_vertex_link, torus_subcomplex,
-                    verify_vertex_links)
+                    cubical_chain_complex, pk_f_vector, pk_homology, pk_vertex_link,
+                    torus_subcomplex, verify_vertex_links)
 from .fixtures import (BuildOutcome, HypothesisReport, TypeLReport, attempt_type_l_build,
                        check_hypotheses, fixture, fixture_names, flagify, hopf_pair,
                        product_triangulation, solomon_pair, split_pair, verify_type_l,

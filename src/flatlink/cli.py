@@ -17,9 +17,8 @@ import time
 from . import __version__
 from .complexes import InvalidComplexError, SimplicialComplex
 from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
-from .cubes import DEFAULT_MAX_GROUND, build_pk, cubical_chain_complex
+from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
 from .fixtures import attempt_type_l_build, check_hypotheses, fixture, fixture_names
-from .homology import homology
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
                     diagram_linking_matrix, linking_matrix, obstruction_report)
 
@@ -143,18 +142,20 @@ def cmd_pk(opts):
         except ValueError:
             raise SystemExit2("FLATLINK_MAX_GROUND=%r is not an integer" % env)
     try:
-        cubical = build_pk(complex_, max_ground=bound)
+        check_ground(complex_, bound)
     except ValueError as exc:
         raise SystemExit2(str(exc))
+    f_vector = pk_f_vector(complex_)
     checks = {
-        "ground": cubical.ground,
-        "f_vector": list(cubical.f_vector()),
-        "euler_characteristic": cubical.euler_characteristic(),
+        "ground": complex_.vertex_count,
+        "f_vector": list(f_vector),
+        "euler_characteristic": sum((-1) ** k * f for k, f in enumerate(f_vector)),
     }
     if opts.homology:
-        checks["homology"] = homology(cubical_chain_complex(cubical)).to_json()
+        checks["homology"] = pk_homology(complex_).to_json()
     extra = None
     if opts.cells_out:
+        cubical = build_pk(complex_, max_ground=bound)
         with open(opts.cells_out, "w", encoding="utf-8") as fh:
             json.dump(cubical.to_json(), fh, sort_keys=True)
             fh.write("\n")

@@ -6,12 +6,18 @@ of [-1,1]^J for J a simplex vertex set of K.  Cells are stored as
 canonical sign-vector representative with the bits in J forced to zero.
 Bit b = 0 means coordinate +1, so the face with bit 0 in a direction is
 the top face.
+
+P_K is the real moment-angle complex of K, so its f-vector and homology
+come from K without building any cell: ``pk_f_vector`` and
+``pk_homology``.  ``build_pk`` and ``cubical_chain_complex`` build the
+cells, for cell files, vertex links and torus subcomplexes.
 """
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square, maximal_faces
-from .homology import ChainComplex, IntegerMatrix
+from .complexes import SimplicialComplex, Square, full_subcomplex, is_flag, maximal_faces
+from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, homology,
+                       simplicial_chain_complex, smith_normal_form)
 
 
 class GroundSetTooLarge(ValueError):
@@ -129,18 +135,78 @@ class CubicalComplex:
         return cls(data["ground"], cells)
 
 
-def build_pk(complex_, max_ground=None):
-    """Build P_K from a simplicial complex K on ground set I.
-
-    The vertex set is all of (C_2)^I; a face of type J exists for every
-    simplex vertex set J of K, one per coset of (C_2)^J.
-    """
+def check_ground(complex_, max_ground=None):
+    """Refuse a ground set past the bound, before any work on P_K."""
     n = complex_.vertex_count
     bound = DEFAULT_MAX_GROUND if max_ground is None else int(max_ground)
     if n > bound:
         raise GroundSetTooLarge(
             "ground set has %d vertices; 2^%d cube vertices exceeds the bound %d"
             % (n, n, bound))
+
+
+def pk_f_vector(complex_):
+    """f_k(P_K) = 2^(m-k) f_(k-1)(K), with f_(-1)(K) = 1 for the empty face.
+
+    A (k-1)-simplex of K on m vertices types one k-cube per coset of
+    (C_2)^k in (C_2)^m.
+    """
+    m = complex_.vertex_count
+    return tuple(f << (m - k) for k, f in enumerate((1,) + complex_.f_vector()))
+
+
+def _merged_torsion(coefficients):
+    """Invariant factors of the direct sum of the groups Z/c, c > 1.
+
+    Sorted coefficients that divide in order are the answer already (the
+    common case of many J's with the same torsion); otherwise they are read
+    off the Smith form of the diagonal matrix of the coefficients, whose
+    dense core costs cubic time in their number.
+    """
+    ordered = sorted(coefficients)
+    if all(b % a == 0 for a, b in zip(ordered, ordered[1:])):
+        return tuple(ordered)
+    diagonal = IntegerMatrix(len(ordered), len(ordered),
+                             {(i, i): c for i, c in enumerate(ordered)})
+    return tuple(t for t in smith_normal_form(diagonal).invariants if t > 1)
+
+
+def pk_homology(complex_):
+    """Integral homology of P_K by the polyhedral-product splitting.
+
+    H~_i(P_K) is the direct sum of H~_(i-1)(K_J) over the nonempty vertex
+    sets J, K_J the full subcomplex on J (Bahri-Bendersky-Cohen-Gitler,
+    "The polyhedral product functor", Adv. Math. 2010), torsion included.
+    In a flag K, a J with a vertex adjacent to all others in J spans a
+    cone and contributes nothing.  Visits up to 2^|I| subsets and checks
+    no ground bound; callers run ``check_ground`` first.
+    """
+    n = complex_.vertex_count
+    size = complex_.dim() + 2
+    ranks = [1] + [0] * (size - 1)
+    torsion = [[] for _ in range(size)]
+    closed = None
+    if is_flag(complex_).is_flag:
+        closed = [_mask(complex_.neighbors(v)) | 1 << v for v in range(n)]
+    for J in range(1, 1 << n):
+        vertices = _unmask(J)
+        if closed is not None and any(J & ~closed[v] == 0 for v in vertices):
+            continue
+        sub = full_subcomplex(complex_, vertices)
+        for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
+            ranks[d + 1] += rank - (d == 0)
+            torsion[d + 1].extend(tors)
+    return HomologyProfile((r, _merged_torsion(t)) for r, t in zip(ranks, torsion))
+
+
+def build_pk(complex_, max_ground=None):
+    """Build P_K from a simplicial complex K on ground set I.
+
+    The vertex set is all of (C_2)^I; a face of type J exists for every
+    simplex vertex set J of K, one per coset of (C_2)^J.
+    """
+    check_ground(complex_, max_ground)
+    n = complex_.vertex_count
     cells = [CubicalCell(0, c) for c in range(1 << n)]
     for face in complex_.all_faces():
         jm = _mask(face)
@@ -179,8 +245,7 @@ def cubical_chain_complex(cubical, check=True):
                 mat.entries[(lower[bottom], col)] = -sign
         boundaries[d] = mat
     counts = [len(cubical.cells[d]) for d in dims]
-    labels = {d: cubical.cells[d] for d in dims}
-    return ChainComplex(counts, boundaries, labels=labels, check=check)
+    return ChainComplex(counts, boundaries, check=check)
 
 
 def pk_vertex_link(cubical, vertex):

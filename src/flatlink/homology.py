@@ -417,16 +417,15 @@ class HomologyProfile:
 
 
 class ChainComplex:
-    """Integer chain complex with labelled bases.
+    """Integer chain complex on bases of the given sizes.
 
     boundaries[d] maps dimension-d chains to dimension-(d-1) chains;
     the composition of consecutive boundaries is checked to vanish.
     """
 
-    def __init__(self, cell_counts, boundaries, labels=None, check=True):
+    def __init__(self, cell_counts, boundaries, check=True):
         self.cell_counts = tuple(int(c) for c in cell_counts)
         self.boundaries = dict(boundaries)
-        self.labels = labels or {}
         self.dim = len(self.cell_counts) - 1
         for d, mat in self.boundaries.items():
             if not 1 <= d <= self.dim:
@@ -496,7 +495,7 @@ def simplicial_chain_complex(complex_, check=True):
                 mat.entries[(index[d - 1][sub], j)] = 1 if pos % 2 == 0 else -1
         boundaries[d] = mat
     counts = [len(faces[d]) for d in range(dim + 1)]
-    return ChainComplex(counts, boundaries, labels=faces, check=check)
+    return ChainComplex(counts, boundaries, check=check)
 
 
 class Manifold3Report(NamedTuple):

@@ -103,6 +103,22 @@ def test_pk_ground_bound_env_override(write_fixture, tmp_path):
     assert main(["pk", path, "--out", str(tmp_path / "r.json")]) == 0
 
 
+def test_pk_builds_cells_only_for_cells_out(write_fixture, tmp_path, monkeypatch):
+    cubes_module = importlib.import_module("flatlink.cubes")
+    calls = (_count_calls(monkeypatch, cubes_module, "build_pk"),
+             _count_calls(monkeypatch, cubes_module, "cubical_chain_complex"))
+    path = write_fixture("octahedron")
+    cells = str(tmp_path / "cells.json")
+    for extra, expected in (([], [0, 0]), (["--homology"], [0, 0]),
+                            (["--homology", "--cells-out", cells], [1, 0])):
+        for c in calls:
+            c.clear()
+        rc, report = run_json(["pk", path] + extra, tmp_path)
+        assert rc == 0
+        assert report["checks"]["f_vector"] == [64, 192, 192, 64]
+        assert [len(c) for c in calls] == expected, extra
+
+
 def test_davis_radius_zero(write_fixture, tmp_path):
     path = write_fixture("c4")
     rc, report = run_json(["davis", path, "-n", "0"], tmp_path)

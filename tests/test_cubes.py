@@ -1,13 +1,24 @@
-"""Mirror cubulation: f-vectors, vertex links, torus subcomplexes, homology."""
+"""Mirror cubulation: f-vectors, vertex links, torus subcomplexes, homology.
+
+The splitting route (``pk_homology``, ``pk_f_vector``) is checked against
+the cells: ``homology(cubical_chain_complex(build_pk(K)))`` and
+``build_pk(K).f_vector()``.
+"""
+
+import random
 
 import pytest
 
-from flatlink.complexes import SimplicialComplex, find_squares, is_isomorphic
-from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
-                            cubical_chain_complex, pk_vertex_link, torus_subcomplex,
+from flatlink.complexes import (SimplicialComplex, disjoint_union, find_squares,
+                                full_subcomplex, is_isomorphic)
+from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _merged_torsion,
+                            build_pk, check_ground, cubical_chain_complex, pk_f_vector,
+                            pk_homology, pk_vertex_link, torus_subcomplex,
                             verify_vertex_links)
-from flatlink.fixtures import fixture
+from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import HomologyProfile, IntegerMatrix, homology
+
+from oracles import random_flag_complex
 
 
 def test_pk_point_is_segment():
@@ -167,3 +178,89 @@ def test_closure_reconstruction_and_json_roundtrip():
     # top cells only: the 2-cells of the torus
     assert len(data["cells"]) == 16
     assert CubicalComplex.from_json(data) == p
+
+
+def _splitting_cases():
+    cases = [(name, fixture(name)) for name in fixture_names()
+             if fixture(name).vertex_count <= 10]
+    rng = random.Random(29)
+    cases += [("random flag %d" % i, random_flag_complex(rng, max_vertices=9))
+              for i in range(20)]
+    cases.append(("rp2 + point", disjoint_union(fixture("projective-plane-6"),
+                                                SimplicialComplex(1, [(0,)]))))
+    cases.append(("empty", SimplicialComplex(0, [])))
+    return cases
+
+
+SPLITTING_CASES = _splitting_cases()
+
+
+@pytest.mark.parametrize("name,k", SPLITTING_CASES, ids=[c[0] for c in SPLITTING_CASES])
+def test_pk_homology_matches_cubical_homology(name, k):
+    assert pk_homology(k) == homology(cubical_chain_complex(build_pk(k)))
+
+
+@pytest.mark.parametrize("name,k", SPLITTING_CASES, ids=[c[0] for c in SPLITTING_CASES])
+def test_pk_f_vector_matches_cells(name, k):
+    cells = build_pk(k)
+    f = pk_f_vector(k)
+    assert f == cells.f_vector()
+    assert sum((-1) ** d * c for d, c in enumerate(f)) == cells.euler_characteristic()
+
+
+def test_pk_homology_pinned_values():
+    # projective-plane-6 and torus-7 are not flag: every J is visited; in the
+    # disjoint union with a point, the torsion comes from two J's
+    assert pk_homology(fixture("projective-plane-6")) == HomologyProfile(
+        [(1, ()), (0, ()), (31, (2,)), (0, ())])
+    assert pk_homology(fixture("torus-7")) == HomologyProfile(
+        [(1, ()), (0, ()), (128, ()), (1, ())])
+    rp2_point = disjoint_union(fixture("projective-plane-6"), SimplicialComplex(1, [(0,)]))
+    assert pk_homology(rp2_point) == HomologyProfile(
+        [(1, ()), (63, ()), (62, (2, 2)), (0, ())])
+    empty = SimplicialComplex(0, [])
+    assert pk_f_vector(empty) == (1,)
+    assert pk_homology(empty) == HomologyProfile([(1, ())])
+
+
+def test_pk_homology_of_join_c6_c6_without_cells():
+    # 12 vertices: the cubical route takes about ten times as long
+    k = fixture("join-c6-c6")
+    assert pk_f_vector(k) == (4096, 24576, 49152, 36864, 9216)
+    assert pk_homology(k) == HomologyProfile(
+        [(1, ()), (68, ()), (1158, ()), (68, ()), (1, ())])
+
+
+def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
+    import flatlink.cubes as cubes_module
+    visited = []
+
+    def recording(complex_, vertices):
+        visited.append(tuple(vertices))
+        return full_subcomplex(complex_, vertices)
+
+    monkeypatch.setattr(cubes_module, "full_subcomplex", recording)
+    pk_homology(fixture("c4"))  # K_J is a cone unless J holds a diagonal
+    assert visited == [(0, 2), (1, 3), (0, 1, 2, 3)]
+    visited.clear()
+    pk_homology(SimplicialComplex(4, [(0, 1, 2, 3)]))  # every K_J is a simplex
+    assert visited == []
+    visited.clear()
+    pk_homology(fixture("projective-plane-6"))  # not flag: every J is visited
+    assert len(visited) == 63
+
+
+@pytest.mark.parametrize("coefficients,expected", [
+    ((2, 3), (6,)), ((2, 4, 2), (2, 2, 4)), ((6, 10), (2, 30)), ((), ()), ((5,), (5,))])
+def test_torsion_merge_gives_invariant_factors(coefficients, expected):
+    assert _merged_torsion(list(coefficients)) == expected
+
+
+def test_check_ground_is_the_bound_of_build_pk():
+    k = SimplicialComplex(25, [(i,) for i in range(25)])
+    with pytest.raises(GroundSetTooLarge,
+                       match="ground set has 25 vertices; 2\\^25 cube vertices exceeds the bound 24"):
+        check_ground(k)
+    check_ground(k, 25)
+    with pytest.raises(GroundSetTooLarge, match="bound 4"):
+        check_ground(fixture("octahedron"), 4)

@@ -1,6 +1,8 @@
-"""Every complex file, however malformed, ends in exit 0, 1 or 2 without a
-traceback: generated and mutated complex JSON fed to ``cli.main``.  Link,
-diagram and build-target files nested past the recursion limit exit 2.
+"""Every input file, however malformed, ends in exit 0, 1 or 2 without a
+traceback: generated and mutated complex JSON fed to ``cli.main``, and
+generated and mutated link, diagram and build-target JSON.  Files nested
+past the recursion limit exit 2, and so does a ``pk`` ground set past the
+bound, before any work.
 
 Inputs stay at 8 vertices or fewer, well under the ``pk`` ground bound.
 """
@@ -16,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink.cli import main
-from flatlink.complexes import clique_complex
-from flatlink.fixtures import fixture
+from flatlink.complexes import SimplicialComplex, clique_complex
+from flatlink.fixtures import fixture, hopf_pair, split_pair
+from flatlink.links import (hopf_diagram, solomon_diagram, three_chain_133_diagram,
+                            whitehead_diagram)
 
 SMALL_FIXTURES = ("boundary-3-simplex", "boundary-4-simplex", "c4", "octahedron",
                   "boundary-16-cell", "suspension-3-points", "suspension-edge-point",
@@ -83,8 +87,18 @@ def complex_texts(draw):
     return text
 
 
-@pytest.mark.parametrize("command", [["verify"], ["obstruct"], ["pk"], ["davis", "-n", "1"]],
-                         ids=lambda c: c[0])
+def _run(argv):
+    """Exit code and stderr of ``cli.main``; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["obstruct"], ["pk"], ["davis", "-n", "1"],
+                                     ["pk", "--homology"], ["pk", "--cells-out", "{cells}"]],
+                         ids=["verify", "obstruct", "pk", "davis", "pk --homology",
+                              "pk --cells-out"])
 @settings(max_examples=60)
 @given(text=complex_texts())
 @example(text="[" * 100000 + "]" * 100000)  # nesting past the recursion limit
@@ -93,11 +107,127 @@ def test_cli_exits_0_1_or_2_without_traceback(command, text):
         path = os.path.join(tmp, "complex.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(command[:1] + [path] + command[1:])
+        cells = os.path.join(tmp, "cells.json")
+        rc, err = _run(command[:1] + [path] + [arg.format(cells=cells) for arg in command[1:]])
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+def test_pk_homology_past_the_ground_bound_exits_2_before_any_work(tmp_path, monkeypatch):
+    def visited(*args):
+        raise AssertionError("pk did work past the ground bound")
+
+    for name in ("pk_homology", "pk_f_vector", "build_pk"):
+        monkeypatch.setattr("flatlink.cli." + name, visited)
+    path = str(tmp_path / "points.json")
+    SimplicialComplex(25, [(i,) for i in range(25)]).dump(path)
+    rc, err = _run(["pk", path, "--homology"])
+    assert rc == 2
+    assert err == ("error: ground set has 25 vertices; 2^25 cube vertices exceeds "
+                   "the bound 24\n")
+
+
+def _tree_paths(data, path=()):
+    yield path
+    if isinstance(data, dict):
+        for key in sorted(data):
+            yield from _tree_paths(data[key], path + (key,))
+    elif isinstance(data, list):
+        for i, item in enumerate(data):
+            yield from _tree_paths(item, path + (i,))
+
+
+def _mutate_tree(draw, data):
+    """Replace, delete or duplicate one node anywhere in a JSON tree."""
+    # the root last: Hypothesis favours early choices, and a junk root is the dullest
+    path = draw(st.sampled_from(list(_tree_paths(data))[::-1]))
+    if not path:
+        return draw(JUNK)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(path[-1], json.loads(json.dumps(parent[path[-1]])))
+    else:
+        parent[path[-1]] = draw(JUNK)
+    return data
+
+
+@st.composite
+def link_data(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from((hopf_pair, split_pair)))()[1].to_json()
+    data = {"components": draw(st.lists(st.lists(st.integers(-1, 8), max_size=5),
+                                        max_size=3))}
+    if draw(st.booleans()):
+        data["orientations"] = draw(st.lists(st.sampled_from((1, -1)), max_size=3))
+    return data
+
+
+@st.composite
+def diagram_data(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from((hopf_diagram, solomon_diagram, whitehead_diagram,
+                                     three_chain_133_diagram)))().to_json()
+    crossing = st.fixed_dictionaries({"over": st.integers(-1, 3), "under": st.integers(-1, 3),
+                                      "sign": st.sampled_from((1, -1, 0, 2))})
+    return {"m": draw(st.integers(-1, 3)),
+            "crossings": draw(st.lists(crossing, max_size=4)),
+            "order": draw(st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=3))}
+
+
+@st.composite
+def target_data(draw):
+    if draw(st.booleans()):
+        return draw(diagram_data())
+    n = draw(st.integers(0, 3))
+    entries = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    if draw(st.booleans()):  # symmetric with zero diagonal: a well-formed matrix
+        entries = [[entries[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)]
+                   for i in range(n)]
+    return {"entries": entries}
+
+
+@st.composite
+def json_texts(draw, base):
+    data = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        data = _mutate_tree(draw, data)
+    text = json.dumps(data)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+# build candidates 1-4 in the seeded rotation are registry complexes of at most 8
+# vertices, so one --budget 1 attempt stays fast
+FILE_COMMANDS = {
+    "lk simplicial": (["lk", "simplicial", "{ambient}", "{file}"], link_data()),
+    "lk diagram": (["lk", "diagram", "{file}"], diagram_data()),
+    "build": (["build", "{file}", "--budget", "1", "--seed", "{seed}"], target_data()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_COMMANDS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_link_diagram_and_target_files_exit_0_1_or_2_without_traceback(name, data):
+    command, base = FILE_COMMANDS[name]
+    text = data.draw(json_texts(base), label="file")
+    seed = data.draw(st.integers(1, 4), label="seed")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"ambient": os.path.join(tmp, "ambient.json"),
+                 "file": os.path.join(tmp, "input.json"), "seed": seed}
+        fixture("boundary-16-cell").dump(paths["ambient"])
+        with open(paths["file"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        rc, err = _run([arg.format(**paths) for arg in command])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [["lk", "simplicial", "{c4}", "{deep}"],
@@ -109,9 +239,7 @@ def test_deeply_nested_link_diagram_and_target_files_exit_2(command):
         fixture("c4").dump(paths["c4"])
         with open(paths["deep"], "w", encoding="utf-8") as fh:
             fh.write("[" * 100000 + "]" * 100000)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main([arg.format(**paths) for arg in command])
+        rc, err = _run([arg.format(**paths) for arg in command])
     assert rc == 2
-    assert err.getvalue().startswith("error: bad ")
-    assert "Traceback" not in err.getvalue()
+    assert err.startswith("error: bad ")
+    assert "Traceback" not in err
