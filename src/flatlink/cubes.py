@@ -156,18 +156,10 @@ def pk_f_vector(complex_):
 
 
 def _merged_torsion(coefficients):
-    """Invariant factors of the direct sum of the groups Z/c, c > 1.
-
-    Sorted coefficients that divide in order are the answer already (the
-    common case of many J's with the same torsion); otherwise they are read
-    off the Smith form of the diagonal matrix of the coefficients, whose
-    dense core costs cubic time in their number.
-    """
-    ordered = sorted(coefficients)
-    if all(b % a == 0 for a, b in zip(ordered, ordered[1:])):
-        return tuple(ordered)
-    diagonal = IntegerMatrix(len(ordered), len(ordered),
-                             {(i, i): c for i, c in enumerate(ordered)})
+    """Invariant factors of the direct sum of the groups Z/c, c > 1,
+    read off the Smith form of the diagonal matrix of the coefficients."""
+    n = len(coefficients)
+    diagonal = IntegerMatrix(n, n, {(i, i): c for i, c in enumerate(coefficients)})
     return tuple(t for t in smith_normal_form(diagonal).invariants if t > 1)
 
 
