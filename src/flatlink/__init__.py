@@ -16,10 +16,9 @@ from .coxeter import (CapraceReport, DavisBall, FlatSubcomplex, Racg,
 from .cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
                     cubical_chain_complex, pk_f_vector, pk_homology, pk_vertex_link,
                     torus_subcomplex, verify_vertex_links)
-from .fixtures import (BuildOutcome, HypothesisReport, TypeLReport, attempt_type_l_build,
-                       check_hypotheses, fixture, fixture_names, flagify, hopf_pair,
-                       product_triangulation, solomon_pair, split_pair, verify_type_l,
-                       zigzag_cycle)
+from .fixtures import (HypothesisReport, TypeLReport, check_hypotheses, fixture,
+                       fixture_names, flagify, hopf_pair, product_triangulation,
+                       solomon_pair, split_pair, verify_type_l, zigzag_cycle)
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, Manifold3Report,
                        SmithNormalForm, SphereReport, homology,
                        is_closed_orientable_3manifold, is_homology_3sphere,

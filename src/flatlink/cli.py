@@ -1,6 +1,6 @@
 """Command-line surface for the toolkit.
 
-Subcommands: verify, obstruct, pk, davis, lk, fixture, build.  Every
+Subcommands: verify, obstruct, pk, davis, lk, fixture.  Every
 command writes a RunReport as JSON (sorted keys) to stdout or --out;
 --human prints a line-per-check summary instead.  Exit codes: 0 success,
 1 failed checks, 2 usage or input errors.  Verdicts are report data, not
@@ -18,9 +18,9 @@ from . import __version__
 from .complexes import InvalidComplexError, SimplicialComplex
 from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
 from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
-from .fixtures import attempt_type_l_build, check_hypotheses, fixture, fixture_names
-from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
-                    diagram_linking_matrix, linking_matrix, obstruction_report)
+from .fixtures import check_hypotheses, fixture, fixture_names
+from .links import (EdgeCycleLink, PlanarDiagram, diagram_linking_matrix, linking_matrix,
+                    obstruction_report)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,7 +34,7 @@ def _checksum(path):
     return h.hexdigest()
 
 
-def _report(command, args, checks, verdicts, started, seed=None, extra=None):
+def _report(command, args, checks, verdicts, started, extra=None):
     checksums = {}
     for path in args or ():
         try:
@@ -48,7 +48,7 @@ def _report(command, args, checks, verdicts, started, seed=None, extra=None):
         "verdicts": verdicts,
         "timing_ms": int((time.time() - started) * 1000),
         "version": __version__,
-        "seed": seed,
+        "seed": None,
     }
     if extra:
         rep.update(extra)
@@ -241,33 +241,6 @@ def cmd_fixture(opts):
     return EXIT_OK
 
 
-def _build_target(data):
-    if not isinstance(data, dict):
-        raise ValueError("target JSON must be an object")
-    if "entries" in data:
-        return LinkingMatrix(data["entries"])
-    if "crossings" in data:
-        return PlanarDiagram.from_json(data)
-    raise ValueError("target JSON needs 'entries' (matrix) or 'crossings'")
-
-
-def cmd_build(opts):
-    started = time.time()
-    target = _read_json(opts.target, "target", _build_target)
-    outcome = attempt_type_l_build(target, budget=opts.budget, seed=opts.seed)
-    checks = {"candidates_tried": outcome.candidates_tried, "note": outcome.note}
-    extra = {}
-    if outcome.found:
-        checks["flags"] = outcome.report.flags
-        if opts.complex_out:
-            outcome.complex.dump(opts.complex_out)
-            extra["complex_out"] = opts.complex_out
-    report = _report("build", [opts.target], checks,
-                     {"found": outcome.found}, started, seed=opts.seed, extra=extra)
-    _emit(report, opts)
-    return EXIT_OK if outcome.found else EXIT_CHECK_FAILED
-
-
 def _parser():
     parser = argparse.ArgumentParser(
         prog="flatlink",
@@ -331,13 +304,6 @@ def _parser():
     common(p)
     p.set_defaults(func=cmd_fixture)
 
-    p = sub.add_parser("build", help="search for a triangulation matching a link type")
-    p.add_argument("target", help="JSON linking matrix or diagram")
-    p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--complex-out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_build)
     return parser
 
 

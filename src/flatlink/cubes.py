@@ -13,11 +13,12 @@ come from K without building any cell: ``pk_f_vector`` and
 cells, for cell files, vertex links and torus subcomplexes.
 """
 
+from math import gcd
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, Square, full_subcomplex, is_flag, maximal_faces
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, homology,
-                       simplicial_chain_complex, smith_normal_form)
+                       simplicial_chain_complex)
 
 
 class GroundSetTooLarge(ValueError):
@@ -156,11 +157,18 @@ def pk_f_vector(complex_):
 
 
 def _merged_torsion(coefficients):
-    """Invariant factors of the direct sum of the groups Z/c, c > 1,
-    read off the Smith form of the diagonal matrix of the coefficients."""
-    n = len(coefficients)
-    diagonal = IntegerMatrix(n, n, {(i, i): c for i, c in enumerate(coefficients)})
-    return tuple(t for t in smith_normal_form(diagonal).invariants if t > 1)
+    """Invariant factors of the direct sum of the groups Z/c, c > 1.
+
+    Z/a + Z/b = Z/gcd + Z/lcm, applied to every pair i < j in order, leaves
+    each factor dividing the next.
+    """
+    factors = [c for c in coefficients if c > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(f for f in factors if f > 1)
 
 
 def pk_homology(complex_):

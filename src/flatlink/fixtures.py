@@ -1,6 +1,5 @@
 """Canonical fixture complexes, the hypothesis-check pipeline, the type-L
-verifier, flagification, and a budgeted search for triangulations matching
-a target link type.
+verifier and flagification.
 
 The registry is generated by code (see fixtures.md for the catalogue).
 ``check_hypotheses`` runs the hypothesis chain once and returns one report;
@@ -8,6 +7,8 @@ The registry is generated by code (see fixtures.md for the catalogue).
 profiles all read it.  The type verifier adds the square-link's component
 count and linking matrix against the expectation.  Matching linking data is
 necessary but not sufficient for matching the link type up to isotopy.
+No complex here carries a nonempty isolated square-link, and nothing
+constructs one; ``verify_type_l`` is the gate such a construction must pass.
 """
 
 import itertools
@@ -339,52 +340,6 @@ def flagify(complex_):
     if not report.is_flag:
         raise AssertionError("subdivision is not flag; witness %r" % (report.witness,))
     return sd
-
-
-class BuildOutcome(NamedTuple):
-    found: bool
-    complex: Optional[SimplicialComplex]
-    report: Optional[TypeLReport]
-    candidates_tried: int
-    note: str
-
-
-def attempt_type_l_build(target, budget=32, seed=0):
-    """Best-effort search for a triangulation whose square-link matches.
-
-    Candidates are the registry complexes and their subdivisions, tried in
-    a deterministic seeded order within the budget.  Every returned
-    complex passed verify_type_l; exhausting the budget is an outcome, not
-    an error.
-    """
-    matrix = _expected_matrix(target)
-    candidates = []
-    for name in fixture_names():
-        candidates.append(("fixture:" + name, lambda n=name: fixture(n)))
-    for name in ("boundary-4-simplex", "octahedron", "boundary-16-cell"):
-        candidates.append(("sd:" + name,
-                           lambda n=name: barycentric_subdivision(fixture(n))))
-    # deterministic seeded rotation of the candidate order
-    if candidates:
-        offset = seed % len(candidates)
-        candidates = candidates[offset:] + candidates[:offset]
-
-    tried = 0
-    for label, make in candidates:
-        if tried >= budget:
-            break
-        tried += 1
-        candidate = make()
-        if candidate.dim() != 3:
-            continue
-        report = verify_type_l(candidate, matrix)
-        if report.verdict:
-            return BuildOutcome(True, candidate, report, tried,
-                                "verified candidate %s" % label)
-    return BuildOutcome(False, None, None, tried,
-                        "no verified triangulation found within budget %d "
-                        "(construction beyond registry search is out of scope)"
-                        % budget)
 
 
 def corpus_properties(name):

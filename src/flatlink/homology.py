@@ -22,8 +22,6 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .complexes import vertex_link
-
 
 class IntegerMatrix:
     """Sparse integer matrix; no stored zeros, exact arithmetic."""
@@ -511,25 +509,30 @@ class Manifold3Report(NamedTuple):
 
 
 def _link_is_2sphere(complex_, v):
-    """A connected closed surface (every edge in two triangles) with chi = 2."""
-    link = vertex_link(complex_, v)
-    if not link.facets or not link.is_pure(2):
+    """The link of v in a pure 3-complex, the triangles f - {v} of its star,
+    is a connected closed surface (every edge in two triangles) with chi = 2."""
+    triangles = [tuple(u for u in f if u != v) for f in complex_.star(v)]
+    if not triangles:
         return False
     edge_count = {}
-    for f in link.facets:
-        for e in combinations(f, 2):
+    for t in triangles:
+        for e in combinations(t, 2):
             edge_count[e] = edge_count.get(e, 0) + 1
     if any(c != 2 for c in edge_count.values()):
         return False
-    seen = {0}
-    stack = [0]
+    adjacent = {}
+    for a, b in edge_count:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    seen = {triangles[0][0]}
+    stack = [triangles[0][0]]
     while stack:
-        for nb in link.neighbors(stack.pop()):
+        for nb in adjacent[stack.pop()]:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return (len(seen) == link.vertex_count
-            and link.vertex_count - len(edge_count) + len(link.facets) == 2)
+    degree = len(complex_.neighbors(v))
+    return len(seen) == degree and degree - len(edge_count) + len(triangles) == 2
 
 
 def is_closed_orientable_3manifold(complex_):

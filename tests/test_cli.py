@@ -1,14 +1,16 @@
 """End-to-end command-line flows: exit codes, report shape, determinism."""
 
+import argparse
 import importlib
 import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
-from flatlink.cli import main
+from flatlink.cli import _parser, main
 from flatlink.coxeter import Racg
 from flatlink.fixtures import corpus_properties, fixture, fixture_names, verify_type_l
 from flatlink.links import LinkingMatrix
@@ -196,13 +198,6 @@ def test_lk_simplicial_malformed_link_is_input_error(write_fixture, tmp_path, ca
     assert "Traceback" not in err
 
 
-def test_build_non_integer_entries_is_input_error(tmp_path, capsys):
-    target = tmp_path / "bad.json"
-    target.write_text(json.dumps({"entries": [[0, "1"], ["1", 0]]}))
-    assert main(["build", str(target)]) == 2
-    assert "integers" in capsys.readouterr().err
-
-
 _DIAGRAM = {"m": 2, "crossings": [{"over": 0, "under": 1, "sign": 1},
                                   {"over": 1, "under": 0, "sign": 1}],
             "order": [[0, 1], [0, 1]]}
@@ -226,9 +221,6 @@ def _diagram_with(**changes):
     ("lk diagram", _diagram_with(order=[[0, True], [0, 1]]), "integer"),
     ("lk diagram", _diagram_with(crossings=[5]), "list of objects"),
     ("lk diagram", 5, "must be an object"),
-    ("build", 5, "must be an object"),
-    ("build", "entries", "must be an object"),
-    ("build", _diagram_with(sign=True), "integer"),
 ])
 def test_malformed_diagram_or_target_is_input_error(tmp_path, capsys, command, data,
                                                      message):
@@ -326,30 +318,31 @@ def test_fixture_unknown_name_is_input_error():
     assert main(["fixture", "klein-bottle"]) == 2
 
 
-def test_build_empty_target(tmp_path):
-    target = tmp_path / "empty.json"
-    target.write_text(json.dumps({"entries": []}))
-    out_complex = tmp_path / "found.json"
-    rc, report = run_json(
-        ["build", str(target), "--complex-out", str(out_complex)], tmp_path)
-    assert rc == 0
-    assert report["verdicts"]["found"] is True
-    assert report["seed"] == 0
-    assert main(["verify", str(out_complex)]) == 0
+def _subcommands(parser, prefix=()):
+    """Every leaf command path of the parser, e.g. ("lk", "diagram")."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out |= _subcommands(sub, prefix + (name,)) or {prefix + (name,)}
+    return out
 
 
-def test_build_hopf_target_not_found(tmp_path):
-    target = tmp_path / "hopf.json"
-    target.write_text(json.dumps({"entries": [[0, 1], [1, 0]]}))
-    rc, report = run_json(["build", str(target), "--budget", "4"], tmp_path)
-    assert rc == 1
-    assert report["verdicts"]["found"] is False
-
-
-def test_build_malformed_target_is_input_error(tmp_path):
-    target = tmp_path / "bad.json"
-    target.write_text(json.dumps({"entries": [[0, 1], [2, 0]]}))
-    assert main(["build", str(target)]) == 2
+def test_readme_command_lines_name_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = _subcommands(_parser())
+    documented, unknown = set(), []
+    for line in block.splitlines():
+        words = line.split("#")[0].split()
+        if not words or words[0] != "flatlink":
+            continue
+        named = [c for c in commands if tuple(words[1:1 + len(c)]) == c]
+        documented.update(named)
+        if not named:
+            unknown.append(line)
+    assert unknown == []
+    assert documented == commands
 
 
 def test_report_determinism_modulo_timing(write_fixture, tmp_path):
@@ -369,9 +362,13 @@ def test_human_mode_writes_lines(write_fixture, tmp_path, capsys):
     assert "is_flag" in out and "pass" in out
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["verify"]) == 2
     assert main(["no-such-command"]) == 2
+    capsys.readouterr()
+    assert main(["build", "x.json"]) == 2  # removed: no constructor backs it
+    err = capsys.readouterr().err
+    assert "invalid choice: 'build'" in err and "Traceback" not in err
 
 
 def test_davis_resource_bound_is_input_error(write_fixture, tmp_path):

@@ -16,7 +16,7 @@ from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _mer
                             pk_homology, pk_vertex_link, torus_subcomplex,
                             verify_vertex_links)
 from flatlink.fixtures import fixture, fixture_names
-from flatlink.homology import HomologyProfile, IntegerMatrix, homology
+from flatlink.homology import HomologyProfile, IntegerMatrix, homology, smith_normal_form
 
 from oracles import random_flag_complex
 
@@ -247,9 +247,20 @@ def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
 
 
 @pytest.mark.parametrize("coefficients,expected", [
-    ((2, 3), (6,)), ((2, 4, 2), (2, 2, 4)), ((6, 10), (2, 30)), ((), ()), ((5,), (5,))])
+    ((2, 3), (6,)), ((2, 4, 2), (2, 2, 4)), ((6, 10), (2, 30)), ((), ()), ((5,), (5,)),
+    ((2,) * 511 + (3,), (2,) * 510 + (6,))])
 def test_torsion_merge_gives_invariant_factors(coefficients, expected):
     assert _merged_torsion(list(coefficients)) == expected
+
+
+def test_torsion_merge_matches_smith_form_of_the_diagonal():
+    rng = random.Random(11)
+    for _ in range(300):
+        coefficients = [rng.randint(2, 36) for _ in range(rng.randint(1, 10))]
+        n = len(coefficients)
+        diagonal = IntegerMatrix(n, n, {(i, i): c for i, c in enumerate(coefficients)})
+        invariants = smith_normal_form(diagonal).invariants
+        assert _merged_torsion(coefficients) == tuple(t for t in invariants if t > 1)
 
 
 def test_check_ground_is_the_bound_of_build_pk():

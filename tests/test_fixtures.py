@@ -1,11 +1,10 @@
-"""Registry golden profiles, the type verifier, flagification, the builder."""
+"""Registry golden profiles, the type verifier, flagification."""
 
 import pytest
 
 from flatlink.complexes import is_flag
-from flatlink.fixtures import (attempt_type_l_build, corpus_properties, fixture,
-                               fixture_names, flagify, product_triangulation,
-                               verify_type_l)
+from flatlink.fixtures import (corpus_properties, fixture, fixture_names, flagify,
+                               product_triangulation, verify_type_l)
 from flatlink.homology import homology, simplicial_chain_complex
 from flatlink.links import LinkingMatrix, hopf_diagram
 
@@ -120,33 +119,6 @@ def test_flagify_empty_complex():
     from flatlink.complexes import SimplicialComplex
     empty = SimplicialComplex(0, [])
     assert flagify(empty).vertex_count == 0
-
-
-def test_builder_empty_target_returns_verified_complex():
-    outcome = attempt_type_l_build(LinkingMatrix([]))
-    assert outcome.found
-    assert outcome.report.verdict
-    check = verify_type_l(outcome.complex, LinkingMatrix([]))
-    assert check.verdict
-
-
-def test_builder_hopf_target_budget_exhaustion_is_outcome():
-    outcome = attempt_type_l_build(hopf_diagram(), budget=3)
-    assert not outcome.found
-    assert outcome.complex is None
-    assert outcome.candidates_tried <= 3
-    assert "budget" in outcome.note
-
-
-def test_builder_rejects_malformed_target():
-    with pytest.raises(ValueError):
-        attempt_type_l_build([[0, 1], [2, 0]])  # asymmetric matrix
-
-
-def test_builder_deterministic_given_seed():
-    a = attempt_type_l_build(LinkingMatrix([]), seed=4)
-    b = attempt_type_l_build(LinkingMatrix([]), seed=4)
-    assert a.found == b.found and a.note == b.note
 
 
 def test_product_triangulation_torus():

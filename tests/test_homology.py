@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.complexes import SimplicialComplex
+from flatlink.complexes import SimplicialComplex, join, vertex_link
 from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
-                               S3_PROFILE, eliminate_unit_pivots, homology,
+                               S3_PROFILE, _link_is_2sphere, eliminate_unit_pivots, homology,
                                is_closed_orientable_3manifold, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
 from oracles import independent_snf_homology, random_flag_complex
@@ -473,6 +473,52 @@ def test_homology_sphere_note_mentions_simple_connectivity():
     rep = is_homology_3sphere(fixture("boundary-4-simplex"))
     assert rep.is_homology_sphere
     assert "NOT checked" in rep.note
+
+
+def _link_is_2sphere_oracle(complex_, v):
+    """The link as its own complex: a closed surface with the homology of S^2."""
+    link = vertex_link(complex_, v)
+    if not link.facets:
+        return False
+    edges = {}
+    for f in link.facets:
+        if len(f) != 3:
+            return False
+        for e in combinations(f, 2):
+            edges[e] = edges.get(e, 0) + 1
+    return (all(c == 2 for c in edges.values())
+            and homology(simplicial_chain_complex(link))
+            == HomologyProfile([(1, ()), (0, ()), (1, ())]))
+
+
+_TWO_POINTS = SimplicialComplex(2, [(0,), (1,)])
+_BOUNDARY_4_SIMPLEX = list(combinations(range(5), 4))
+_LINK_CASES = {
+    **{name: (lambda n=name: fixture(n))
+       for name in ("boundary-4-simplex", "boundary-16-cell", "sd-boundary-4-simplex",
+                    "s2-x-s1", "600-cell", "join-c6-c6")},
+    "suspension-torus-7": lambda: join(fixture("torus-7"), _TWO_POINTS),
+    "suspension-projective-plane-6": lambda: join(fixture("projective-plane-6"),
+                                                  _TWO_POINTS),
+    "two-3-spheres-at-a-vertex": lambda: SimplicialComplex(
+        9, _BOUNDARY_4_SIMPLEX + [tuple(v + 4 if v else 0 for v in f)
+                                  for f in _BOUNDARY_4_SIMPLEX]),
+    "cone-on-torus-7-and-2-sphere": lambda: SimplicialComplex(  # apex link has chi 2
+        12, [(0,) + tuple(v + 1 for v in t) for t in fixture("torus-7").facets]
+        + [(0,) + tuple(v + 8 for v in t) for t in combinations(range(4), 3)]),
+    "cone-on-2-sphere-with-a-fin": lambda: SimplicialComplex(  # apex link has chi 2
+        6, [(0,) + t for t in combinations(range(1, 5), 3)] + [(0, 1, 2, 5)]),
+    "three-tetrahedra-on-a-triangle": lambda: SimplicialComplex(
+        6, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINK_CASES))
+def test_link_check_from_the_star_matches_the_link_complex(name):
+    k = _LINK_CASES[name]()
+    got = [_link_is_2sphere(k, v) for v in range(k.vertex_count)]
+    assert got == [_link_is_2sphere_oracle(k, v) for v in range(k.vertex_count)]
+    assert all(got) == (name in fixture_names())  # the registry cases are 3-manifolds
 
 
 def test_pseudomanifold_failure_detected():

@@ -1,6 +1,6 @@
 """Every input file, however malformed, ends in exit 0, 1 or 2 without a
 traceback: generated and mutated complex JSON fed to ``cli.main``, and
-generated and mutated link, diagram and build-target JSON.  Files nested
+generated and mutated link and diagram JSON.  Files nested
 past the recursion limit exit 2, and so does a ``pk`` ground set past the
 bound, before any work.
 
@@ -180,19 +180,6 @@ def diagram_data(draw):
 
 
 @st.composite
-def target_data(draw):
-    if draw(st.booleans()):
-        return draw(diagram_data())
-    n = draw(st.integers(0, 3))
-    entries = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                            min_size=n, max_size=n))
-    if draw(st.booleans()):  # symmetric with zero diagonal: a well-formed matrix
-        entries = [[entries[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)]
-                   for i in range(n)]
-    return {"entries": entries}
-
-
-@st.composite
 def json_texts(draw, base):
     data = draw(base)
     for _ in range(draw(st.integers(0, 3))):
@@ -203,12 +190,9 @@ def json_texts(draw, base):
     return text
 
 
-# build candidates 1-4 in the seeded rotation are registry complexes of at most 8
-# vertices, so one --budget 1 attempt stays fast
 FILE_COMMANDS = {
     "lk simplicial": (["lk", "simplicial", "{ambient}", "{file}"], link_data()),
     "lk diagram": (["lk", "diagram", "{file}"], diagram_data()),
-    "build": (["build", "{file}", "--budget", "1", "--seed", "{seed}"], target_data()),
 }
 
 
@@ -218,10 +202,9 @@ FILE_COMMANDS = {
 def test_link_diagram_and_target_files_exit_0_1_or_2_without_traceback(name, data):
     command, base = FILE_COMMANDS[name]
     text = data.draw(json_texts(base), label="file")
-    seed = data.draw(st.integers(1, 4), label="seed")
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"ambient": os.path.join(tmp, "ambient.json"),
-                 "file": os.path.join(tmp, "input.json"), "seed": seed}
+                 "file": os.path.join(tmp, "input.json")}
         fixture("boundary-16-cell").dump(paths["ambient"])
         with open(paths["file"], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -231,7 +214,7 @@ def test_link_diagram_and_target_files_exit_0_1_or_2_without_traceback(name, dat
 
 
 @pytest.mark.parametrize("command", [["lk", "simplicial", "{c4}", "{deep}"],
-                                     ["lk", "diagram", "{deep}"], ["build", "{deep}"]],
+                                     ["lk", "diagram", "{deep}"]],
                          ids=lambda c: " ".join(w for w in c if "{" not in w))
 def test_deeply_nested_link_diagram_and_target_files_exit_2(command):
     with tempfile.TemporaryDirectory() as tmp:
