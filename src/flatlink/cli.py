@@ -1,10 +1,12 @@
 """Command-line surface for the toolkit.
 
-Subcommands: verify, obstruct, pk, davis, lk, fixture.  Every
-command writes a RunReport as JSON (sorted keys) to stdout or --out;
---human prints a line-per-check summary instead.  Exit codes: 0 success,
-1 failed checks, 2 usage or input errors.  Verdicts are report data, not
-errors: an obstruction found is a successful analysis.
+Subcommands: verify, obstruct, pk, davis, lk, fixture.  Each ``cmd_*``
+returns its data; ``main`` alone times the command, builds the RunReport
+and writes it as JSON (sorted keys) to stdout or --out, or with --human,
+the only output switch, a line-per-check summary.  Exit codes: 0 success,
+1 failed checks, 2 usage or input errors (``main`` prints ``error: ...``
+for every ValueError, KeyError or OSError, never a traceback).  Verdicts
+are report data, not errors: an obstruction found is a successful analysis.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .complexes import InvalidComplexError, SimplicialComplex
+from .complexes import SimplicialComplex
 from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
 from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
 from .fixtures import check_hypotheses, fixture, fixture_names
@@ -27,18 +29,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _checksum(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _report(command, args, checks, verdicts, started, extra=None):
+def _report(command, inputs, checks, verdicts, started, extra):
     checksums = {}
-    for path in args or ():
+    for path in inputs:
         try:
-            checksums[path] = _checksum(path)
+            with open(path, "rb") as fh:
+                checksums[path] = hashlib.sha256(fh.read()).hexdigest()
         except OSError:
             checksums[path] = None
     rep = {
@@ -56,7 +52,6 @@ def _report(command, args, checks, verdicts, started, extra=None):
 
 
 def _emit(report, opts):
-    text = None
     if opts.human:
         lines = []
         for name, result in report.get("checks", {}).items():
@@ -77,15 +72,10 @@ def _emit(report, opts):
         print(text)
 
 
-def _load_complex(path):
-    try:
-        return SimplicialComplex.load(path)
-    except (OSError, InvalidComplexError) as exc:
-        raise SystemExit2(str(exc))
-
-
-class SystemExit2(Exception):
-    """Bad input or usage: exit code 2 with a diagnostic."""
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_json(path, what, parse):
@@ -95,56 +85,51 @@ def _read_json(path, what, parse):
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
     except (OSError, ValueError, KeyError, RecursionError) as exc:
-        raise SystemExit2("bad %s: %s" % (what, exc))
+        raise ValueError("bad %s: %s" % (what, exc))
 
+
+def _obstruction(matrix, opts):
+    verdict = obstruction_report(matrix, nontrivial_certificate=opts.certify_nontrivial)
+    return {"obstruction": verdict.verdict.value, "explanation": verdict.explanation}
+
+
+# Each command returns (command, inputs, checks, verdicts, exit code, extra);
+# main times it, builds and emits the report.
 
 def cmd_verify(opts):
-    started = time.time()
-    report = check_hypotheses(_load_complex(opts.complex))
-    _emit(_report("verify", [opts.complex], report.checks,
-                  {"all_checks_pass": report.passed}, started), opts)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    report = check_hypotheses(SimplicialComplex.load(opts.complex))
+    return ("verify", [opts.complex], report.checks, {"all_checks_pass": report.passed},
+            EXIT_OK if report.passed else EXIT_CHECK_FAILED, None)
 
 
 def cmd_obstruct(opts):
-    started = time.time()
-    complex_ = _load_complex(opts.complex)
+    complex_ = SimplicialComplex.load(opts.complex)
     report = check_hypotheses(complex_)
     checks = report.checks
     if not report.passed:
-        _emit(_report("obstruct", [opts.complex], checks,
-                      {"prerequisites": "failed"}, started), opts)
-        return EXIT_CHECK_FAILED
+        return ("obstruct", [opts.complex], checks, {"prerequisites": "failed"},
+                EXIT_CHECK_FAILED, None)
     link = EdgeCycleLink(complex_, [s.cycle for s in report.squares])
     matrix = linking_matrix(complex_, link, orientation=report.orientation)
-    verdict = obstruction_report(matrix, nontrivial_certificate=opts.certify_nontrivial)
     checks["component_count"] = len(link)
     checks["linking_matrix"] = matrix.to_json()
-    note = verdict.explanation
+    verdicts = _obstruction(matrix, opts)
     if not len(link):
-        note += " (no squares: empty link, empty matrix)"
-    report = _report("obstruct", [opts.complex], checks,
-                     {"obstruction": verdict.verdict.value, "explanation": note},
-                     started,
-                     extra={"nontrivial_certificate": bool(opts.certify_nontrivial)})
-    _emit(report, opts)
-    return EXIT_OK
+        verdicts["explanation"] += " (no squares: empty link, empty matrix)"
+    return ("obstruct", [opts.complex], checks, verdicts, EXIT_OK,
+            {"nontrivial_certificate": bool(opts.certify_nontrivial)})
 
 
 def cmd_pk(opts):
-    started = time.time()
-    complex_ = _load_complex(opts.complex)
+    complex_ = SimplicialComplex.load(opts.complex)
     bound = DEFAULT_MAX_GROUND
     env = os.environ.get("FLATLINK_MAX_GROUND")
     if env is not None:
         try:
             bound = int(env)
         except ValueError:
-            raise SystemExit2("FLATLINK_MAX_GROUND=%r is not an integer" % env)
-    try:
-        check_ground(complex_, bound)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+            raise ValueError("FLATLINK_MAX_GROUND=%r is not an integer" % env)
+    check_ground(complex_, bound)
     f_vector = pk_f_vector(complex_)
     checks = {
         "ground": complex_.vertex_count,
@@ -155,23 +140,16 @@ def cmd_pk(opts):
         checks["homology"] = pk_homology(complex_).to_json()
     extra = None
     if opts.cells_out:
-        cubical = build_pk(complex_, max_ground=bound)
-        with open(opts.cells_out, "w", encoding="utf-8") as fh:
-            json.dump(cubical.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(opts.cells_out, build_pk(complex_, max_ground=bound).to_json())
         extra = {"cells_out": opts.cells_out}
-    report = _report("pk", [opts.complex], checks, {}, started, extra=extra)
-    _emit(report, opts)
-    return EXIT_OK
+    return ("pk", [opts.complex], checks, {}, EXIT_OK, extra)
 
 
 def cmd_davis(opts):
-    started = time.time()
-    complex_ = _load_complex(opts.complex)
+    complex_ = SimplicialComplex.load(opts.complex)
     if opts.radius < 0:
-        raise SystemExit2("radius must be non-negative")
-    group = racg_from_skeleton(complex_)
-    ball = davis_ball(group, complex_, opts.radius)
+        raise ValueError("radius must be non-negative")
+    ball = davis_ball(racg_from_skeleton(complex_), complex_, opts.radius)
     checks = {
         "radius": opts.radius,
         "sphere_sizes": sphere_sizes(ball.vertices, opts.radius),
@@ -181,64 +159,39 @@ def cmd_davis(opts):
     }
     extra = None
     if opts.cells_out:
-        with open(opts.cells_out, "w", encoding="utf-8") as fh:
-            json.dump(ball.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(opts.cells_out, ball.to_json())
         extra = {"cells_out": opts.cells_out}
-    report = _report("davis", [opts.complex], checks, {}, started, extra=extra)
-    _emit(report, opts)
-    return EXIT_OK
+    return ("davis", [opts.complex], checks, {}, EXIT_OK, extra)
 
 
-def cmd_lk(opts):
-    started = time.time()
-    if opts.mode == "diagram":
-        diagram = _read_json(opts.diagram, "diagram", PlanarDiagram.from_json)
-        matrix = diagram_linking_matrix(diagram)
-        verdict = obstruction_report(matrix,
-                                     nontrivial_certificate=opts.certify_nontrivial)
-        report = _report("lk diagram", [opts.diagram],
-                         {"m": diagram.m, "linking_matrix": matrix.to_json()},
-                         {"obstruction": verdict.verdict.value,
-                          "explanation": verdict.explanation}, started)
-        _emit(report, opts)
-        return EXIT_OK
-    complex_ = _load_complex(opts.complex)
+def cmd_lk_diagram(opts):
+    diagram = _read_json(opts.diagram, "diagram", PlanarDiagram.from_json)
+    matrix = diagram_linking_matrix(diagram)
+    return ("lk diagram", [opts.diagram], {"m": diagram.m, "linking_matrix": matrix.to_json()},
+            _obstruction(matrix, opts), EXIT_OK, None)
+
+
+def cmd_lk_simplicial(opts):
+    complex_ = SimplicialComplex.load(opts.complex)
     link = _read_json(opts.link, "link",
                       lambda data: EdgeCycleLink.from_json(complex_, data))
+    inputs = [opts.complex, opts.link]
     try:
         matrix = linking_matrix(complex_, link)
     except ValueError as exc:
-        report = _report("lk simplicial", [opts.complex, opts.link],
-                         {"error": str(exc)}, {"prerequisites": "failed"}, started)
-        _emit(report, opts)
-        return EXIT_CHECK_FAILED
-    verdict = obstruction_report(matrix, nontrivial_certificate=opts.certify_nontrivial)
-    report = _report("lk simplicial", [opts.complex, opts.link],
-                     {"m": len(link), "linking_matrix": matrix.to_json()},
-                     {"obstruction": verdict.verdict.value,
-                      "explanation": verdict.explanation}, started)
-    _emit(report, opts)
-    return EXIT_OK
+        return ("lk simplicial", inputs, {"error": str(exc)}, {"prerequisites": "failed"},
+                EXIT_CHECK_FAILED, None)
+    return ("lk simplicial", inputs, {"m": len(link), "linking_matrix": matrix.to_json()},
+            _obstruction(matrix, opts), EXIT_OK, None)
 
 
 def cmd_fixture(opts):
-    started = time.time()
-    try:
-        complex_ = fixture(opts.name)
-    except KeyError as exc:
-        raise SystemExit2(str(exc))
-    data = complex_.to_json()
-    if opts.target:
-        with open(opts.target, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-            fh.write("\n")
-        report = _report("fixture", [], {"name": opts.name, "written": opts.target},
-                         {}, started)
-        _emit(report, opts)
-    else:
-        print(json.dumps(data, sort_keys=True))
-    return EXIT_OK
+    complex_ = fixture(opts.name)
+    if not opts.target:
+        print(json.dumps(complex_.to_json(), sort_keys=True))
+        return None
+    complex_.dump(opts.target)
+    return ("fixture", [], {"name": opts.name, "written": opts.target}, {}, EXIT_OK, None)
 
 
 def _parser():
@@ -250,11 +203,8 @@ def _parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--json", dest="human", action="store_false",
-                          default=False, help="JSON report (default)")
-        mode.add_argument("--human", dest="human", action="store_true",
-                          help="line-per-check text output")
+        p.add_argument("--human", action="store_true",
+                       help="line-per-check text instead of the JSON report")
         p.add_argument("--out", default=None, help="write the report here")
 
     p = sub.add_parser("verify", help="run the triangulation hypothesis checks")
@@ -290,12 +240,12 @@ def _parser():
     ps.add_argument("link")
     ps.add_argument("--certify-nontrivial", action="store_true")
     common(ps)
-    ps.set_defaults(func=cmd_lk, mode="simplicial")
+    ps.set_defaults(func=cmd_lk_simplicial)
     pd = modes.add_parser("diagram")
     pd.add_argument("diagram")
     pd.add_argument("--certify-nontrivial", action="store_true")
     common(pd)
-    pd.set_defaults(func=cmd_lk, mode="diagram")
+    pd.set_defaults(func=cmd_lk_diagram)
 
     p = sub.add_parser("fixture", help="emit a registry complex as JSON")
     p.add_argument("name", help="one of: " + ", ".join(fixture_names()))
@@ -308,18 +258,20 @@ def _parser():
 
 
 def main(argv=None):
-    parser = _parser()
     try:
-        opts = parser.parse_args(argv)
+        opts = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
+    started = time.time()
     try:
-        return opts.func(opts)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        result = opts.func(opts)
+        if result is None:
+            return EXIT_OK
+        command, inputs, checks, verdicts, code, extra = result
+        _emit(_report(command, inputs, checks, verdicts, started, extra), opts)
+        return code
     except (ValueError, KeyError, OSError) as exc:
-        # bad user data (resource bounds, unwritable output paths), never a traceback
+        # bad input, resource bounds, unwritable output paths: never a traceback
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
 

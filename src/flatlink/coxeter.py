@@ -82,12 +82,6 @@ class Racg:
                 raise AssertionError("piling invariant broken")
         return tuple(out)
 
-    def multiply(self, word_a, word_b):
-        return self.normal_form(tuple(word_a) + tuple(word_b))
-
-    def length(self, word):
-        return len(self.normal_form(word))
-
     def ball_sizes(self, radius):
         """Sphere sizes |S_0| .. |S_radius|, counted over ``ball``."""
         return sphere_sizes(self.ball(radius), radius)

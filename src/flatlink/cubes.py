@@ -220,7 +220,7 @@ def build_pk(complex_, max_ground=None):
     return CubicalComplex(n, cells)
 
 
-def cubical_chain_complex(cubical, check=True):
+def cubical_chain_complex(cubical):
     """Chain complex of a cubical complex with product-orientation signs.
 
     The coefficient of the faces in direction j of a cell of type J is
@@ -245,7 +245,7 @@ def cubical_chain_complex(cubical, check=True):
                 mat.entries[(lower[bottom], col)] = -sign
         boundaries[d] = mat
     counts = [len(cubical.cells[d]) for d in dims]
-    return ChainComplex(counts, boundaries, check=check)
+    return ChainComplex(counts, boundaries)
 
 
 def pk_vertex_link(cubical, vertex):

@@ -68,12 +68,6 @@ class IntegerMatrix:
             out[i][j] = v
         return out
 
-    def transpose(self):
-        m = IntegerMatrix(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            m.entries[(j, i)] = v
-        return m
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -421,7 +415,7 @@ class ChainComplex:
     the composition of consecutive boundaries is checked to vanish.
     """
 
-    def __init__(self, cell_counts, boundaries, check=True):
+    def __init__(self, cell_counts, boundaries):
         self.cell_counts = tuple(int(c) for c in cell_counts)
         self.boundaries = dict(boundaries)
         self.dim = len(self.cell_counts) - 1
@@ -431,14 +425,13 @@ class ChainComplex:
             if mat.rows != self.cell_counts[d - 1] or mat.cols != self.cell_counts[d]:
                 raise ValueError("boundary %d has shape %dx%d, expected %dx%d" % (
                     d, mat.rows, mat.cols, self.cell_counts[d - 1], self.cell_counts[d]))
-        if check:
-            for d in range(2, self.dim + 1):
-                lower = self.boundaries.get(d - 1)
-                upper = self.boundaries.get(d)
-                if lower is not None and upper is not None:
-                    prod = lower @ upper
-                    if prod.nnz():
-                        raise ValueError("boundary of boundary is nonzero in dim %d" % d)
+        for d in range(2, self.dim + 1):
+            lower = self.boundaries.get(d - 1)
+            upper = self.boundaries.get(d)
+            if lower is not None and upper is not None:
+                prod = lower @ upper
+                if prod.nnz():
+                    raise ValueError("boundary of boundary is nonzero in dim %d" % d)
 
     def boundary(self, d):
         mat = self.boundaries.get(d)
@@ -453,7 +446,7 @@ def homology(chain_complex):
     """Integral homology H_d = ker d_d / im d_{d+1}, exactly.
 
     Top-down with clearing, see above; relies on d_d d_{d+1} = 0, which
-    ``ChainComplex`` checks by default.
+    ``ChainComplex`` always checks.
     """
     ranks = {}
     torsions = {}
@@ -476,7 +469,7 @@ def homology(chain_complex):
     return HomologyProfile(groups)
 
 
-def simplicial_chain_complex(complex_, check=True):
+def simplicial_chain_complex(complex_):
     """Chain complex of a simplicial complex, faces ordered lexicographically.
 
     Boundary signs follow the position parity of the omitted vertex.
@@ -493,7 +486,7 @@ def simplicial_chain_complex(complex_, check=True):
                 mat.entries[(index[d - 1][sub], j)] = 1 if pos % 2 == 0 else -1
         boundaries[d] = mat
     counts = [len(faces[d]) for d in range(dim + 1)]
-    return ChainComplex(counts, boundaries, check=check)
+    return ChainComplex(counts, boundaries)
 
 
 class Manifold3Report(NamedTuple):
@@ -538,11 +531,15 @@ def _link_is_2sphere(complex_, v):
 def is_closed_orientable_3manifold(complex_):
     """Certify a closed orientable 3-manifold combinatorially.
 
-    Checks: pure of dimension 3 and connected (errors otherwise), every
-    triangle in exactly two tetrahedra, every vertex link a 2-sphere, and
-    a consistent facet orientation found by sign propagation across the
-    dual graph.  The orientation is normalized so the lexicographically
-    least facet is positive.
+    Checks: pure of dimension 3 (errors otherwise), every triangle in
+    exactly two tetrahedra, every vertex link a 2-sphere, and a consistent
+    facet orientation, found by one sign-propagating walk over the dual
+    graph.  The walk goes on past an orientation mismatch (recording the
+    first) and counts the facets it reaches.  If it misses some while every
+    vertex link is a 2-sphere, the complex is disconnected: an error.  A
+    connected complex whose dual graph is not, such as two 3-spheres wedged
+    at a vertex, fails at that vertex's link instead.  The orientation is
+    normalized so the lexicographically least facet is positive.
     """
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")
@@ -561,23 +558,6 @@ def is_closed_orientable_3manifold(complex_):
             failures.append("triangle %r lies in %d tetrahedra" % (t, len(owners)))
             break
 
-    # connectivity through the dual graph
-    n_f = len(facets)
-    dual = [[] for _ in range(n_f)]
-    if pseudo:
-        for t, (a, b) in tri_to_facets.items():
-            dual[a].append((b, t))
-            dual[b].append((a, t))
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb, _ in dual[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != n_f:
-            raise ValueError("complex is not connected")
-
     links_ok = True
     for v in range(complex_.vertex_count):
         if not _link_is_2sphere(complex_, v):
@@ -588,24 +568,28 @@ def is_closed_orientable_3manifold(complex_):
     orientable = False
     orientation = None
     if pseudo:
+        dual = [[] for _ in facets]
+        for t, (a, b) in tri_to_facets.items():
+            dual[a].append((b, t))
+            dual[b].append((a, t))
         signs = {0: 1}
         stack = [0]
         consistent = True
-        while stack and consistent:
+        while stack:
             cur = stack.pop()
             for nb, tri in dual[cur]:
                 # induced orientations on the shared triangle must be opposite
-                rel = _relative_sign(facets[cur], facets[nb], tri)
-                want = -signs[cur] * rel
-                if nb in signs:
-                    if signs[nb] != want:
-                        consistent = False
-                        failures.append("orientation mismatch across triangle %r" % (tri,))
-                        break
-                else:
+                want = -signs[cur] * _relative_sign(facets[cur], facets[nb], tri)
+                if nb not in signs:
                     signs[nb] = want
                     stack.append(nb)
-        if consistent and len(signs) == n_f:
+                elif signs[nb] != want and consistent:
+                    consistent = False
+                    failures.append("orientation mismatch across triangle %r" % (tri,))
+        if len(signs) != len(facets):
+            if links_ok:
+                raise ValueError("complex is not connected")
+        elif consistent:
             orientable = True
             if signs[0] < 0:  # lexicographically least facet positive
                 signs = {k: -v for k, v in signs.items()}
@@ -636,9 +620,10 @@ def is_homology_3sphere(complex_):
 
     Runs the closed-orientable-3-manifold check once and returns its
     report as ``manifold``; when it fails, the answer is no and the
-    homology is not computed (``profile`` is None).  Non-pure and
-    disconnected input raise ValueError.  Simple connectivity is NOT
-    checked; a true result certifies a homology 3-sphere only.
+    homology is not computed (``profile`` is None).  Non-pure input, and
+    disconnected input whose vertex links are all 2-spheres, raise
+    ValueError.  Simple connectivity is NOT checked; a true result
+    certifies a homology 3-sphere only.
     """
     manifold = is_closed_orientable_3manifold(complex_)
     if not manifold.passed:

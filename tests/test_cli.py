@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from flatlink.cli import _parser, main
+from flatlink.complexes import SimplicialComplex, disjoint_union
 from flatlink.coxeter import Racg
 from flatlink.fixtures import corpus_properties, fixture, fixture_names, verify_type_l
+from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import LinkingMatrix
 
 
@@ -318,6 +320,63 @@ def test_fixture_unknown_name_is_input_error():
     assert main(["fixture", "klein-bottle"]) == 2
 
 
+_MISSING = "[Errno 2] No such file or directory: '{missing}'"
+
+
+@pytest.mark.parametrize("argv, env, line", [
+    (["verify", "{missing}"], None, _MISSING),
+    (["verify", "{truncated}"], None,
+     "malformed complex JSON: Expecting ',' delimiter: line 1 column 30 (char 29)"),
+    (["pk", "{oct}"], "x", "FLATLINK_MAX_GROUND='x' is not an integer"),
+    (["pk", "{oct}", "--homology"], "4",
+     "ground set has 6 vertices; 2^6 cube vertices exceeds the bound 4"),
+    (["davis", "{c4}", "-n", "-1"], None, "radius must be non-negative"),
+    (["fixture", "klein-bottle"], None,
+     '"unknown fixture \'klein-bottle\'; known: %s"' % ", ".join(fixture_names())),
+    (["lk", "simplicial", "{c4}", "{missing}"], None, "bad link: " + _MISSING),
+    (["lk", "diagram", "{missing}"], None, "bad diagram: " + _MISSING),
+], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x", "ground bound",
+        "davis -n -1", "unknown fixture", "missing link", "missing diagram"])
+def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixture,
+                                                   tmp_path, capsys, monkeypatch):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"vertices": 3, "facets": [[0')
+    paths = {"c4": write_fixture("c4"), "oct": write_fixture("octahedron"),
+             "missing": str(tmp_path / "missing.json"), "truncated": str(truncated)}
+    if env is not None:
+        monkeypatch.setenv("FLATLINK_MAX_GROUND", env)
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + line.format(**paths) + "\n"
+
+
+_B4 = fixture("boundary-4-simplex")
+
+
+@pytest.mark.parametrize("complex_, failures, error", [
+    # two 3-spheres wedged at vertex 4: connected, but its dual graph is not
+    (SimplicialComplex(9, list(_B4.facets) + [tuple(v + 4 for v in f) for f in _B4.facets]),
+     ["link of vertex 4 is not a 2-sphere"], None),
+    (disjoint_union(_B4, _B4), None, "complex is not connected"),
+], ids=["wedge", "disjoint union"])
+def test_manifold_check_names_a_bad_link_before_disconnection(complex_, failures, error,
+                                                              tmp_path):
+    if error is None:
+        assert list(is_closed_orientable_3manifold(complex_).failures) == failures
+    else:
+        with pytest.raises(ValueError, match=error):
+            is_closed_orientable_3manifold(complex_)
+    path = str(tmp_path / "complex.json")
+    complex_.dump(path)
+    rc, report = run_json(["verify", path], tmp_path)
+    assert rc == 1
+    assert report["checks"]["is_closed_orientable_3manifold"] is False
+    assert report["checks"].get("manifold_failures") == failures
+    assert report["checks"].get("manifold_error") == error
+
+
 def _subcommands(parser, prefix=()):
     """Every leaf command path of the parser, e.g. ("lk", "diagram")."""
     out = set()
@@ -369,6 +428,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["build", "x.json"]) == 2  # removed: no constructor backs it
     err = capsys.readouterr().err
     assert "invalid choice: 'build'" in err and "Traceback" not in err
+    assert main(["fixture", "c4", "--json"]) == 2  # removed: JSON is the default
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_davis_resource_bound_is_input_error(write_fixture, tmp_path):
