@@ -5,20 +5,17 @@ obstruction report."""
 
 __version__ = "0.1.0"
 
-from .complexes import (InvalidComplexError, IsomorphismWitness, SearchBudgetExceeded,
-                        SimplicialComplex, Square, barycentric_subdivision,
+from .complexes import (InvalidComplexError, SimplicialComplex, Square, barycentric_subdivision,
                         clique_complex, disjoint_union, full_subcomplex, find_squares,
-                        has_isolated_squares, is_flag, is_isomorphic, join,
-                        scan_nonadjacent_pairs, vertex_link)
-from .coxeter import (CapraceReport, DavisBall, FlatSubcomplex, Racg,
-                      ResourceLimitError, caprace_criterion, davis_ball,
-                      flat_from_square, racg_from_skeleton)
+                        has_isolated_squares, is_flag, join, scan_nonadjacent_pairs,
+                        vertex_link)
+from .coxeter import (CapraceReport, DavisBall, Racg, ResourceLimitError, caprace_criterion,
+                      davis_ball, racg_from_skeleton)
 from .cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, build_pk,
-                    cubical_chain_complex, pk_f_vector, pk_homology, pk_vertex_link,
-                    torus_subcomplex, verify_vertex_links)
+                    cubical_chain_complex, pk_f_vector, pk_homology)
 from .fixtures import (HypothesisReport, TypeLReport, check_hypotheses, fixture,
-                       fixture_names, flagify, hopf_pair, product_triangulation,
-                       solomon_pair, split_pair, verify_type_l, zigzag_cycle)
+                       fixture_names, hopf_pair, product_triangulation, solomon_pair,
+                       split_pair, verify_type_l, zigzag_cycle)
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, Manifold3Report,
                        SmithNormalForm, SphereReport, homology,
                        is_closed_orientable_3manifold, is_homology_3sphere,
@@ -26,7 +23,6 @@ from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, Manifold3Re
 from .links import (EdgeCycleLink, LinkingInternalError, LinkingMatrix,
                     ObstructionReport, ObstructionVerdict, PlanarDiagram,
                     brunnian_diagram, diagram_linking_matrix, hopf_diagram,
-                    link_from_squares, linking_matrix, obstruction_report,
-                    simplicial_linking_number, solomon_diagram, subdivide_link,
-                    three_chain_133_diagram, whitehead_diagram,
-                    whitehead_double_diagram)
+                    linking_matrix, obstruction_report, simplicial_linking_number,
+                    solomon_diagram, subdivide_link, three_chain_133_diagram,
+                    whitehead_diagram, whitehead_double_diagram)

@@ -65,8 +65,13 @@ def _emit(report, opts):
         text = "\n".join(lines) if lines else "(no checks)"
     else:
         text = json.dumps(report, sort_keys=True, indent=2, default=str)
-    if opts.out:
-        with open(opts.out, "w", encoding="utf-8") as fh:
+    _put(text, opts.out)
+
+
+def _put(text, out):
+    """``text`` and a newline to the file ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -94,7 +99,8 @@ def _obstruction(matrix, opts):
 
 
 # Each command returns (command, inputs, checks, verdicts, exit code, extra);
-# main times it, builds and emits the report.
+# main times it, builds and emits the report.  ``fixture NAME`` returns the
+# complex's JSON text instead, which main writes as it is.
 
 def cmd_verify(opts):
     report = check_hypotheses(SimplicialComplex.load(opts.complex))
@@ -147,8 +153,6 @@ def cmd_pk(opts):
 
 def cmd_davis(opts):
     complex_ = SimplicialComplex.load(opts.complex)
-    if opts.radius < 0:
-        raise ValueError("radius must be non-negative")
     ball = davis_ball(racg_from_skeleton(complex_), complex_, opts.radius)
     checks = {
         "radius": opts.radius,
@@ -188,8 +192,7 @@ def cmd_lk_simplicial(opts):
 def cmd_fixture(opts):
     complex_ = fixture(opts.name)
     if not opts.target:
-        print(json.dumps(complex_.to_json(), sort_keys=True))
-        return None
+        return json.dumps(complex_.to_json(), sort_keys=True)
     complex_.dump(opts.target)
     return ("fixture", [], {"name": opts.name, "written": opts.target}, {}, EXIT_OK, None)
 
@@ -265,7 +268,8 @@ def main(argv=None):
     started = time.time()
     try:
         result = opts.func(opts)
-        if result is None:
+        if isinstance(result, str):
+            _put(result, opts.out)
             return EXIT_OK
         command, inputs, checks, verdicts, code, extra = result
         _emit(_report(command, inputs, checks, verdicts, started, extra), opts)

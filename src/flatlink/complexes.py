@@ -1,9 +1,9 @@
 """Abstract simplicial complexes and their combinatorial predicates.
 
 Complexes live on vertex set {0..n-1} and are described by their maximal
-faces (facets).  All predicates needed downstream are here: flagness,
-empty squares, isolated squares, links, full subcomplexes, barycentric
-subdivision and small-scale isomorphism testing.
+faces (facets).  The predicates are flagness, empty squares and isolated
+squares; the constructions are vertex links, full subcomplexes, disjoint
+unions, joins, clique complexes and the (oriented) barycentric subdivision.
 """
 
 import json
@@ -14,13 +14,6 @@ from typing import NamedTuple, Optional
 
 class InvalidComplexError(ValueError):
     """Raised when facet data violates the complex invariants."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when a backtracking search exceeds its node budget.
-
-    Distinct from a negative answer: the question is left undecided.
-    """
 
 
 class SimplicialComplex:
@@ -235,26 +228,6 @@ class Square(NamedTuple):
                 raise ValueError("square diagonal (%d,%d) is an edge" % (u, v))
 
 
-class IsomorphismWitness(NamedTuple):
-    """A vertex bijection carrying facets onto facets."""
-
-    mapping: tuple
-
-    def apply(self, face):
-        return tuple(sorted(self.mapping[v] for v in face))
-
-    def compose(self, other):
-        """self : K1 -> K2 composed with other : K2 -> K3."""
-        return IsomorphismWitness(tuple(other.mapping[m] for m in self.mapping))
-
-    def validate(self, k1, k2):
-        if sorted(self.mapping) != list(range(k2.vertex_count)):
-            raise ValueError("mapping is not a bijection onto the target vertices")
-        image = sorted(self.apply(f) for f in k1.facets)
-        if image != sorted(k2.facets):
-            raise ValueError("mapping does not carry facets onto facets")
-
-
 class FlagReport(NamedTuple):
     is_flag: bool
     witness: Optional[tuple]  # a minimal non-spanning clique when not flag
@@ -446,82 +419,6 @@ def barycentric_subdivision(complex_, return_face_map=False):
     if return_face_map:
         return sd, face_id
     return sd
-
-
-def _vertex_invariant(complex_, v):
-    fv = {}
-    for f in complex_.star(v):
-        fv[len(f)] = fv.get(len(f), 0) + 1
-    return (len(complex_.neighbors(v)), tuple(sorted(fv.items())))
-
-
-def is_isomorphic(k1, k2, node_budget=200000):
-    """Search for a facet-preserving vertex bijection.
-
-    Returns an IsomorphismWitness, or None when no bijection exists.
-    Backtracking on the 1-skeleton with degree and star-profile pruning;
-    raises SearchBudgetExceeded (undecided) past the node budget.
-    """
-    if k1.vertex_count != k2.vertex_count:
-        return None
-    if len(k1.facets) != len(k2.facets):
-        return None
-    if sorted(map(len, k1.facets)) != sorted(map(len, k2.facets)):
-        return None
-    inv1 = [_vertex_invariant(k1, v) for v in range(k1.vertex_count)]
-    inv2 = [_vertex_invariant(k2, v) for v in range(k2.vertex_count)]
-    if sorted(inv1) != sorted(inv2):
-        return None
-
-    if k1.facets == k2.facets:
-        return IsomorphismWitness(tuple(range(k1.vertex_count)))
-
-    n = k1.vertex_count
-    # most constrained first: rarest invariant class, then high degree
-    rarity = {}
-    for inv in inv1:
-        rarity[inv] = rarity.get(inv, 0) + 1
-    order = sorted(range(n), key=lambda v: (rarity[inv1[v]], -len(k1.neighbors(v)), v))
-    candidates = {v: sorted(u for u in range(n) if inv2[u] == inv1[v]) for v in order}
-
-    facets2 = set(k2.facets)
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def extend(pos):
-        nonlocal nodes
-        if pos == n:
-            image = sorted(tuple(sorted(mapping[x] for x in f)) for f in k1.facets)
-            return image == sorted(facets2)
-        v = order[pos]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in order[:pos]:
-                adj1 = w in k1.neighbors(v)
-                adj2 = mapping[w] in k2.neighbors(u)
-                if adj1 != adj2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    "isomorphism search exceeded %d nodes" % node_budget)
-            mapping[v] = u
-            used[u] = True
-            if extend(pos + 1):
-                return True
-            mapping[v] = -1
-            used[u] = False
-        return False
-
-    if extend(0):
-        return IsomorphismWitness(tuple(mapping))
-    return None
 
 
 def clique_complex(vertex_count, edges):

@@ -8,7 +8,7 @@ element, computed with the piling (heap of pieces) representation.
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square, maximal_faces, scan_nonadjacent_pairs
+from .complexes import scan_nonadjacent_pairs
 
 
 class ResourceLimitError(ValueError):
@@ -88,10 +88,13 @@ class Racg:
 
     def ball(self, radius, max_vertices=None):
         """All normal forms of length <= radius; ResourceLimitError as soon
-        as more than ``max_vertices`` (when given) are found."""
+        as more than ``max_vertices`` (when given) are found.  Stops at the
+        first empty sphere: a finite group has no longer elements."""
         sphere = {()}
         seen = {()}
         for _ in range(radius):
+            if not sphere:
+                break
             nxt = set()
             for w in sphere:
                 for g in range(self.n):
@@ -117,6 +120,7 @@ class Racg:
             later.add(g)
         return frozenset(descents)
 
+    # no command calls this: the brute-force Davis oracle does, and perfbench traces it
     def min_coset_rep(self, word, parabolic):
         """ShortLex least element of word * W_J by greedy descent."""
         cur = self.normal_form(word)
@@ -183,19 +187,6 @@ class DavisBall:
         return sorted(w for w, descents in self._descents.items()
                       if all(len(w) + len(f - descents) <= self.radius for f in facets))
 
-    def vertex_link(self, g):
-        """Link of g: the J with len(g) + |J - D_R(g)| <= r, relabelled onto
-        0..k-1 in sorted order of the generators they cover, as
-        ``complexes.vertex_link`` does.  ValueError when g is no vertex."""
-        g = tuple(g)
-        descents = self._descents.get(g)
-        if descents is None:
-            raise ValueError("word %r is not a vertex of the ball" % (g,))
-        maximal = maximal_faces(J for J in self.base.all_faces()
-                                if len(g) + len(set(J) - descents) <= self.radius)
-        index = {v: i for i, v in enumerate(sorted({v for J in maximal for v in J}))}
-        return SimplicialComplex(len(index), [tuple(index[v] for v in J) for J in maximal])
-
     def to_json(self):
         return {
             "ground": self.base.vertex_count,
@@ -206,35 +197,15 @@ class DavisBall:
 
 
 def davis_ball(group, complex_, radius, max_vertices=200000):
+    """The Davis ball of the given radius, refused before any work when the
+    radius is negative or not below ``max_vertices`` (an infinite group has
+    more than ``radius`` vertices in that ball)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    if radius >= max_vertices:
+        raise ResourceLimitError("radius %d is not below the bound of %d vertices"
+                                 % (radius, max_vertices))
     return DavisBall(group, complex_, radius, max_vertices=max_vertices)
-
-
-class FlatSubcomplex(NamedTuple):
-    square: Square
-    translate: tuple  # ShortLex least representative of g W_square
-    cells: tuple      # the (rep, J) cells of the ball inside the flat
-
-
-def flat_from_square(ball, square, translate=()):
-    """Cells of the ball lying in the flat g W_square of a square.
-
-    Every cell type is a subset of the square's vertices (dimension <= 2);
-    inside the full Davis complex the flat is a square grid.
-    """
-    if isinstance(square, Square):
-        sq = square
-    else:
-        sq = Square.canonical(tuple(square))
-    sq.validate(ball.base)
-    members = set(sq.cycle)
-    g0 = ball.group.min_coset_rep(tuple(translate), sorted(members))
-    kept = []
-    for rep, J in ball.cells:
-        if set(J) <= members and ball.group.min_coset_rep(rep, sorted(members)) == g0:
-            kept.append((rep, J))
-    return FlatSubcomplex(sq, g0, tuple(kept))
 
 
 class CapraceReport(NamedTuple):

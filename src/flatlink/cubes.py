@@ -9,14 +9,13 @@ the top face.
 
 P_K is the real moment-angle complex of K, so its f-vector and homology
 come from K without building any cell: ``pk_f_vector`` and
-``pk_homology``.  ``build_pk`` and ``cubical_chain_complex`` build the
-cells, for cell files, vertex links and torus subcomplexes.
+``pk_homology``.  ``build_pk`` builds the cells for ``pk --cells-out``.
 """
 
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, Square, full_subcomplex, is_flag, maximal_faces
+from .complexes import full_subcomplex, is_flag
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, homology,
                        simplicial_chain_complex)
 
@@ -126,15 +125,6 @@ class CubicalComplex:
                 "cells": [{"J": list(_unmask(c.J)), "coset": "%x" % c.coset}
                           for c in self.top_cells()]}
 
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict) or "ground" not in data or "cells" not in data:
-            raise ValueError("cubical JSON needs 'ground' and 'cells'")
-        cells = []
-        for rec in data["cells"]:
-            cells.append(CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)))
-        return cls(data["ground"], cells)
-
 
 def check_ground(complex_, max_ground=None):
     """Refuse a ground set past the bound, before any work on P_K."""
@@ -220,6 +210,7 @@ def build_pk(complex_, max_ground=None):
     return CubicalComplex(n, cells)
 
 
+# no command calls this: it is the test oracle of ``pk_homology`` and a perfbench tracer target
 def cubical_chain_complex(cubical):
     """Chain complex of a cubical complex with product-orientation signs.
 
@@ -246,66 +237,3 @@ def cubical_chain_complex(cubical):
         boundaries[d] = mat
     counts = [len(cubical.cells[d]) for d in dims]
     return ChainComplex(counts, boundaries)
-
-
-def pk_vertex_link(cubical, vertex):
-    """Link of a cube vertex, read off the cell lists.
-
-    The cells of type J incident to the vertex span a simplicial complex
-    on the ground set; for P_K it is canonically isomorphic to K via the
-    identity on I.
-    """
-    if not 0 <= vertex < (1 << cubical.ground):
-        raise ValueError("vertex %d is not a cube vertex" % vertex)
-    if CubicalCell(0, vertex) not in set(cubical.cells.get(0, ())):
-        raise ValueError("vertex %d is not in the complex" % vertex)
-    simplices = []
-    for d in sorted(cubical.cells):
-        if d == 0:
-            continue
-        for cell in cubical.cells[d]:
-            if vertex & ~cell.J == cell.coset:
-                simplices.append(_unmask(cell.J))
-    return SimplicialComplex(cubical.ground, maximal_faces(simplices))
-
-
-def verify_vertex_links(cubical, complex_, vertices=None):
-    """Assert every (or each given) vertex link equals K under the identity."""
-    if vertices is None:
-        vertices = [c.coset for c in cubical.cells.get(0, ())]
-    for v in vertices:
-        link = pk_vertex_link(cubical, v)
-        if link != complex_:
-            raise AssertionError("link of vertex %x differs from the base complex" % v)
-    return True
-
-
-def torus_subcomplex(cubical, square):
-    """The sub-cubical complex over a square: a 4x4 grid torus.
-
-    Keeps the cells whose type lies inside the square's vertex set and
-    whose coset representative vanishes off the square's vertices.
-    """
-    if isinstance(square, Square):
-        cyc = square.cycle
-    else:
-        cyc = tuple(square)
-    if len(set(cyc)) != 4:
-        raise ValueError("square must have 4 distinct vertices")
-    a, b, c, d = cyc
-    # edges of the base complex show up as the types of 2-dimensional cells
-    edge_types = {c2.J for c2 in cubical.cells.get(2, ())}
-    for u, v in ((a, b), (b, c), (c, d), (d, a)):
-        if _mask((u, v)) not in edge_types:
-            raise ValueError("square side (%d,%d) is not an edge type" % (u, v))
-    for u, v in ((a, c), (b, d)):
-        if _mask((u, v)) in edge_types:
-            raise ValueError("square diagonal (%d,%d) is an edge type: not a square"
-                             % (u, v))
-    sq_mask = _mask(cyc)
-    kept = []
-    for dcells in cubical.cells.values():
-        for cell in dcells:
-            if cell.J & ~sq_mask == 0 and cell.coset & ~sq_mask == 0:
-                kept.append(cell)
-    return CubicalComplex(cubical.ground, kept)

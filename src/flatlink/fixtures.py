@@ -1,12 +1,12 @@
-"""Canonical fixture complexes, the hypothesis-check pipeline, the type-L
-verifier and flagification.
+"""Canonical fixture complexes, the hypothesis-check pipeline and the
+type-L verifier.
 
 The registry is generated by code (see fixtures.md for the catalogue).
 ``check_hypotheses`` runs the hypothesis chain once and returns one report;
-``verify``, ``obstruct``, the type verifier and the corpus property
-profiles all read it.  The type verifier adds the square-link's component
-count and linking matrix against the expectation.  Matching linking data is
-necessary but not sufficient for matching the link type up to isotopy.
+``verify``, ``obstruct`` and the type verifier all read it.  The type
+verifier adds the square-link's component count and linking matrix against
+the expectation.  Matching linking data is necessary but not sufficient for
+matching the link type up to isotopy.
 No complex here carries a nonempty isolated square-link, and nothing
 constructs one; ``verify_type_l`` is the gate such a construction must pass.
 """
@@ -331,33 +331,3 @@ def verify_type_l(sigma, expected):
         flags, square_link, matrix, verdict,
         "matching linking data is necessary but not sufficient for type L up "
         "to isotopy")
-
-
-def flagify(complex_):
-    """Barycentric subdivision, asserted flag (order complexes always are)."""
-    sd = barycentric_subdivision(complex_)
-    report = is_flag(sd)
-    if not report.is_flag:
-        raise AssertionError("subdivision is not flag; witness %r" % (report.witness,))
-    return sd
-
-
-def corpus_properties(name):
-    """Golden property profile of a fixture, read from ``check_hypotheses``."""
-    k = fixture(name)
-    checks = check_hypotheses(k).checks
-    profile = {
-        "vertices": k.vertex_count,
-        "facets": len(k.facets),
-        "dim": k.dim(),
-        "is_flag": checks["is_flag"],
-        "squares": checks["square_count"],
-        "has_isolated_squares": checks["has_isolated_squares"],
-        "caprace_passes": checks["caprace_criterion"],
-    }
-    if k.dim() == 3 and k.is_pure(3):
-        manifold = checks["is_closed_orientable_3manifold"]
-        profile["closed_orientable_3manifold"] = manifold
-        if manifold:
-            profile["homology_3sphere"] = checks["is_homology_3sphere"]
-    return profile

@@ -16,8 +16,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .complexes import (_parity, barycentric_subdivision, find_squares, has_isolated_squares,
-                        oriented_subdivision)
+from .complexes import _parity, barycentric_subdivision, oriented_subdivision
 from .homology import (IntegerMatrix, eliminate_unit_pivots, is_homology_3sphere,
                        smith_normal_form)
 
@@ -64,12 +63,6 @@ class EdgeCycleLink:
     def __len__(self):
         return len(self.components)
 
-    def reversed_component(self, index):
-        comps = list(self.components)
-        oris = list(self.orientations)
-        oris[index] = -oris[index]
-        return EdgeCycleLink(self.ambient, comps, oris)
-
     def to_json(self):
         return {"components": [list(c) for c in self.components],
                 "orientations": list(self.orientations)}
@@ -79,20 +72,6 @@ class EdgeCycleLink:
         if not isinstance(data, dict) or "components" not in data:
             raise ValueError("link JSON needs 'components'")
         return cls(ambient, data["components"], data.get("orientations"))
-
-
-def link_from_squares(sigma):
-    """One link component per square of the complex, in canonical cycle order.
-
-    Squares must be pairwise vertex-disjoint; default orientations are the
-    canonical (lexicographic) traversals.
-    """
-    squares = find_squares(sigma)
-    isolated = has_isolated_squares(sigma, squares)
-    if not isolated.has_isolated_squares:
-        raise ValueError("squares are not disjoint: vertex %d is shared"
-                         % isolated.offending_vertex)
-    return EdgeCycleLink(sigma, [s.cycle for s in squares])
 
 
 class PlanarDiagram:

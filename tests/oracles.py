@@ -4,17 +4,19 @@ Deliberately naive implementations on different algorithmic routes than
 the library: clique growth for flagness, 4-tuple scans for squares,
 5-subset scans against the two forbidden suspensions for the Caprace
 criterion, Tits-style commutation-class reduction for Coxeter words, coset
-representatives and explicit cell vertices for Davis balls, linking
-numbers in the second barycentric subdivision, the subdivision itself
-from recursively enumerated chains of faces, and homology from one
-independent Smith form per boundary, without clearing.
+representatives and explicit cell vertices for Davis balls, cube-vertex
+links of P_K read off its cell lists, linking numbers in the second
+barycentric subdivision, the subdivision itself from recursively enumerated
+chains of faces, and homology from one independent Smith form per
+boundary, without clearing.
 """
 
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from flatlink.complexes import (SimplicialComplex, Square, clique_complex, full_subcomplex,
-                                oriented_subdivision)
+                                maximal_faces, oriented_subdivision)
+from flatlink.cubes import _unmask
 from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
 from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
                             _cycle_chain, _edge_link_cycle, _skeleton)
@@ -198,6 +200,14 @@ def brute_force_davis_ball(group, complex_, radius):
         spanned = [J for J in simplices if (group.min_coset_rep(g, J), J) in cell_set]
         links[g] = sorted(J for J in spanned if not any(set(J) < set(o) for o in spanned))
     return BruteForceDavisBall(vertices, cells, interior, links)
+
+
+def pk_vertex_link(cubical, vertex):
+    """Link of a cube vertex: the types J of the cells through it, as a
+    complex on the ground set.  For P_K it is K under the identity on I."""
+    simplices = [_unmask(cell.J) for d, cells in cubical.cells.items() if d
+                 for cell in cells if vertex & ~cell.J == cell.coset]
+    return SimplicialComplex(cubical.ground, maximal_faces(simplices))
 
 
 def all_graphs(n):

@@ -5,12 +5,12 @@ Run with -s to see the per-criterion pass lines.
 
 import random
 
-from oracles import all_graphs, oracle_canonical
+from oracles import all_graphs, oracle_canonical, pk_vertex_link
 
 from flatlink.complexes import (clique_complex, find_squares, has_isolated_squares,
                                 is_flag)
 from flatlink.coxeter import Racg, caprace_criterion, racg_from_skeleton
-from flatlink.cubes import build_pk, cubical_chain_complex, pk_vertex_link
+from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names, hopf_pair, split_pair
 from flatlink.homology import (HomologyProfile, IntegerMatrix, S3_PROFILE, homology,
                                is_homology_3sphere, simplicial_chain_complex,

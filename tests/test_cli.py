@@ -13,9 +13,11 @@ import pytest
 from flatlink.cli import _parser, main
 from flatlink.complexes import SimplicialComplex, disjoint_union
 from flatlink.coxeter import Racg
-from flatlink.fixtures import corpus_properties, fixture, fixture_names, verify_type_l
+from flatlink.fixtures import fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import LinkingMatrix
+
+from test_fixtures import corpus_properties
 
 
 @pytest.fixture()
@@ -320,6 +322,15 @@ def test_fixture_unknown_name_is_input_error():
     assert main(["fixture", "klein-bottle"]) == 2
 
 
+def test_fixture_without_target_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "c4.json"
+    assert main(["fixture", "c4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["fixture", "c4"]) == 0
+    assert out.read_text("utf-8") == capsys.readouterr().out
+    assert SimplicialComplex.load(str(out)) == fixture("c4")
+
+
 _MISSING = "[Errno 2] No such file or directory: '{missing}'"
 
 
@@ -331,18 +342,24 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
     (["pk", "{oct}", "--homology"], "4",
      "ground set has 6 vertices; 2^6 cube vertices exceeds the bound 4"),
     (["davis", "{c4}", "-n", "-1"], None, "radius must be non-negative"),
+    (["davis", "{point}", "-n", "200000"], None,
+     "radius 200000 is not below the bound of 200000 vertices"),
     (["fixture", "klein-bottle"], None,
      '"unknown fixture \'klein-bottle\'; known: %s"' % ", ".join(fixture_names())),
     (["lk", "simplicial", "{c4}", "{missing}"], None, "bad link: " + _MISSING),
     (["lk", "diagram", "{missing}"], None, "bad diagram: " + _MISSING),
 ], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x", "ground bound",
-        "davis -n -1", "unknown fixture", "missing link", "missing diagram"])
+        "davis -n -1", "davis -n 200000", "unknown fixture", "missing link",
+        "missing diagram"])
 def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixture,
                                                    tmp_path, capsys, monkeypatch):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"vertices": 3, "facets": [[0')
+    point = tmp_path / "point.json"
+    point.write_text('{"vertices": 1, "facets": [[0]]}')
     paths = {"c4": write_fixture("c4"), "oct": write_fixture("octahedron"),
-             "missing": str(tmp_path / "missing.json"), "truncated": str(truncated)}
+             "missing": str(tmp_path / "missing.json"), "truncated": str(truncated),
+             "point": str(point)}
     if env is not None:
         monkeypatch.setenv("FLATLINK_MAX_GROUND", env)
     capsys.readouterr()

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.complexes import (InvalidComplexError, SearchBudgetExceeded,
-                                SimplicialComplex, Square, barycentric_subdivision,
-                                clique_complex, disjoint_union, find_squares,
-                                full_subcomplex, has_isolated_squares, is_flag,
-                                is_isomorphic, join, maximal_faces,
-                                oriented_subdivision, vertex_link)
+from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
+                                barycentric_subdivision, clique_complex, find_squares,
+                                full_subcomplex, has_isolated_squares, is_flag, join,
+                                maximal_faces, oriented_subdivision, vertex_link)
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import is_closed_orientable_3manifold
 
@@ -296,57 +294,6 @@ def test_oriented_subdivision_of_a_triangle_and_mixed_sizes():
 def test_maximal_faces_drops_contained_and_repeated_faces():
     assert maximal_faces([(0,), (0, 1), (1, 2), (0, 1), (2,), (3,)]) == [(0, 1), (1, 2), (3,)]
     assert maximal_faces([]) == []
-
-
-# -- isomorphism -----------------------------------------------------------------
-
-def test_isomorphic_relabelled_c4():
-    c4 = fixture("c4")
-    other = SimplicialComplex(4, sorted(
-        tuple(sorted(((v + 2) % 4, (u + 2) % 4))) for u, v in c4.facets))
-    witness = is_isomorphic(c4, other)
-    assert witness is not None
-    witness.validate(c4, other)
-
-
-def test_not_isomorphic_path():
-    c4 = fixture("c4")
-    path = SimplicialComplex(4, [(0, 1), (1, 2), (2, 3)])
-    assert is_isomorphic(c4, path) is None
-
-
-def test_not_isomorphic_octahedron_vs_tetra_points():
-    octa = fixture("octahedron")
-    other = disjoint_union(fixture("boundary-3-simplex"), SimplicialComplex(2, [(0,), (1,)]))
-    assert is_isomorphic(octa, other) is None
-
-
-def test_isomorphism_reflexive_symmetric_composable():
-    rng = random.Random(23)
-    for _ in range(10):
-        k = random_flag_complex(rng, max_vertices=8)
-        w_self = is_isomorphic(k, k)
-        assert w_self is not None
-        w_self.validate(k, k)
-        perm = list(range(k.vertex_count))
-        rng.shuffle(perm)
-        other = SimplicialComplex(
-            k.vertex_count, sorted(tuple(sorted(perm[v] for v in f)) for f in k.facets))
-        w12 = is_isomorphic(k, other)
-        w21 = is_isomorphic(other, k)
-        assert w12 is not None and w21 is not None
-        w12.validate(k, other)
-        w21.validate(other, k)
-        w12.compose(w21).validate(k, k)
-
-
-def test_isomorphism_budget_signals_undecided():
-    octa = fixture("octahedron")
-    relabel = [3, 4, 5, 0, 1, 2]
-    other = SimplicialComplex(6, sorted(
-        tuple(sorted(relabel[v] for v in f)) for f in octa.facets))
-    with pytest.raises(SearchBudgetExceeded):
-        is_isomorphic(octa, other, node_budget=2)
 
 
 def test_join_products():

@@ -1,15 +1,14 @@
 """RACG normal forms against a Tits-style brute-force oracle, Davis balls,
-flats, and the forbidden-suspension scan."""
+and the forbidden-suspension scan."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from flatlink.complexes import (SimplicialComplex, clique_complex, find_squares,
-                                has_isolated_squares, is_isomorphic)
+from flatlink.complexes import SimplicialComplex, clique_complex, has_isolated_squares
 from flatlink.coxeter import (Racg, ResourceLimitError, caprace_criterion, davis_ball,
-                              flat_from_square, racg_from_skeleton)
+                              racg_from_skeleton)
 from flatlink.fixtures import fixture, fixture_names
 
 
@@ -113,30 +112,18 @@ def test_davis_ball_c4_radius_2_grid():
     b = davis_ball(racg_from_skeleton(k), k, 2)
     assert len(b.vertices) == 13
     assert b.interior_vertices() == [()]
-    assert b.vertex_link(()) == k
-
-
-def test_davis_ball_boundary_vertex_link_is_relabelled():
-    k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 2)
-    # (0, 3) has length r: only the J inside D_R = {0, 3} keep their cells,
-    # one edge, relabelled 0 -> 0 and 3 -> 1
-    assert b.vertex_link((0, 3)) == SimplicialComplex(2, [(0, 1)])
-    assert b.vertex_link((0,)) == SimplicialComplex(4, [(2,), (0, 1), (0, 3)])
-    assert davis_ball(racg_from_skeleton(k), k, 1).vertex_link((0,)) == \
-        SimplicialComplex(1, [(0,)])
-    with pytest.raises(ValueError, match=r"\(0, 2, 0\)"):
-        b.vertex_link((0, 2, 0))
 
 
 def test_davis_ball_interior_links_radius_3():
+    # an interior vertex's cells span a link equal to K itself
     k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 3)
-    interior = b.interior_vertices()
+    group = racg_from_skeleton(k)
+    ball, ref = davis_ball(group, k, 3), brute_force_davis_ball(group, k, 3)
+    assert ball.cells == ref.cells
+    interior = ball.interior_vertices()
     assert () in interior and len(interior) == 5
     for v in interior:
-        link = b.vertex_link(v)
-        assert is_isomorphic(link, k) is not None
+        assert ref.links[v] == list(k.facets)
 
 
 def _assert_davis_ball_matches_oracle(k, radius):
@@ -149,11 +136,6 @@ def _assert_davis_ball_matches_oracle(k, radius):
     for g in ball.vertices:
         assert group.right_descents(g) == {
             s for s in range(group.n) if len(group.normal_form(g + (s,))) < len(g)}
-        # boundary links miss generators: relabel onto the covered ones
-        covered = sorted({v for J in ref.links[g] for v in J})
-        index = {v: i for i, v in enumerate(covered)}
-        assert ball.vertex_link(g) == SimplicialComplex(
-            len(covered), [tuple(index[v] for v in J) for J in ref.links[g]])
     return ball
 
 
@@ -201,41 +183,24 @@ def test_davis_ball_rejects_negative_radius():
         davis_ball(racg_from_skeleton(k), k, -1)
 
 
-def test_flat_from_square_c4_is_everything():
-    k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 2)
-    flat = flat_from_square(b, (0, 1, 2, 3), ())
-    assert set(flat.cells) == set(b.cells)
-    assert flat.translate == ()
+def test_finite_group_ball_stops_at_the_first_empty_sphere():
+    # W_K of a triangle is (Z/2)^3: 8 elements, none longer than 3
+    k = SimplicialComplex(3, [(0, 1, 2)])
+    group = racg_from_skeleton(k)
+    assert group.ball(100000) == group.ball(3) and len(group.ball(3)) == 8
+    ball = davis_ball(group, k, 100000, max_vertices=100001)
+    assert ball.f_vector() == (8, 12, 6, 1)
 
 
-def test_flat_from_square_16_cell_patch():
-    k = fixture("boundary-16-cell")
-    b = davis_ball(racg_from_skeleton(k), k, 1)
-    square = find_squares(k)[0]
-    flat = flat_from_square(b, square, ())
-    assert flat.cells  # a nonempty 2-dimensional patch
-    members = set(square.cycle)
-    for _, J in flat.cells:
-        assert set(J) <= members and len(J) <= 2
-
-
-def test_flat_interior_link_is_4_cycle():
-    k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 2)
-    flat = flat_from_square(b, (0, 1, 2, 3), ())
-    # interior vertex of the flat: the center; its link in the flat
-    two_cells = [c for c in flat.cells if len(c[1]) == 2]
-    assert len(two_cells) == 4  # the four grid squares around the center
-    flat_complex = SimplicialComplex(4, sorted({J for _, J in flat.cells if len(J) == 2}))
-    assert flat_complex == k
-
-
-def test_flat_rejects_non_square():
-    k = fixture("boundary-4-simplex")
-    b = davis_ball(racg_from_skeleton(k), k, 1)
-    with pytest.raises(ValueError):
-        flat_from_square(b, (0, 1, 2, 3), ())
+def test_davis_ball_refuses_a_radius_not_below_the_bound(monkeypatch):
+    # refused for every group: an infinite one has more than r vertices within radius r
+    k = SimplicialComplex(1, [(0,)])
+    group = racg_from_skeleton(k)
+    assert len(davis_ball(group, k, 9, max_vertices=10).vertices) == 2
+    monkeypatch.setattr(Racg, "ball", lambda *args, **kwargs: pytest.fail("BFS ran"))
+    with pytest.raises(ResourceLimitError,
+                       match="^radius 10 is not below the bound of 10 vertices$"):
+        davis_ball(group, k, 10, max_vertices=10)
 
 
 # -- forbidden suspensions -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Mirror cubulation: f-vectors, vertex links, torus subcomplexes, homology.
+"""Mirror cubulation: f-vectors, vertex links, boundary signs, cell JSON,
+homology.
 
 The splitting route (``pk_homology``, ``pk_f_vector``) is checked against
 the cells: ``homology(cubical_chain_complex(build_pk(K)))`` and
@@ -9,16 +10,14 @@ import random
 
 import pytest
 
-from flatlink.complexes import (SimplicialComplex, disjoint_union, find_squares,
-                                full_subcomplex, is_isomorphic)
-from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _merged_torsion,
-                            build_pk, check_ground, cubical_chain_complex, pk_f_vector,
-                            pk_homology, pk_vertex_link, torus_subcomplex,
-                            verify_vertex_links)
+from flatlink.complexes import SimplicialComplex, disjoint_union, full_subcomplex
+from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _mask,
+                            _merged_torsion, build_pk, check_ground, cubical_chain_complex,
+                            pk_f_vector, pk_homology)
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import HomologyProfile, IntegerMatrix, homology, smith_normal_form
 
-from oracles import random_flag_complex
+from oracles import pk_vertex_link, random_flag_complex
 
 
 def test_pk_point_is_segment():
@@ -111,52 +110,11 @@ def test_boundary_of_boundary_vanishes():
 
 def test_vertex_links_canonical_exhaustive():
     # every vertex of P_K has link K under the identity, for all |I| <= 8
-    for name in ("c4", "octahedron", "boundary-4-simplex", "boundary-16-cell"):
-        k = fixture(name)
+    for k in [fixture(name) for name in ("c4", "octahedron", "boundary-4-simplex",
+                                         "boundary-16-cell")] + [
+            SimplicialComplex(1, [(0,)]), SimplicialComplex(2, [(0, 1)])]:
         p = build_pk(k)
-        assert verify_vertex_links(p, k)
-    point = SimplicialComplex(1, [(0,)])
-    assert verify_vertex_links(build_pk(point), point)
-    edge = SimplicialComplex(2, [(0, 1)])
-    assert verify_vertex_links(build_pk(edge), edge)
-
-
-def test_vertex_link_identity_witness():
-    k = fixture("c4")
-    p = build_pk(k)
-    link = pk_vertex_link(p, 9)
-    witness = is_isomorphic(link, k)
-    assert witness is not None and witness.mapping == (0, 1, 2, 3)
-
-
-def test_vertex_link_rejects_foreign_vertex():
-    p = build_pk(fixture("c4"))
-    with pytest.raises(ValueError):
-        pk_vertex_link(p, 1 << 10)
-
-
-def test_torus_subcomplex_of_16_cell():
-    k = fixture("boundary-16-cell")
-    p = build_pk(k)
-    torus_profile = HomologyProfile([(1, ()), (2, ()), (1, ())])
-    for s in find_squares(k):
-        sub = torus_subcomplex(p, s)
-        assert sub.f_vector() == (16, 32, 16)
-        assert sub.euler_characteristic() == 0
-        assert homology(cubical_chain_complex(sub)) == torus_profile
-
-
-def test_torus_subcomplex_degenerate_ambient():
-    k = fixture("c4")
-    p = build_pk(k)
-    (square,) = find_squares(k)
-    assert torus_subcomplex(p, square) == p
-
-
-def test_torus_subcomplex_rejects_diagonal():
-    p = build_pk(fixture("boundary-4-simplex"))  # complete 1-skeleton
-    with pytest.raises(ValueError, match="diagonal"):
-        torus_subcomplex(p, (0, 1, 2, 3))
+        assert all(pk_vertex_link(p, cell.coset) == k for cell in p.cells[0])
 
 
 def test_ground_bound_error():
@@ -177,7 +135,8 @@ def test_closure_reconstruction_and_json_roundtrip():
     data = p.to_json()
     # top cells only: the 2-cells of the torus
     assert len(data["cells"]) == 16
-    assert CubicalComplex.from_json(data) == p
+    cells = [CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)) for rec in data["cells"]]
+    assert CubicalComplex(data["ground"], cells) == p
 
 
 def _splitting_cases():

@@ -1,12 +1,33 @@
-"""Registry golden profiles, the type verifier, flagification."""
+"""Registry golden profiles, the type verifier, flag subdivisions."""
 
 import pytest
 
-from flatlink.complexes import is_flag
-from flatlink.fixtures import (corpus_properties, fixture, fixture_names, flagify,
+from flatlink.complexes import SimplicialComplex, barycentric_subdivision, is_flag
+from flatlink.fixtures import (check_hypotheses, fixture, fixture_names,
                                product_triangulation, verify_type_l)
 from flatlink.homology import homology, simplicial_chain_complex
 from flatlink.links import LinkingMatrix, hopf_diagram
+
+
+def corpus_properties(name):
+    """Golden property profile of a fixture, read from ``check_hypotheses``."""
+    k = fixture(name)
+    checks = check_hypotheses(k).checks
+    profile = {
+        "vertices": k.vertex_count,
+        "facets": len(k.facets),
+        "dim": k.dim(),
+        "is_flag": checks["is_flag"],
+        "squares": checks["square_count"],
+        "has_isolated_squares": checks["has_isolated_squares"],
+        "caprace_passes": checks["caprace_criterion"],
+    }
+    if k.dim() == 3 and k.is_pure(3):
+        manifold = checks["is_closed_orientable_3manifold"]
+        profile["closed_orientable_3manifold"] = manifold
+        if manifold:
+            profile["homology_3sphere"] = checks["is_homology_3sphere"]
+    return profile
 
 
 GOLDEN = {
@@ -101,28 +122,25 @@ def test_verify_type_l_boundary_4_simplex_fails_flag():
     assert not report.flags["is_flag"]
 
 
-def test_flagify_boundary_4_simplex_preserves_homology():
+def test_subdivision_of_boundary_4_simplex_is_flag_with_same_homology():
     k = fixture("boundary-4-simplex")
-    flagged = flagify(k)
-    assert is_flag(flagged).is_flag
-    assert (homology(simplicial_chain_complex(flagged))
-            == homology(simplicial_chain_complex(k)))
+    sd = barycentric_subdivision(k)
+    assert is_flag(sd).is_flag
+    assert homology(simplicial_chain_complex(sd)) == homology(simplicial_chain_complex(k))
 
 
-def test_flagify_no_fixpoint_shortcut():
-    k = fixture("c4")  # already flag
-    flagged = flagify(k)
-    assert flagged.vertex_count == 8  # 4 vertices + 4 edge barycenters
+def test_subdivision_of_a_flag_complex_is_not_skipped():
+    sd = barycentric_subdivision(fixture("c4"))  # c4 is already flag
+    assert is_flag(sd).is_flag
+    assert sd.vertex_count == 8  # 4 vertices + 4 edge barycenters
 
 
-def test_flagify_empty_complex():
-    from flatlink.complexes import SimplicialComplex
-    empty = SimplicialComplex(0, [])
-    assert flagify(empty).vertex_count == 0
+def test_subdivision_of_the_empty_complex_is_empty_and_flag():
+    sd = barycentric_subdivision(SimplicialComplex(0, []))
+    assert sd.vertex_count == 0 and is_flag(sd).is_flag
 
 
 def test_product_triangulation_torus():
-    from flatlink.complexes import SimplicialComplex
     tri = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     torus = product_triangulation(tri, tri)
     prof = homology(simplicial_chain_complex(torus))

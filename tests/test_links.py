@@ -4,10 +4,10 @@ obstruction decision table."""
 import pytest
 
 from flatlink.complexes import SimplicialComplex
-from flatlink.fixtures import fixture, hopf_pair, split_pair
+from flatlink.fixtures import check_hypotheses, fixture, hopf_pair, split_pair, verify_type_l
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             PlanarDiagram, brunnian_diagram, diagram_linking_matrix,
-                            hopf_diagram, link_from_squares, linking_matrix,
+                            hopf_diagram, linking_matrix,
                             obstruction_report, simplicial_linking_number,
                             solomon_diagram, subdivide_link, three_chain_133_diagram,
                             whitehead_diagram, whitehead_double_diagram)
@@ -35,23 +35,27 @@ def test_edge_cycle_link_json_roundtrip():
     assert back.orientations == link.orientations
 
 
+def _square_link(name):
+    """The square-link of a fixture, built from its squares as ``obstruct`` does."""
+    return verify_type_l(fixture(name), LinkingMatrix([])).square_link
+
+
 def test_link_from_squares_c4():
-    link = link_from_squares(fixture("c4"))
-    assert link.components == ((0, 1, 2, 3),)
+    assert _square_link("c4").components == ((0, 1, 2, 3),)
 
 
 def test_link_from_squares_two_squares():
-    link = link_from_squares(fixture("two-squares-disjoint"))
-    assert len(link) == 2
+    assert len(_square_link("two-squares-disjoint")) == 2
 
 
 def test_link_from_squares_16_cell_overlap_names_vertex():
-    with pytest.raises(ValueError, match="vertex 0"):
-        link_from_squares(fixture("boundary-16-cell"))
+    assert _square_link("boundary-16-cell") is None
+    checks = check_hypotheses(fixture("boundary-16-cell")).checks
+    assert checks["isolated_offending_vertex"] == 0
 
 
 def test_link_from_squares_600_cell_empty():
-    assert len(link_from_squares(fixture("600-cell"))) == 0
+    assert len(_square_link("600-cell")) == 0
 
 
 # -- planar diagrams -----------------------------------------------------------
@@ -198,8 +202,8 @@ def test_linking_matrix_hopf_with_symmetry_check():
 def test_component_orientation_reversal_negates():
     ambient, link = hopf_pair()
     base = simplicial_linking_number(ambient, link, 0, 1)
-    for idx in (0, 1):
-        flipped = link.reversed_component(idx)
+    for orientations in ((-1, 1), (1, -1)):
+        flipped = EdgeCycleLink(ambient, link.components, orientations)
         assert simplicial_linking_number(ambient, flipped, 0, 1) == -base
 
 

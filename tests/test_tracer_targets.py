@@ -1,15 +1,22 @@
-"""The benchmark tracer's span targets still name flatlink functions.
+"""The benchmark tracer's span targets and the names the workloads build
+their inputs with still name flatlink functions.
 
-``perfbench/tracer.py`` patches its targets by module and attribute name;
-a renamed or deleted target would only fail a traced benchmark run.  The
-tracer's source is read and executed here, never imported as a module.
+``perfbench/tracer.py`` patches its targets by module and attribute name,
+and ``perfbench/workloads.py`` builds its inputs through ``fl.<name>``; a
+renamed or deleted name would only fail a benchmark run.  The tracer's
+source is read and executed here, never imported as a module; the
+workloads' source is only parsed.
 """
 
+import ast
 import importlib
 import os
 
+import flatlink
+
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
+WORKLOADS = os.path.join(os.path.dirname(TRACER), "workloads.py")
 
 
 def _tracer_targets():
@@ -34,3 +41,12 @@ def test_every_tracer_target_resolves():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), "%s.%s is gone" % (module_name, attr)
+
+
+def test_every_workload_package_name_resolves():
+    with open(WORKLOADS, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), WORKLOADS)
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "fl"}
+    assert {"fixture", "EdgeCycleLink", "SimplicialComplex"} <= names
+    assert sorted(n for n in names if not hasattr(flatlink, n)) == []
