@@ -166,7 +166,8 @@ class DavisBall:
         self.radius = int(radius)
         self.vertices = frozenset(group.ball(self.radius, max_vertices=max_vertices))
         self._descents = {w: group.right_descents(w) for w in self.vertices}
-        faces_by_dim = [complex_.faces(d) for d in range(complex_.dim() + 1)]
+        faces_by_dim = [complex_.faces(d)
+                        for d in range(min(complex_.dim() + 1, self.radius))]
         cells = [(w, J) for w, descents in self._descents.items()
                  for faces in faces_by_dim[:self.radius - len(w)]
                  for J in faces if descents.isdisjoint(J)]

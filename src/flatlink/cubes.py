@@ -56,14 +56,6 @@ class CubicalCell(NamedTuple):
     def dim(self):
         return _popcount(self.J)
 
-    def vertices(self):
-        """All 2^dim vertex bit-vectors of the cell."""
-        free = _unmask(self.J)
-        verts = [self.coset]
-        for b in free:
-            verts += [v | (1 << b) for v in verts]
-        return verts
-
 
 class CubicalComplex:
     """Cells per dimension, each a canonical (J, coset) pair, face-closed."""

@@ -245,8 +245,13 @@ def check_hypotheses(complex_):
     In order: flag, isolated squares, closed orientable 3-manifold,
     homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
     pairs yields both the squares and the Caprace witnesses, and the
-    manifold is certified once.  Simple connectivity is NOT checked.
+    manifold is certified once.  Simple connectivity is NOT checked.  A
+    complex above dimension 3, where the flag check alone is exponential
+    in the facet size, is refused with ValueError before any check.
     """
+    if complex_.dim() > 3:
+        raise ValueError("complex has dimension %d; the hypothesis checks need "
+                         "dimension at most 3" % complex_.dim())
     checks = {}
     flag = is_flag(complex_)
     checks["is_flag"] = flag.is_flag

@@ -1,14 +1,15 @@
 """Exact integer chain complexes, Smith normal form and 3-manifold checks.
 
 Everything here is over the integers with unbounded precision; no floating
-point.  One sparse kernel, ``eliminate_unit_pivots``, serves the Smith
-normal form and the linking-number solves in ``links`` (the reduction
-scheme of Dumas-Heckenbach-Saunders-Welker, 2003).  It pivots on +-1
-entries, singleton rows and columns first through a queue, then by least
-Markowitz cost, optionally carrying vectors through its row operations.
-It stops when no unit entry is left or, checked every 64 pivots, when
-fill-in passes 30% of the live block; a dense textbook elimination
-finishes the core.
+point.  One Smith normal form serves the homology checks and the
+linking-number solves in ``links``.  A sparse kernel,
+``eliminate_unit_pivots``, pivots on +-1 entries (the reduction scheme of
+Dumas-Heckenbach-Saunders-Welker, 2003), singleton rows and columns first
+through a queue, then by least Markowitz cost.  It stops when no unit
+entry is left or, checked every 64 pivots, when fill-in passes 30% of the
+live block; a dense textbook elimination finishes the core.  Vectors can
+be carried through the row operations of both, which reads off their
+classes in the cokernel; no transform matrices are built.
 
 ``homology`` reduces top-down with clearing (Chen-Kerber 2011; Bauer-
 Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
@@ -95,79 +96,54 @@ class IntegerMatrix:
 
 class SmithNormalForm(NamedTuple):
     invariants: tuple  # d_1 | d_2 | ... , all positive
-    U: Optional[IntegerMatrix]  # U @ M @ V has the invariants on the diagonal
-    V: Optional[IntegerMatrix]
     pivot_rows: tuple = ()  # rows eliminated by sparse unit pivots, in pivot order
+    carried: tuple = ()  # per carried vector, its rows - rank free coordinates
 
     def rank(self):
         return len(self.invariants)
 
-    def diagonal_matrix(self, rows, cols):
-        d = IntegerMatrix(rows, cols)
-        for k, v in enumerate(self.invariants):
-            d.set(k, k, v)
-        return d
 
+def _dense_snf(a, n):
+    """Textbook Smith elimination in place on a dense list of rows.
 
-def _dense_snf(dense, m, n, want_transforms):
-    """Textbook Smith elimination on a dense list-of-lists copy.
-
-    Pivot rule: minimal absolute value, ties by fewest nonzeros in the
-    pivot's row plus column, then lexicographic position.
+    Entries past column n are carried vectors: the row operations (swap,
+    negate, subtract) act on them, the pivot search and the column
+    operations do not.  Returns the invariant factors; the rows past them
+    are then the zero rows of the diagonal form.  Pivot rule: minimal
+    absolute value, ties by fewest nonzeros in the pivot's row plus column,
+    then lexicographic position.
     """
-    a = [row[:] for row in dense]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    m = len(a)
 
     def row_op(i, k, q):  # row k -= q * row i
-        ai, ak = a[i], a[k]
-        for j in range(n):
-            if ai[j]:
-                ak[j] -= q * ai[j]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(m):
-                if ui[j]:
-                    uk[j] -= q * ui[j]
+        ak = a[k]
+        for j, x in enumerate(a[i]):
+            if x:
+                ak[j] -= q * x
 
     def col_op(j, l, q):  # col l -= q * col j
         for i in range(m):
             if a[i][j]:
                 a[i][l] -= q * a[i][j]
-        if v is not None:
-            for i in range(n):
-                if v[i][j]:
-                    v[i][l] -= q * v[i][j]
 
     def swap_rows(i, k):
-        if i != k:
-            a[i], a[k] = a[k], a[i]
-            if u is not None:
-                u[i], u[k] = u[k], u[i]
+        a[i], a[k] = a[k], a[i]
 
     def swap_cols(j, l):
         if j != l:
             for row in a:
                 row[j], row[l] = row[l], row[j]
-            if v is not None:
-                for row in v:
-                    row[j], row[l] = row[l], row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
         c_nnz = [0] * n
         for i in range(t, m):
-            for j, x in enumerate(a[i][t:], t):
+            for j, x in enumerate(a[i][t:n], t):
                 if x:
                     c_nnz[j] += 1
         best = None
         for i in range(t, m):
             ai = a[i]
-            r_nnz = sum(1 for y in ai[t:] if y)
+            r_nnz = sum(1 for y in ai[t:n] if y)
             for j in range(t, n):
                 x = ai[j]
                 if x:
@@ -186,7 +162,7 @@ def _dense_snf(dense, m, n, want_transforms):
         swap_rows(t, pi)
         swap_cols(t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
 
         restart = False
         while True:
@@ -233,7 +209,7 @@ def _dense_snf(dense, m, n, want_transforms):
         invariants.append(a[t][t])
         t += 1
 
-    return invariants, u, v
+    return invariants
 
 
 def eliminate_unit_pivots(rows, cols, carried=()):
@@ -340,36 +316,38 @@ def eliminate_unit_pivots(rows, cols, carried=()):
             return pivots
 
 
-def smith_normal_form(matrix, want_transforms=False):
+def smith_normal_form(matrix, *, carried=()):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    With ``want_transforms`` the unimodular U (rows x rows) and
-    V (cols x cols) with U @ M @ V diagonal are returned as well; that
-    path uses the dense algorithm throughout, which is fine at the sizes
-    transforms are requested for.  Otherwise ``eliminate_unit_pivots``
-    reduces the matrix, the dense algorithm finishes its core, and the
-    rows of the unit pivots come back as ``pivot_rows``.
+    ``eliminate_unit_pivots`` reduces the matrix and the dense algorithm
+    finishes its core; the rows of the unit pivots come back as
+    ``pivot_rows``.  Each carried vector ({row: value}, left unchanged)
+    goes through the row operations of both.  It comes back in
+    ``carried`` as its coordinates on the rows - rank zero rows of the
+    diagonal form, its image in the free part of the cokernel: first the
+    zero rows of the dense core, which also holds every row a carried
+    vector touches, then the empty rows, on which it is 0.
     """
-    m, n = matrix.rows, matrix.cols
-    if want_transforms:
-        inv, u, v = _dense_snf(matrix.to_dense(), m, n, True)
-        return SmithNormalForm(tuple(inv), IntegerMatrix.from_dense(u),
-                               IntegerMatrix.from_dense(v))
     rows = {}
     cols = {}
     for (i, j), val in matrix.entries.items():
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, {})[i] = val
-    pivots = eliminate_unit_pivots(rows, cols)
-    live_rows = sorted(rows)
+    carried = [dict(vec) for vec in carried]
+    pivots = eliminate_unit_pivots(rows, cols, carried)
     ci = {c: k for k, c in enumerate(sorted(cols))}
-    dense = [[0] * len(ci) for _ in live_rows]
-    for out, r in zip(dense, live_rows):
-        for c, val in rows[r].items():
+    n = len(ci)
+    dense = []
+    for r in sorted(set(rows).union(*carried)):
+        out = [0] * n + [vec.get(r, 0) for vec in carried]
+        for c, val in rows.get(r, {}).items():
             out[ci[c]] = val
-    inv, _, _ = _dense_snf(dense, len(live_rows), len(ci), False)
-    return SmithNormalForm(tuple([1] * len(pivots) + sorted(inv)), None, None,
-                           tuple(pivots))
+        dense.append(out)
+    inv = _dense_snf(dense, n)
+    empty = (0,) * (matrix.rows - len(pivots) - len(dense))
+    free = tuple(tuple(row[n + k] for row in dense[len(inv):]) + empty
+                 for k in range(len(carried)))
+    return SmithNormalForm(tuple([1] * len(pivots) + sorted(inv)), tuple(pivots), free)
 
 
 class HomologyProfile:

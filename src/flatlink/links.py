@@ -17,8 +17,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .complexes import _parity, barycentric_subdivision, oriented_subdivision
-from .homology import (IntegerMatrix, eliminate_unit_pivots, is_homology_3sphere,
-                       smith_normal_form)
+from .homology import IntegerMatrix, is_homology_3sphere, smith_normal_form
 
 
 def _ints(seq):
@@ -433,11 +432,10 @@ def _class_multiples(edges, triangles, generator, targets):
     1-cycles as {sorted edge: coefficient}.  Verifies that H_1 is infinite
     cyclic and that the generator generates; anything else aborts loudly.
     A spanning-forest gauge makes the non-tree edges the coordinates of
-    the cycles, and the triangle boundaries span the relations.
-    ``eliminate_unit_pivots`` reduces the relations (singleton queue, then
-    Markowitz unit pivots, stopping at no unit entry or at the 64-pivot
-    fill-in check) with every cycle carried through its row operations; a
-    Smith form with transforms on the core then reads off the classes.
+    the cycles, and the triangle boundaries span the relations.  One
+    ``smith_normal_form`` of the relations carries every cycle through its
+    row operations and returns its one free coordinate, its class in
+    H_1 = Z.
     """
     # spanning forest over the 1-skeleton
     adj = {}
@@ -462,7 +460,6 @@ def _class_multiples(edges, triangles, generator, targets):
     for e in edges:
         if e not in tree:
             coord[e] = len(coord)
-    n_coords = len(coord)
 
     def project(chain):
         out = {}
@@ -472,51 +469,27 @@ def _class_multiples(edges, triangles, generator, targets):
                 out[idx] = c
         return out
 
-    carried = [project(generator)] + [project(t) for t in targets]
-
-    rows = {}
-    cols = {}
-    for cid, tri in enumerate(triangles):
-        a, b, c = tri
-        col = {}
+    relations = IntegerMatrix(len(coord), len(triangles))
+    entries = relations.entries
+    for cid, (a, b, c) in enumerate(triangles):
         for e, s in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
             idx = coord.get(e)
             if idx is not None:
-                col[idx] = col.get(idx, 0) + s
-        col = {r: v for r, v in col.items() if v}
-        if col:
-            cols[cid] = col
-            for r, v in col.items():
-                rows.setdefault(r, {})[cid] = v
-
-    pivots = set(eliminate_unit_pivots(rows, cols, carried))
-    live = [r for r in range(n_coords) if r not in pivots]
-    m_star = len(live)
-    ri = {r: k for k, r in enumerate(live)}
-    live_cols = sorted(cols)
-    core = IntegerMatrix(m_star, len(live_cols))
-    for cnum, j in enumerate(live_cols):
-        for r, v in cols[j].items():
-            core.entries[(ri[r], cnum)] = v
-    snf = smith_normal_form(core, want_transforms=True)
-    rank = snf.rank()
-    if any(d != 1 for d in snf.invariants):
+                entries[(idx, cid)] = s
+    snf = smith_normal_form(relations, carried=[project(generator)]
+                            + [project(t) for t in targets])
+    torsion = [d for d in snf.invariants if d != 1]
+    if torsion:
         raise LinkingInternalError(
-            "complement H_1 has torsion %r; ambient is not a homology sphere"
-            % (snf.invariants,))
-    if m_star - rank != 1:
+            "complement H_1 has torsion %r; ambient is not a homology sphere" % (torsion,))
+    if relations.rows - snf.rank() != 1:
         raise LinkingInternalError(
-            "complement H_1 has rank %d, expected 1" % (m_star - rank))
-
-    # row `rank` of U, the single zero row of the diagonal form, reads off
-    # the class of a carried vector in H_1 = Z
-    free_row = {live[k]: uv for (i, k), uv in snf.U.entries.items() if i == rank}
-    h, *ys = (sum(uv * vec.get(r, 0) for r, uv in free_row.items())
-              for vec in carried)
+            "complement H_1 has rank %d, expected 1" % (relations.rows - snf.rank()))
+    (h,), *ys = snf.carried
     if h not in (1, -1):
         raise LinkingInternalError(
             "meridian class is %d times a generator of H_1, expected a unit" % h)
-    return [y * h for y in ys]
+    return [y * h for (y,) in ys]
 
 
 def _skeleton(facets_signed):

@@ -7,11 +7,14 @@ criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, cube-vertex
 links of P_K read off its cell lists, linking numbers in the second
 barycentric subdivision, the subdivision itself from recursively enumerated
-chains of faces, and homology from one independent Smith form per
-boundary, without clearing.
+chains of faces, homology from one independent Smith form per boundary,
+without clearing, and the class map of a cokernel Z by rational
+Gauss-Jordan elimination.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from flatlink.complexes import (SimplicialComplex, Square, clique_complex, full_subcomplex,
@@ -285,3 +288,34 @@ def independent_snf_homology(chain_complex):
         betti = n_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
         groups.append((betti, torsions.get(d + 1, ())))
     return HomologyProfile(groups)
+
+
+def cokernel_functional(dense):
+    """The primitive integer vector phi with phi M = 0, for a dense m x n
+    matrix M whose cokernel Z^m / M Z^n has free rank 1, such as Z: the
+    image of v in the free part is then +-(phi . v).  Gauss-Jordan
+    elimination of M^T over the rationals."""
+    m = len(dense)
+    rows = [[Fraction(dense[i][j]) for i in range(m)] for j in range(len(dense[0]))]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        p = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    free = [c for c in range(m) if c not in pivots]
+    assert len(free) == 1, "the left kernel has dimension %d, not 1" % len(free)
+    phi = [Fraction(0)] * m
+    phi[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        phi[c] = -rows[r][free[0]]
+    ints = [int(x * lcm(*(y.denominator for y in phi))) for x in phi]
+    g = gcd(*ints)
+    return [x // g for x in ints]

@@ -348,9 +348,13 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
      '"unknown fixture \'klein-bottle\'; known: %s"' % ", ".join(fixture_names())),
     (["lk", "simplicial", "{c4}", "{missing}"], None, "bad link: " + _MISSING),
     (["lk", "diagram", "{missing}"], None, "bad diagram: " + _MISSING),
+    (["verify", "{simplex4}"], None,
+     "complex has dimension 4; the hypothesis checks need dimension at most 3"),
+    (["obstruct", "{simplex25}"], None,
+     "complex has dimension 25; the hypothesis checks need dimension at most 3"),
 ], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x", "ground bound",
         "davis -n -1", "davis -n 200000", "unknown fixture", "missing link",
-        "missing diagram"])
+        "missing diagram", "verify dimension 4", "obstruct dimension 25"])
 def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixture,
                                                    tmp_path, capsys, monkeypatch):
     truncated = tmp_path / "truncated.json"
@@ -360,6 +364,13 @@ def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixtur
     paths = {"c4": write_fixture("c4"), "oct": write_fixture("octahedron"),
              "missing": str(tmp_path / "missing.json"), "truncated": str(truncated),
              "point": str(point)}
+    for n in (5, 26):
+        simplex = tmp_path / ("simplex%d.json" % (n - 1))
+        simplex.write_text(json.dumps({"vertices": n, "facets": [list(range(n))]}))
+        paths[simplex.stem] = str(simplex)
+    # the flag check is exponential in the facet size: it must not start
+    monkeypatch.setattr(importlib.import_module("flatlink.fixtures"), "is_flag",
+                        lambda complex_: pytest.fail("the flag check ran"))
     if env is not None:
         monkeypatch.setenv("FLATLINK_MAX_GROUND", env)
     capsys.readouterr()

@@ -3,6 +3,7 @@ and the forbidden-suspension scan."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -201,6 +202,25 @@ def test_davis_ball_refuses_a_radius_not_below_the_bound(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="^radius 10 is not below the bound of 10 vertices$"):
         davis_ball(group, k, 10, max_vertices=10)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_davis_ball_lists_faces_only_below_the_radius(radius, monkeypatch):
+    # a simplex on 26 vertices, whose faces of every dimension are too many to list
+    k = SimplicialComplex(26, [tuple(range(26))])
+    group = racg_from_skeleton(k)
+    faces = SimplicialComplex.faces
+
+    def bounded(self, d):
+        assert d < radius, "faces of dimension %d listed at radius %d" % (d, radius)
+        return faces(self, d)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", bounded)
+    ball = davis_ball(group, k, radius)
+    # (Z/2)^26: a cell is a pair of disjoint sets, w and a face J, with |w| + |J| <= r
+    assert ball.f_vector() == tuple(
+        comb(26, d) * sum(comb(26 - d, j) for j in range(radius - d + 1))
+        for d in range(radius + 1))
 
 
 # -- forbidden suspensions -----------------------------------------------------------

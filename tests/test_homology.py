@@ -22,7 +22,7 @@ from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
                                S3_PROFILE, _link_is_2sphere, eliminate_unit_pivots, homology,
                                is_closed_orientable_3manifold, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
-from oracles import independent_snf_homology, random_flag_complex
+from oracles import cokernel_functional, independent_snf_homology, random_flag_complex
 
 
 # -- independent oracle -------------------------------------------------------
@@ -173,11 +173,46 @@ def test_snf_spec_examples():
     assert smith_normal_form(IntegerMatrix(3, 4)).invariants == ()
 
 
-def test_snf_divisibility_and_transforms():
-    m = IntegerMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    snf = smith_normal_form(m, want_transforms=True)
+def _carry(matrix, vecs, xs=()):
+    """Carry vecs and the images M x of xs through one Smith form.
+
+    Each comes back with its rows - rank free coordinates, all 0 for an
+    image.  When there is one, the coordinate of each v is eps * (phi . v),
+    phi from the rational oracle and one sign eps for the call.  Returns
+    the Smith form and the |phi . v|, or None for another free rank.
+    """
+    images = []
+    for x in xs:
+        image = {}
+        for (i, j), val in matrix.entries.items():
+            image[i] = image.get(i, 0) + val * x[j]
+        images.append({i: val for i, val in image.items() if val})
+    snf = smith_normal_form(matrix, carried=list(vecs) + images)
+    free = matrix.rows - snf.rank()
+    assert [len(c) for c in snf.carried] == [free] * (len(vecs) + len(images))
+    assert snf.carried[len(vecs):] == ((0,) * free,) * len(images)
+    if free != 1:
+        return snf, None
+    phi = cokernel_functional(matrix.to_dense())
+    expected = [sum(p * v.get(i, 0) for i, p in enumerate(phi)) for v in vecs]
+    got = [c for (c,) in snf.carried[:len(vecs)]]
+    assert got in (expected, [-y for y in expected])
+    return snf, [abs(y) for y in expected]
+
+
+def _units(m):
+    return [{i: 1} for i in range(m)]
+
+
+def test_snf_divisibility_and_carried_vectors():
+    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    snf, _ = _carry(IntegerMatrix.from_dense(rows), _units(3), [[1, 0, 0], [2, -1, 3]])
+    assert snf.invariants == (2, 2, 156) and snf.carried[:3] == ((),) * 3
+    # a fourth row r0 + r1 adds a free Z to the cokernel, read by phi = +-(1, 1, 0, -1)
+    snf, classes = _carry(IntegerMatrix.from_dense(rows + [[-4, 10, 16]]), _units(4),
+                          [[1, 0, 0], [2, -1, 3]])
     assert snf.invariants == (2, 2, 156)
-    assert (snf.U @ m @ snf.V) == snf.diagonal_matrix(3, 3)
+    assert classes == [1, 1, 0, 1]
 
 
 @given(st.lists(st.lists(st.integers(min_value=-9, max_value=9),
@@ -185,18 +220,13 @@ def test_snf_divisibility_and_transforms():
                 min_size=1, max_size=5).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 @settings(max_examples=60, deadline=None)
-def test_snf_matches_oracle_and_transforms_hold(rows):
+def test_snf_matches_oracle_and_carried_classes_hold(rows):
     m = IntegerMatrix.from_dense(rows)
-    snf = smith_normal_form(m)
+    snf, _ = _carry(m, _units(m.rows), [[1] * m.cols, [(-2) ** j for j in range(m.cols)]])
     assert snf.invariants == oracle_invariant_factors(rows)
     for a, b in zip(snf.invariants, snf.invariants[1:]):
         assert b % a == 0
-    with_t = smith_normal_form(m, want_transforms=True)
-    assert with_t.invariants == snf.invariants
-    assert (with_t.U @ m @ with_t.V) == with_t.diagonal_matrix(m.rows, m.cols)
-    # U, V unimodular: their Smith invariants are all 1
-    assert set(smith_normal_form(with_t.U).invariants) <= {1}
-    assert set(smith_normal_form(with_t.V).invariants) <= {1}
+    assert smith_normal_form(m).invariants == snf.invariants
 
 
 def test_snf_sparse_path_matches_oracle_on_larger_random():
@@ -215,16 +245,17 @@ def _row_and_col_dicts(matrix):
     return rows, cols
 
 
-def _free_class(matrix, vec):
-    """|class| of a vector in a cokernel Z, read off U of a transformed Smith form."""
-    snf = smith_normal_form(matrix, want_transforms=True)
-    assert set(snf.invariants) <= {1} and matrix.rows - snf.rank() == 1
-    return abs(sum(u * vec.get(k, 0) for (i, k), u in snf.U.entries.items()
-                   if i == snf.rank()))
+def _free_class(matrix, vecs, xs=()):
+    """|class| of each vector in a cokernel Z, read off its one carried free
+    coordinate and checked against the oracle's functional."""
+    snf, classes = _carry(matrix, vecs, xs)
+    assert set(snf.invariants) <= {1} and classes is not None
+    return classes
 
 
 def test_eliminate_unit_pivots_keeps_the_class_of_a_carried_vector():
     rng = random.Random(5)
+    more = random.Random(6)  # the second vector and the image, apart from the matrices
     m, n = 9, 12
     cores = classes = 0
     for _ in range(25):
@@ -243,20 +274,21 @@ def test_eliminate_unit_pivots_keeps_the_class_of_a_carried_vector():
             for row in dense:
                 row[c] += q * row[d]
         matrix = IntegerMatrix.from_dense(dense)
-        vec = {i: v for i in range(m) if (v := rng.randint(-3, 3))}
+        vecs = [{i: v for i in range(m) if (v := r.randint(-3, 3))} for r in (rng, more)]
         rows, cols = _row_and_col_dicts(matrix)
-        carried = dict(vec)
-        pivots = eliminate_unit_pivots(rows, cols, [carried])
+        carried = [dict(vec) for vec in vecs]
+        pivots = eliminate_unit_pivots(rows, cols, carried)
         live = [r for r in range(m) if r not in pivots]
-        assert set(carried) <= set(live)
+        assert set().union(*carried) <= set(live)
         index = {r: k for k, r in enumerate(live)}
         core = IntegerMatrix(len(live), len(cols), {
             (index[r], k): v for k, j in enumerate(sorted(cols))
             for r, v in cols[j].items()})
-        expected = _free_class(matrix, vec)
-        assert _free_class(core, {index[r]: v for r, v in carried.items()}) == expected
+        expected = _free_class(matrix, vecs, [[more.randint(-2, 2) for _ in range(n)]])
+        assert _free_class(core, [{index[r]: v for r, v in vec.items()}
+                                  for vec in carried]) == expected
         cores += bool(cols)
-        classes += bool(expected)
+        classes += bool(expected[0])
     assert cores > 15 and classes > 15
 
 
@@ -404,9 +436,13 @@ def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
     core = [[rows[r].get(c, 0) for c in sorted(cols)] for r in sorted(rows)]
     assert (len(pivots), len(core), len(core[0])) == (64, 173, 56)
     matrix = IntegerMatrix.from_dense(core)
-    snf = smith_normal_form(matrix, want_transforms=True)
-    product = snf.U @ matrix @ snf.V
-    assert product == snf.diagonal_matrix(173, 56)
+    # the free coordinates F of the 173 unit vectors read the free part of
+    # the cokernel: F M = 0, and F maps Z^173 onto Z^(173 - rank)
+    snf, _ = _carry(matrix, _units(173), [[1] * 56, [(-1) ** j * j for j in range(56)]])
+    free = IntegerMatrix.from_dense([list(c) for c in zip(*snf.carried[:173])])
+    assert (free.rows, free.cols) == (173 - snf.rank(), 173)
+    assert (free @ matrix).nnz() == 0
+    assert smith_normal_form(free).invariants == (1,) * free.rows
     # a matrix and its transpose share invariant factors; the oracle's
     # unguided Bezout steps stay short on the 56-row side
     assert snf.invariants == oracle_invariant_factors([list(c) for c in zip(*core)])

@@ -1,4 +1,4 @@
-"""Every name a ``flatlink`` module imports is used in that module.
+"""Every name a ``flatlink`` module or a test module imports is used in it.
 
 No linter ships with the toolchain, so the check reads the source with
 ``ast``.  ``__init__`` is skipped: its imports are the package's exports.
@@ -9,9 +9,11 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "flatlink")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, os.pardir, "src", "flatlink")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
+TEST_MODULES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
 def unused_imports(source, filename="<source>"):
@@ -34,5 +36,12 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     path = os.path.join(SRC, module)
+    with open(path, "r", encoding="utf-8") as fh:
+        assert unused_imports(fh.read(), path) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_imports_in_tests(module):
+    path = os.path.join(TESTS, module)
     with open(path, "r", encoding="utf-8") as fh:
         assert unused_imports(fh.read(), path) == []
