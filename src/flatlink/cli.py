@@ -77,12 +77,6 @@ def _put(text, out):
         print(text)
 
 
-def _write_json(path, data):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_json(path, what, parse):
     """``parse`` of the JSON in a file; an unreadable, malformed or too
     deeply nested file, or data ``parse`` rejects, is "bad <what>"."""
@@ -146,7 +140,8 @@ def cmd_pk(opts):
         checks["homology"] = pk_homology(complex_).to_json()
     extra = None
     if opts.cells_out:
-        _write_json(opts.cells_out, build_pk(complex_, max_ground=bound).to_json())
+        _put(json.dumps(build_pk(complex_, max_ground=bound).to_json(), sort_keys=True),
+             opts.cells_out)
         extra = {"cells_out": opts.cells_out}
     return ("pk", [opts.complex], checks, {}, EXIT_OK, extra)
 
@@ -163,7 +158,7 @@ def cmd_davis(opts):
     }
     extra = None
     if opts.cells_out:
-        _write_json(opts.cells_out, ball.to_json())
+        _put(json.dumps(ball.to_json(), sort_keys=True), opts.cells_out)
         extra = {"cells_out": opts.cells_out}
     return ("davis", [opts.complex], checks, {}, EXIT_OK, extra)
 

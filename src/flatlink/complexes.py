@@ -31,10 +31,11 @@ class SimplicialComplex:
         self.vertex_count = int(vertex_count)
         seen = set()
         clean = []
-        for f in facets:
+        for idx, f in enumerate(facets):
             t = tuple(f)
             if list(t) != sorted(set(t)):
-                raise InvalidComplexError("facet %r is not sorted and duplicate-free" % (f,))
+                raise InvalidComplexError(
+                    "facet #%d (%r) is not sorted and duplicate-free" % (idx, f))
             if not t:
                 raise InvalidComplexError("empty facet")
             if t[0] < 0 or t[-1] >= self.vertex_count:
@@ -176,9 +177,6 @@ class SimplicialComplex:
         for idx, f in enumerate(facets):
             if not isinstance(f, list) or not all(type(v) is int for v in f):
                 raise InvalidComplexError("facet #%d is not a list of integers" % idx)
-            if f != sorted(set(f)):
-                raise InvalidComplexError(
-                    "facet #%d (%r) is not sorted and duplicate-free" % (idx, f))
         return cls(vertices, facets)
 
     @classmethod
@@ -193,8 +191,7 @@ class SimplicialComplex:
 
     def dump(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
 
 class Square(NamedTuple):

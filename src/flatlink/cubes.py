@@ -12,12 +12,11 @@ come from K without building any cell: ``pk_f_vector`` and
 ``pk_homology``.  ``build_pk`` builds the cells for ``pk --cells-out``.
 """
 
-from math import gcd
 from typing import NamedTuple
 
 from .complexes import full_subcomplex, is_flag
-from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, homology,
-                       simplicial_chain_complex)
+from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, _merged_torsion,
+                       homology, simplicial_chain_complex)
 
 
 class GroundSetTooLarge(ValueError):
@@ -138,21 +137,6 @@ def pk_f_vector(complex_):
     return tuple(f << (m - k) for k, f in enumerate((1,) + complex_.f_vector()))
 
 
-def _merged_torsion(coefficients):
-    """Invariant factors of the direct sum of the groups Z/c, c > 1.
-
-    Z/a + Z/b = Z/gcd + Z/lcm, applied to every pair i < j in order, leaves
-    each factor dividing the next.
-    """
-    factors = [c for c in coefficients if c > 1]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            g = gcd(a, b)
-            factors[i], factors[j] = g, a // g * b
-    return tuple(f for f in factors if f > 1)
-
-
 def pk_homology(complex_):
     """Integral homology of P_K by the polyhedral-product splitting.
 
@@ -185,12 +169,13 @@ def build_pk(complex_, max_ground=None):
     """Build P_K from a simplicial complex K on ground set I.
 
     The vertex set is all of (C_2)^I; a face of type J exists for every
-    simplex vertex set J of K, one per coset of (C_2)^J.
+    simplex vertex set J of K, one per coset of (C_2)^J.  Only the vertices
+    and the cells of facet type are listed; ``CubicalComplex`` closes them.
     """
     check_ground(complex_, max_ground)
     n = complex_.vertex_count
     cells = [CubicalCell(0, c) for c in range(1 << n)]
-    for face in complex_.all_faces():
+    for face in complex_.facets:
         jm = _mask(face)
         free = ~jm & ((1 << n) - 1)
         sub = free

@@ -14,8 +14,9 @@ constructs one; ``verify_type_l`` is the gate such a construction must pass.
 import itertools
 from typing import NamedTuple, Optional
 
-from .complexes import (SimplicialComplex, _parity, barycentric_subdivision, disjoint_union,
-                        has_isolated_squares, is_flag, join, scan_nonadjacent_pairs)
+from .complexes import (SimplicialComplex, _parity, barycentric_subdivision, clique_complex,
+                        disjoint_union, has_isolated_squares, is_flag, join,
+                        scan_nonadjacent_pairs)
 from .homology import is_homology_3sphere
 from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
                     diagram_linking_matrix, linking_matrix)
@@ -129,30 +130,17 @@ def _six_hundred_cell():
                         v[p[pos]] = (signs[pos] * a, signs[pos] * b)
                     verts.add(tuple(v))
     verts = sorted(verts)
-    n = len(verts)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        vi = verts[i]
-        for j in range(i + 1, n):
+    edges = []
+    for i, vi in enumerate(verts):
+        for j in range(i + 1, len(verts)):
             vj = verts[j]
             total = (0, 0)
             for k in range(4):
                 prod = mul(vi[k], vj[k])
                 total = (total[0] + prod[0], total[1] + prod[1])
             if total == (0, 2):  # inner product phi/2 on the unit sphere
-                adj[i].add(j)
-                adj[j].add(i)
-    facets = []
-    for a in range(n):
-        upper = sorted(x for x in adj[a] if x > a)
-        for bi, b in enumerate(upper):
-            for c in upper[bi + 1:]:
-                if c not in adj[b]:
-                    continue
-                for d in upper:
-                    if d > c and d in adj[b] and d in adj[c]:
-                        facets.append((a, b, c, d))
-    return SimplicialComplex(n, facets)
+                edges.append((i, j))
+    return clique_complex(len(verts), edges)
 
 
 _REGISTRY = {

@@ -7,9 +7,11 @@ linking-number solves in ``links``.  A sparse kernel,
 Dumas-Heckenbach-Saunders-Welker, 2003), singleton rows and columns first
 through a queue, then by least Markowitz cost.  It stops when no unit
 entry is left or, checked every 64 pivots, when fill-in passes 30% of the
-live block; a dense textbook elimination finishes the core.  Vectors can
-be carried through the row operations of both, which reads off their
-classes in the cokernel; no transform matrices are built.
+live block.  Euclid steps diagonalise the dense core that is left, and
+the gcd/lcm merge ``_merged_torsion``, the one torsion merge in the
+package, turns the diagonal into invariant factors.  Vectors can be
+carried through the row operations of both eliminations, which reads off
+their classes in the cokernel; no transform matrices are built.
 
 ``homology`` reduces top-down with clearing (Chen-Kerber 2011; Bauer-
 Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
@@ -21,6 +23,7 @@ the column lattice of d_d, its rank and its invariant factors stay.
 import heapq
 from collections import deque
 from itertools import combinations
+from math import gcd
 from typing import NamedTuple, Optional
 
 
@@ -103,113 +106,51 @@ class SmithNormalForm(NamedTuple):
         return len(self.invariants)
 
 
-def _dense_snf(a, n):
-    """Textbook Smith elimination in place on a dense list of rows.
+def _dense_diagonal(a, n):
+    """Diagonalise a dense list of rows in place by Euclid steps.
 
-    Entries past column n are carried vectors: the row operations (swap,
-    negate, subtract) act on them, the pivot search and the column
-    operations do not.  Returns the invariant factors; the rows past them
-    are then the zero rows of the diagonal form.  Pivot rule: minimal
-    absolute value, ties by fewest nonzeros in the pivot's row plus column,
-    then lexicographic position.
+    An entry of least absolute value (ties by position) moves to (t, t);
+    floor division reduces its column and its row, and if a smaller
+    remainder is left the search starts again from t.  Entries past column
+    n are carried vectors: the row operations (swap, subtract) act on them,
+    the pivot search and the column operations do not.  Returns the
+    absolute diagonal entries, not yet a divisibility chain; the rows past
+    them are then the zero rows of the diagonal form.
     """
     m = len(a)
-
-    def row_op(i, k, q):  # row k -= q * row i
-        ak = a[k]
-        for j, x in enumerate(a[i]):
-            if x:
-                ak[j] -= q * x
-
-    def col_op(j, l, q):  # col l -= q * col j
-        for i in range(m):
-            if a[i][j]:
-                a[i][l] -= q * a[i][j]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-
-    def swap_cols(j, l):
-        if j != l:
-            for row in a:
-                row[j], row[l] = row[l], row[j]
-
-    def find_pivot(t):
-        c_nnz = [0] * n
-        for i in range(t, m):
-            for j, x in enumerate(a[i][t:n], t):
-                if x:
-                    c_nnz[j] += 1
-        best = None
-        for i in range(t, m):
-            ai = a[i]
-            r_nnz = sum(1 for y in ai[t:n] if y)
-            for j in range(t, n):
-                x = ai[j]
-                if x:
-                    key = (abs(x), r_nnz + c_nnz[j], i, j)
-                    if best is None or key < best:
-                        best = key
-        return best
-
-    invariants = []
+    diagonal = []
     t = 0
     while True:
-        best = find_pivot(t)
+        best = None
+        for i in range(t, m):
+            for j, x in enumerate(a[i][t:n], t):
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
         if best is None:
-            break
-        _, _, pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        restart = False
-        while True:
-            pivot = a[t][t]
-            moved = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x:
-                    q = x // pivot  # remainder in [0, pivot)
-                    if q:
-                        row_op(t, i, q)
-                    if a[i][t]:
-                        swap_rows(t, i)  # strictly smaller positive pivot
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x:
-                    q = x // pivot
-                    if q:
-                        col_op(t, j, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        moved = True
-                        break
-            if moved:
-                continue
-            # row t and column t are clear; enforce divisibility of the rest
-            pivot = a[t][t]
-            fix = None
-            for i in range(t + 1, m):
-                if any(a[i][j] % pivot for j in range(t + 1, n)):
-                    fix = i
-                    break
-            if fix is None:
-                break
-            row_op(fix, t, -1)  # pull the offending row into the pivot row
-            restart = True
-            break
-        if restart:
+            return diagonal
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a[t:]:  # rows above t are zero in the live columns
+                row[t], row[j] = row[j], row[t]
+        top = a[t]
+        pivot = top[t]
+        nonzeros = [(j, x) for j, x in enumerate(top) if x]
+        for ak in a[t + 1:]:  # row k -= q * row t
+            q = ak[t] // pivot
+            if q:
+                for j, x in nonzeros:
+                    ak[j] -= q * x
+        column = [(ak, ak[t]) for ak in a[t:] if ak[t]]
+        for j in range(t + 1, n):  # col j -= q * col t
+            q = top[j] // pivot
+            if q:
+                for ak, x in column:
+                    ak[j] -= q * x
+        if any(ak[t] for ak in a[t + 1:]) or any(top[t + 1:n]):
             continue
-        invariants.append(a[t][t])
+        diagonal.append(abs(pivot))
         t += 1
-
-    return invariants
 
 
 def eliminate_unit_pivots(rows, cols, carried=()):
@@ -316,11 +257,27 @@ def eliminate_unit_pivots(rows, cols, carried=()):
             return pivots
 
 
+def _merged_torsion(coefficients):
+    """Invariant factors of the direct sum of the groups Z/c, c > 1.
+
+    Z/a + Z/b = Z/gcd + Z/lcm, applied to every pair i < j in order, leaves
+    each factor dividing the next.
+    """
+    factors = [c for c in coefficients if c > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(f for f in factors if f > 1)
+
+
 def smith_normal_form(matrix, *, carried=()):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    ``eliminate_unit_pivots`` reduces the matrix and the dense algorithm
-    finishes its core; the rows of the unit pivots come back as
+    ``eliminate_unit_pivots`` reduces the matrix and ``_dense_diagonal``
+    diagonalises its core; ``_merged_torsion`` turns the diagonal into
+    invariant factors.  The rows of the unit pivots come back as
     ``pivot_rows``.  Each carried vector ({row: value}, left unchanged)
     goes through the row operations of both.  It comes back in
     ``carried`` as its coordinates on the rows - rank zero rows of the
@@ -343,11 +300,13 @@ def smith_normal_form(matrix, *, carried=()):
         for c, val in rows.get(r, {}).items():
             out[ci[c]] = val
         dense.append(out)
-    inv = _dense_snf(dense, n)
+    diagonal = _dense_diagonal(dense, n)
+    torsion = _merged_torsion(diagonal)
+    rank = len(pivots) + len(diagonal)
     empty = (0,) * (matrix.rows - len(pivots) - len(dense))
-    free = tuple(tuple(row[n + k] for row in dense[len(inv):]) + empty
+    free = tuple(tuple(row[n + k] for row in dense[len(diagonal):]) + empty
                  for k in range(len(carried)))
-    return SmithNormalForm(tuple([1] * len(pivots) + sorted(inv)), tuple(pivots), free)
+    return SmithNormalForm((1,) * (rank - len(torsion)) + torsion, tuple(pivots), free)
 
 
 class HomologyProfile:

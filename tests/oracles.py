@@ -7,8 +7,9 @@ criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, cube-vertex
 links of P_K read off its cell lists, linking numbers in the second
 barycentric subdivision, the subdivision itself from recursively enumerated
-chains of faces, homology from one independent Smith form per boundary,
-without clearing, and the class map of a cokernel Z by rational
+chains of faces, Smith invariants by Bezout elimination with no pivot
+strategy, homology from one independent Smith form per boundary, without
+clearing, and the class map of a cokernel Z by rational
 Gauss-Jordan elimination.
 """
 
@@ -272,6 +273,84 @@ def second_subdivision_linking_matrix(sigma, link, orientation=None):
             target = _cycle_chain(components[i], link.orientations[i])
             pairs[(i, j)] = _class_multiples(edges, triangles, meridian, [target])[0]
     return LinkingMatrix.from_pairs(m, pairs)
+
+
+def oracle_invariant_factors(dense):
+    """Naive Smith invariants: gcd-based elimination, no pivot strategy."""
+    a = [row[:] for row in dense]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    out = []
+    t = 0
+    while t < min(m, n):
+        found = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j]:
+                    found = (i, j)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        i, j = found
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            i_bad = next((i for i in range(t + 1, m) if a[i][t] % a[t][t]), None)
+            j_bad = next((j for j in range(t + 1, n) if a[t][j] % a[t][t]), None)
+            if i_bad is not None:
+                g = gcd(a[t][t], a[i_bad][t])
+                # Bezout row combination to make the pivot the gcd
+                x0, y0 = _bezout(a[t][t], a[i_bad][t])
+                r_t = [x0 * a[t][c] + y0 * a[i_bad][c] for c in range(n)]
+                q1, q2 = a[t][t] // g, a[i_bad][t] // g
+                r_i = [-q2 * a[t][c] + q1 * a[i_bad][c] for c in range(n)]
+                a[t], a[i_bad] = r_t, r_i
+                continue
+            if j_bad is not None:
+                g = gcd(a[t][t], a[t][j_bad])
+                x0, y0 = _bezout(a[t][t], a[t][j_bad])
+                q1, q2 = a[t][t] // g, a[t][j_bad] // g
+                for r in range(m):
+                    c_t = x0 * a[r][t] + y0 * a[r][j_bad]
+                    c_j = -q2 * a[r][t] + q1 * a[r][j_bad]
+                    a[r][t], a[r][j_bad] = c_t, c_j
+                continue
+            break
+        for i in range(t + 1, m):
+            q = a[i][t] // a[t][t]
+            for c in range(n):
+                a[i][c] -= q * a[t][c]
+        for j in range(t + 1, n):
+            q = a[t][j] // a[t][t]
+            for r in range(m):
+                a[r][j] -= q * a[r][t]
+        out.append(abs(a[t][t]))
+        t += 1
+    # normalize into a divisibility chain via gcd/lcm exchanges
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            if out[i + 1] % out[i]:
+                g = gcd(out[i], out[i + 1])
+                out[i], out[i + 1] = g, out[i] * out[i + 1] // g
+                changed = True
+    return tuple(x for x in out if x)
+
+
+def _bezout(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_s, old_t
 
 
 def independent_snf_homology(chain_complex):

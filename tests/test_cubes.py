@@ -11,13 +11,13 @@ import random
 import pytest
 
 from flatlink.complexes import SimplicialComplex, disjoint_union, full_subcomplex
-from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _mask,
-                            _merged_torsion, build_pk, check_ground, cubical_chain_complex,
-                            pk_f_vector, pk_homology)
+from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _mask, build_pk,
+                            check_ground, cubical_chain_complex, pk_f_vector, pk_homology)
 from flatlink.fixtures import fixture, fixture_names
-from flatlink.homology import HomologyProfile, IntegerMatrix, homology, smith_normal_form
+from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
+                               smith_normal_form)
 
-from oracles import pk_vertex_link, random_flag_complex
+from oracles import oracle_invariant_factors, pk_vertex_link, random_flag_complex
 
 
 def test_pk_point_is_segment():
@@ -213,13 +213,15 @@ def test_torsion_merge_gives_invariant_factors(coefficients, expected):
 
 
 def test_torsion_merge_matches_smith_form_of_the_diagonal():
+    # smith_normal_form of a diagonal runs the merge itself: both meet the oracle
     rng = random.Random(11)
     for _ in range(300):
         coefficients = [rng.randint(2, 36) for _ in range(rng.randint(1, 10))]
         n = len(coefficients)
-        diagonal = IntegerMatrix(n, n, {(i, i): c for i, c in enumerate(coefficients)})
-        invariants = smith_normal_form(diagonal).invariants
+        dense = [[c if i == j else 0 for j in range(n)] for i, c in enumerate(coefficients)]
+        invariants = oracle_invariant_factors(dense)
         assert _merged_torsion(coefficients) == tuple(t for t in invariants if t > 1)
+        assert smith_normal_form(IntegerMatrix.from_dense(dense)).invariants == invariants
 
 
 def test_check_ground_is_the_bound_of_build_pk():

@@ -1,15 +1,14 @@
 """Exact integer linear algebra and 3-manifold verification.
 
-The Smith form is cross-checked against a deliberately naive in-test
-elimination, and homology examples against independently built boundary
-matrices.
+The Smith form is cross-checked against the deliberately naive Bezout
+elimination of ``oracles.oracle_invariant_factors``, and homology examples
+against independently built boundary matrices.
 """
 
 import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,88 +21,11 @@ from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
                                S3_PROFILE, _link_is_2sphere, eliminate_unit_pivots, homology,
                                is_closed_orientable_3manifold, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
-from oracles import cokernel_functional, independent_snf_homology, random_flag_complex
+from oracles import (cokernel_functional, independent_snf_homology, oracle_invariant_factors,
+                     random_flag_complex)
 
 
 # -- independent oracle -------------------------------------------------------
-
-def oracle_invariant_factors(dense):
-    """Naive Smith invariants: gcd-based elimination, no pivot strategy."""
-    a = [row[:] for row in dense]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    out = []
-    t = 0
-    while t < min(m, n):
-        found = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            i_bad = next((i for i in range(t + 1, m) if a[i][t] % a[t][t]), None)
-            j_bad = next((j for j in range(t + 1, n) if a[t][j] % a[t][t]), None)
-            if i_bad is not None:
-                g = gcd(a[t][t], a[i_bad][t])
-                # Bezout row combination to make the pivot the gcd
-                x0, y0 = _bezout(a[t][t], a[i_bad][t])
-                r_t = [x0 * a[t][c] + y0 * a[i_bad][c] for c in range(n)]
-                q1, q2 = a[t][t] // g, a[i_bad][t] // g
-                r_i = [-q2 * a[t][c] + q1 * a[i_bad][c] for c in range(n)]
-                a[t], a[i_bad] = r_t, r_i
-                continue
-            if j_bad is not None:
-                g = gcd(a[t][t], a[t][j_bad])
-                x0, y0 = _bezout(a[t][t], a[t][j_bad])
-                q1, q2 = a[t][t] // g, a[t][j_bad] // g
-                for r in range(m):
-                    c_t = x0 * a[r][t] + y0 * a[r][j_bad]
-                    c_j = -q2 * a[r][t] + q1 * a[r][j_bad]
-                    a[r][t], a[r][j_bad] = c_t, c_j
-                continue
-            break
-        for i in range(t + 1, m):
-            q = a[i][t] // a[t][t]
-            for c in range(n):
-                a[i][c] -= q * a[t][c]
-        for j in range(t + 1, n):
-            q = a[t][j] // a[t][t]
-            for r in range(m):
-                a[r][j] -= q * a[r][t]
-        out.append(abs(a[t][t]))
-        t += 1
-    # normalize into a divisibility chain via gcd/lcm exchanges
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if out[i + 1] % out[i]:
-                g = gcd(out[i], out[i + 1])
-                out[i], out[i + 1] = g, out[i] * out[i + 1] // g
-                changed = True
-    return tuple(x for x in out if x)
-
-
-def _bezout(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
 
 def oracle_rank(dense):
     rows = [[Fraction(x) for x in row] for row in dense if any(row)]
@@ -447,6 +369,23 @@ def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
     # unguided Bezout steps stay short on the 56-row side
     assert snf.invariants == oracle_invariant_factors([list(c) for c in zip(*core)])
     assert smith_normal_form(d3).invariants == (1,) * 64 + snf.invariants
+
+
+def test_dense_diagonal_goes_through_the_one_torsion_merge(monkeypatch):
+    homology_module = importlib.import_module("flatlink.homology")
+    merged = []
+    original = homology_module._merged_torsion
+
+    def recording(coefficients):
+        merged.append(list(coefficients))
+        return original(coefficients)
+
+    monkeypatch.setattr(homology_module, "_merged_torsion", recording)
+    matrix = IntegerMatrix(4, 3, {(0, 0): 4, (1, 1): 6, (2, 2): 10})  # row 3 is zero
+    snf = smith_normal_form(matrix, carried=[{3: 1}])
+    assert merged == [[4, 6, 10]]
+    assert snf.invariants == (2, 2, 60)
+    assert snf.carried in (((1,),), ((-1,),))
 
 
 def test_homology_clears_the_pivot_rows_of_the_boundary_above(monkeypatch):
