@@ -18,11 +18,7 @@ import time
 
 from . import __version__
 from .complexes import SimplicialComplex
-from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
-from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
-from .fixtures import check_hypotheses, fixture, fixture_names
-from .links import (EdgeCycleLink, PlanarDiagram, diagram_linking_matrix, linking_matrix,
-                    obstruction_report)
+from .fixtures import fixture_names
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,21 +84,27 @@ def _read_json(path, what, parse):
 
 
 def _obstruction(matrix, opts):
+    from .links import obstruction_report
     verdict = obstruction_report(matrix, nontrivial_certificate=opts.certify_nontrivial)
     return {"obstruction": verdict.verdict.value, "explanation": verdict.explanation}
 
 
 # Each command returns (command, inputs, checks, verdicts, exit code, extra);
 # main times it, builds and emits the report.  ``fixture NAME`` returns the
-# complex's JSON text instead, which main writes as it is.
+# complex's JSON text instead, which main writes as it is.  Each command
+# imports the modules it runs, so a call loads only those, ``complexes``
+# and the fixture registry the parser's help reads.
 
 def cmd_verify(opts):
+    from .fixtures import check_hypotheses
     report = check_hypotheses(SimplicialComplex.load(opts.complex))
     return ("verify", [opts.complex], report.checks, {"all_checks_pass": report.passed},
             EXIT_OK if report.passed else EXIT_CHECK_FAILED, None)
 
 
 def cmd_obstruct(opts):
+    from .fixtures import check_hypotheses
+    from .links import EdgeCycleLink, linking_matrix
     complex_ = SimplicialComplex.load(opts.complex)
     report = check_hypotheses(complex_)
     checks = report.checks
@@ -121,6 +123,7 @@ def cmd_obstruct(opts):
 
 
 def cmd_pk(opts):
+    from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
     complex_ = SimplicialComplex.load(opts.complex)
     bound = DEFAULT_MAX_GROUND
     env = os.environ.get("FLATLINK_MAX_GROUND")
@@ -147,6 +150,7 @@ def cmd_pk(opts):
 
 
 def cmd_davis(opts):
+    from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
     complex_ = SimplicialComplex.load(opts.complex)
     ball = davis_ball(racg_from_skeleton(complex_), complex_, opts.radius)
     checks = {
@@ -164,6 +168,7 @@ def cmd_davis(opts):
 
 
 def cmd_lk_diagram(opts):
+    from .links import PlanarDiagram, diagram_linking_matrix
     diagram = _read_json(opts.diagram, "diagram", PlanarDiagram.from_json)
     matrix = diagram_linking_matrix(diagram)
     return ("lk diagram", [opts.diagram], {"m": diagram.m, "linking_matrix": matrix.to_json()},
@@ -171,6 +176,7 @@ def cmd_lk_diagram(opts):
 
 
 def cmd_lk_simplicial(opts):
+    from .links import EdgeCycleLink, linking_matrix
     complex_ = SimplicialComplex.load(opts.complex)
     link = _read_json(opts.link, "link",
                       lambda data: EdgeCycleLink.from_json(complex_, data))
@@ -185,6 +191,7 @@ def cmd_lk_simplicial(opts):
 
 
 def cmd_fixture(opts):
+    from .fixtures import fixture
     complex_ = fixture(opts.name)
     if not opts.target:
         return json.dumps(complex_.to_json(), sort_keys=True)
@@ -271,6 +278,8 @@ def main(argv=None):
         return code
     except (ValueError, KeyError, OSError) as exc:
         # bad input, resource bounds, unwritable output paths: never a traceback
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]  # str() of a KeyError is the repr of its message
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -9,6 +9,8 @@ the expectation.  Matching linking data is necessary but not sufficient for
 matching the link type up to isotopy.
 No complex here carries a nonempty isolated square-link, and nothing
 constructs one; ``verify_type_l`` is the gate such a construction must pass.
+``homology`` and ``links`` are imported by the functions that use them, so
+the registry alone (all the CLI parser reads) loads only ``complexes``.
 """
 
 import itertools
@@ -17,9 +19,6 @@ from typing import NamedTuple, Optional
 from .complexes import (SimplicialComplex, _parity, barycentric_subdivision, clique_complex,
                         disjoint_union, has_isolated_squares, is_flag, join,
                         scan_nonadjacent_pairs)
-from .homology import is_homology_3sphere
-from .links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram,
-                    diagram_linking_matrix, linking_matrix)
 
 
 def _points(k):
@@ -180,12 +179,14 @@ def fixture(name):
 
 def hopf_pair():
     """The two join-factor squares of the 16-cell boundary: a Hopf pair."""
+    from .links import EdgeCycleLink
     ambient = fixture("boundary-16-cell")
     return ambient, EdgeCycleLink(ambient, [(0, 2, 1, 3), (4, 6, 5, 7)])
 
 
 def split_pair():
     """Two disjoint triangles in the 16-cell, each bounding a face: unlinked."""
+    from .links import EdgeCycleLink
     ambient = fixture("boundary-16-cell")
     return ambient, EdgeCycleLink(ambient, [(0, 2, 4), (1, 3, 7)])
 
@@ -214,6 +215,7 @@ def solomon_pair():
     doubled clasp.  Cross-checked against the Gauss-integral oracle in the
     test suite.
     """
+    from .links import EdgeCycleLink
     ambient = fixture("join-c10-c10")
     a = zigzag_cycle(10, 10, 0, 0, 2, 4, 5)
     b = zigzag_cycle(10, 10, 1, 5, 2, 4, 5)
@@ -237,6 +239,7 @@ def check_hypotheses(complex_):
     complex above dimension 3, where the flag check alone is exponential
     in the facet size, is refused with ValueError before any check.
     """
+    from .homology import is_homology_3sphere
     if complex_.dim() > 3:
         raise ValueError("complex has dimension %d; the hypothesis checks need "
                          "dimension at most 3" % complex_.dim())
@@ -278,13 +281,14 @@ def check_hypotheses(complex_):
 
 class TypeLReport(NamedTuple):
     flags: dict
-    square_link: Optional[EdgeCycleLink]
-    matrix: Optional[LinkingMatrix]
+    square_link: "Optional[EdgeCycleLink]"
+    matrix: "Optional[LinkingMatrix]"
     verdict: bool
     note: str
 
 
 def _expected_matrix(expected):
+    from .links import LinkingMatrix, PlanarDiagram, diagram_linking_matrix
     if isinstance(expected, PlanarDiagram):
         return diagram_linking_matrix(expected)
     if isinstance(expected, LinkingMatrix):
@@ -303,6 +307,7 @@ def verify_type_l(sigma, expected):
     verdict certifies matching linking data, which is NECESSARY but not
     sufficient for carrying the link type up to isotopy.
     """
+    from .links import EdgeCycleLink, LinkingMatrix, linking_matrix
     target = _expected_matrix(expected)
     report = check_hypotheses(sigma)
     flags = {key: report.checks[key]

@@ -322,6 +322,13 @@ def test_fixture_unknown_name_is_input_error():
     assert main(["fixture", "klein-bottle"]) == 2
 
 
+def test_fixture_help_lists_every_fixture(capsys):
+    assert main(["fixture", "--help"]) == 0
+    listed = capsys.readouterr().out.split("one of:", 1)[1].split("target", 1)[0]
+    # argparse wraps the help text, at spaces and after hyphens
+    assert "".join(listed.split()) == ",".join(fixture_names())
+
+
 def test_fixture_without_target_writes_to_out(tmp_path, capsys):
     out = tmp_path / "c4.json"
     assert main(["fixture", "c4", "--out", str(out)]) == 0
@@ -345,7 +352,7 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
     (["davis", "{point}", "-n", "200000"], None,
      "radius 200000 is not below the bound of 200000 vertices"),
     (["fixture", "klein-bottle"], None,
-     '"unknown fixture \'klein-bottle\'; known: %s"' % ", ".join(fixture_names())),
+     "unknown fixture 'klein-bottle'; known: %s" % ", ".join(fixture_names())),
     (["lk", "simplicial", "{c4}", "{missing}"], None, "bad link: " + _MISSING),
     (["lk", "diagram", "{missing}"], None, "bad diagram: " + _MISSING),
     (["verify", "{simplex4}"], None,

@@ -1,21 +1,28 @@
 """Every name a ``flatlink`` module or a test module imports is used in it,
-and every module-level private function or class of ``flatlink`` is used
-somewhere in ``flatlink``.
+every module-level private function or class of ``flatlink`` is used
+somewhere in ``flatlink``, each command loads only the modules it runs,
+and every lazy package export resolves.
 
 No linter ships with the toolchain, so the checks read the source with
-``ast``.  ``__init__`` is skipped by the import check: its imports are the
-package's exports.
+``ast``.  ``__init__`` imports no export, so the import check covers it
+too.  The modules a command loads are read from ``sys.modules`` in a fresh
+interpreter after ``cli.main`` returns.
 """
 
 import ast
+import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import flatlink
+
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(TESTS, os.pardir, "src", "flatlink")
-MODULES = sorted(name for name in os.listdir(SRC)
-                 if name.endswith(".py") and name != "__init__.py")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 TEST_MODULES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
@@ -81,3 +88,71 @@ def test_every_private_function_and_class_is_referenced():
             with open(os.path.join(SRC, name), "r", encoding="utf-8") as fh:
                 sources[name] = fh.read()
     assert unreferenced_privates(sources) == []
+
+
+def _loaded_modules(code, *args):
+    """The ``flatlink`` modules in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter; ``code`` sees ``args`` as ``sys.argv[1:]``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.abspath(SRC)), env.get("PYTHONPATH")]))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'flatlink')))")
+    proc = subprocess.run([sys.executable, "-c", code] + list(args), env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_modules("import flatlink") == ["flatlink"]
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["--version"], 0, []),
+    (["davis", "{c4}", "-n", "1"], 0, ["coxeter"]),
+    (["pk", "{c4}", "--homology"], 0, ["cubes", "homology"]),
+    (["verify", "{c4}"], 1, ["homology"]),
+    (["obstruct", "{c4}"], 1, ["homology", "links"]),
+    (["lk", "simplicial", "{c4}", "{link}"], 1, ["homology", "links"]),
+    (["lk", "diagram", "{diagram}"], 0, ["homology", "links"]),
+    (["fixture", "c4"], 0, []),
+], ids=["--version", "davis", "pk --homology", "verify", "obstruct", "lk simplicial",
+        "lk diagram", "fixture"])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path):
+    # the parser's ``fixture`` help reads the registry: cli, complexes and
+    # fixtures are loaded by every call
+    files = {"c4": {"vertices": 4, "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+             "link": {"components": [[0, 1, 2, 3]], "orientations": [1]},
+             "diagram": {"m": 2, "crossings": [{"over": 0, "under": 1, "sign": 1},
+                                               {"over": 1, "under": 0, "sign": 1}],
+                         "order": [[0, 1], [0, 1]]}}
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    runner = ("import contextlib, io, sys\nfrom flatlink import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "assert code == %d, code" % code)
+    modules = _loaded_modules(runner, *[a.format(**paths) for a in argv])
+    assert modules == sorted(["flatlink"] + ["flatlink." + m for m in
+                                             ["cli", "complexes", "fixtures"] + loaded])
+
+
+def test_every_export_is_its_module_object():
+    # a name or module misspelt in the export table fails only here
+    assert flatlink.__all__
+    for name in flatlink.__all__:
+        module = importlib.import_module("flatlink." + flatlink._EXPORTS[name])
+        assert getattr(flatlink, name) is getattr(module, name), name
+
+
+def test_unknown_export_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'flatlink' has no attribute 'nope'"):
+        flatlink.nope
+
+
+def test_no_export_is_named_like_a_submodule():
+    # the import system binds a loaded submodule over a package attribute
+    assert set(flatlink.__all__).isdisjoint(flatlink._EXPORTS.values())

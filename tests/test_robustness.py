@@ -118,7 +118,7 @@ def test_pk_homology_past_the_ground_bound_exits_2_before_any_work(tmp_path, mon
         raise AssertionError("pk did work past the ground bound")
 
     for name in ("pk_homology", "pk_f_vector", "build_pk"):
-        monkeypatch.setattr("flatlink.cli." + name, visited)
+        monkeypatch.setattr("flatlink.cubes." + name, visited)
     path = str(tmp_path / "points.json")
     SimplicialComplex(25, [(i,) for i in range(25)]).dump(path)
     rc, err = _run(["pk", path, "--homology"])
