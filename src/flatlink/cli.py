@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .complexes import SimplicialComplex
@@ -60,8 +61,36 @@ def _emit(report, opts):
             lines.append("%-32s %s" % (name, verdict))
         text = "\n".join(lines) if lines else "(no checks)"
     else:
-        text = json.dumps(report, sort_keys=True, indent=2, default=str)
+        text = _json_text(report)
     _put(text, opts.out)
+
+
+def _json_text(obj, indent="\n"):
+    """The text json writes for ``obj`` with sorted keys, ``default=str`` and
+    two-space indents.  A container's text is one ``str.join`` of pieces that
+    hold its items' texts as they are, so a long text is copied once a level."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
+        return "[" + inner + sep.join(map(int.__repr__, obj)) + indent + "]"
+    if isinstance(obj, (list, tuple)) and obj:
+        pieces = ["[" + inner]
+        for x in obj:
+            pieces += (_json_text(x, inner), sep)
+        pieces[-1] = indent + "]"
+    elif isinstance(obj, dict) and obj:
+        pieces = ["{" + inner]
+        for k, v in sorted(obj.items()):
+            # json's own text of {k: 0} gives a key that is not a str, or its TypeError
+            key = (encode_basestring_ascii(k) if isinstance(k, str)
+                   else json.dumps({k: 0})[1:-4])
+            pieces += (key, ": ", _json_text(v, inner), sep)
+        pieces[-1] = indent + "}"
+    else:
+        return json.dumps(obj, default=str)  # scalars, empty containers
+    return "".join(pieces)
 
 
 def _put(text, out):

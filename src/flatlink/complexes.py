@@ -218,10 +218,10 @@ class Square(NamedTuple):
         if len({a, b, c, d}) != 4:
             raise ValueError("square vertices must be distinct")
         for u, v in ((a, b), (b, c), (c, d), (d, a)):
-            if not complex_.has_face((u, v)):
+            if not (0 <= u < complex_.vertex_count and v in complex_.neighbors(u)):
                 raise ValueError("square side (%d,%d) is not an edge" % (u, v))
         for u, v in ((a, c), (b, d)):
-            if complex_.has_face((u, v)):
+            if v in complex_.neighbors(u):
                 raise ValueError("square diagonal (%d,%d) is an edge" % (u, v))
 
 
@@ -246,6 +246,7 @@ def is_flag(complex_):
     size = 2
     while current:
         size += 1
+        is_face = complex_._faces_small.__contains__ if size <= 4 else complex_.has_face
         nxt = []
         for face in current:
             last = face[-1]
@@ -256,10 +257,10 @@ def is_flag(complex_):
                 if v <= last:
                     continue
                 cand = face + (v,)
-                # all (size-1)-subsets must be faces for minimality
-                if all(complex_.has_face(cand[:i] + cand[i + 1:])
-                       for i in range(size)):
-                    if not complex_.has_face(cand):
+                # each (size-1)-subset must be a face (face is; so are a triangle's sides)
+                if size == 3 or all(is_face(cand[:i] + cand[i + 1:])
+                                    for i in range(size - 1)):
+                    if not is_face(cand):
                         return FlagReport(False, cand)
                     nxt.append(cand)
         current = nxt
@@ -298,11 +299,14 @@ def scan_nonadjacent_pairs(complex_):
                     if p < x and y not in adj[x]:
                         squares.append(Square((p, x, q, y)))
             for x, y, z in combinations(mids, 3):
-                edges = [(u, v) for u, v in ((x, y), (x, z), (y, z)) if v in adj[u]]
-                if not edges:
+                xy, xz, yz = y in adj[x], z in adj[x], z in adj[y]
+                if not (xy or xz or yz):
                     kind = "3-points"
-                elif (len(edges) == 1 and complex_.has_face((p,) + edges[0])
-                      and complex_.has_face((q,) + edges[0])):
+                elif xy + xz + yz == 1:
+                    u, v = (x, y) if xy else (x, z) if xz else (y, z)
+                    if (tuple(sorted((p, u, v))) not in complex_._faces_small
+                            or tuple(sorted((q, u, v))) not in complex_._faces_small):
+                        continue
                     kind = "edge-point"
                 else:
                     continue

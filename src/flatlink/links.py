@@ -52,7 +52,7 @@ class EdgeCycleLink:
                 raise ValueError("component %d must have >= 3 distinct vertices" % ci)
             for k in range(len(comp)):
                 u, v = comp[k], comp[(k + 1) % len(comp)]
-                if not ambient.has_face(tuple(sorted((u, v)))):
+                if v not in ambient.neighbors(u):
                     raise ValueError("component %d uses non-edge (%d,%d)" % (ci, u, v))
             overlap = seen & set(comp)
             if overlap:

@@ -9,13 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatlink.cli import _parser, main
-from flatlink.complexes import SimplicialComplex, disjoint_union
+from flatlink import cli
+from flatlink.cli import _json_text, _parser, main
+from flatlink.complexes import SimplicialComplex, disjoint_union, find_squares
 from flatlink.coxeter import Racg
 from flatlink.fixtures import fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
-from flatlink.links import LinkingMatrix
+from flatlink.links import EdgeCycleLink, LinkingMatrix
 
 from test_fixtures import corpus_properties
 
@@ -475,3 +478,90 @@ def test_davis_resource_bound_is_input_error(write_fixture, tmp_path):
     k = fixture("boundary-16-cell")
     with pytest.raises(ResourceLimitError, match="bound"):
         davis_ball(racg_from_skeleton(k), k, 3, max_vertices=10)
+
+
+# -- the report writer --------------------------------------------------------
+
+def _indented(value):
+    """The oracle: json's own (pure-Python) indented encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, default=str)
+
+
+class _Opaque:
+    """Not JSON: both writers fall back to ``str``."""
+
+    def __str__(self):
+        return 'opaque "é"\n'
+
+
+_scalars = st.one_of(
+    st.text(), st.sampled_from(["", "a\nb\t\"\\[]{}", "é中\U0001f600", "\x00\x7f"]),
+    st.integers(), st.sampled_from([10 ** 30, -10 ** 30, -1, 0]), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True), st.just(_Opaque()))
+# json sorts the items of a dict, so every dict has keys of a single type
+_keys = st.sampled_from([st.text(), st.integers(), st.floats(allow_nan=False),
+                         st.booleans(), st.none()])
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=5)
+    return st.one_of(lists, lists.map(tuple),
+                     _keys.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)))
+
+
+@settings(max_examples=300)
+@given(st.recursive(_scalars, _containers, max_leaves=40))
+def test_report_writer_equals_the_indented_json_encoder(value):
+    assert _json_text(value) == _indented(value)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_registry_reports_are_written_as_the_indented_json_encoder(name, write_fixture,
+                                                                    tmp_path, monkeypatch):
+    path = write_fixture(name)
+    reports = []
+
+    def recorded(*args):
+        reports.append(report_(*args))
+        return reports[-1]
+
+    report_ = cli._report
+    monkeypatch.setattr(cli, "_report", recorded)
+    for argv in (["verify", path], ["obstruct", path], ["davis", path, "-n", "1"]):
+        out = tmp_path / "report.json"
+        main(argv + ["--out", str(out)])
+        assert out.read_text(encoding="utf-8") == _indented(reports[-1]) + "\n"
+    assert len(reports) == 3
+
+
+def test_large_verify_takes_neither_the_indented_encoder_nor_sorting_lookups(
+        write_fixture, tmp_path, monkeypatch):
+    """Verify on a subdivided sphere stays off json's pure-Python indented
+    encoder and off ``has_face``, which sorts its argument; a lapse fails here."""
+    path = write_fixture("sd-boundary-4-simplex")
+    rc, report = run_json(["verify", path], tmp_path, "before.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow path taken")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    monkeypatch.setattr(SimplicialComplex, "has_face", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    out = tmp_path / "after.json"
+    assert main(["verify", path, "--out", str(out)]) == rc == 1
+    text = out.read_text(encoding="utf-8")
+    # the square and link edge tests ask the adjacency sets too
+    k = SimplicialComplex.load(path)
+    squares = find_squares(k)
+    for square in squares:
+        square.validate(k)
+    assert len(EdgeCycleLink(k, [squares[0].cycle])) == 1
+    monkeypatch.undo()
+    after = json.loads(text)
+    assert text == _indented(after) + "\n"
+    report.pop("timing_ms")
+    after.pop("timing_ms")
+    assert after == report
+    assert report["checks"]["is_flag"] is True
+    assert len(report["checks"]["caprace_witnesses"]) > 0

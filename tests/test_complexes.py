@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
-                                barycentric_subdivision, clique_complex, find_squares,
-                                full_subcomplex, has_isolated_squares, is_flag, join,
-                                maximal_faces, oriented_subdivision, vertex_link)
+                                barycentric_subdivision, clique_complex, disjoint_union,
+                                find_squares, full_subcomplex, has_isolated_squares,
+                                is_flag, join, maximal_faces, oriented_subdivision,
+                                vertex_link)
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import is_closed_orientable_3manifold
 
@@ -79,6 +80,44 @@ def test_flag_witness_is_minimal_nonface_clique():
         assert k.has_face(w[:i] + w[i + 1:])
 
 
+def _shuffled(k, seed):
+    perm = list(range(k.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return SimplicialComplex(k.vertex_count,
+                             sorted(tuple(sorted(perm[v] for v in f)) for f in k.facets))
+
+
+def _decagon():
+    return SimplicialComplex(10, sorted(tuple(sorted((i, (i + 1) % 10))) for i in range(10)))
+
+
+# The witness is part of the verify report.  Candidates grow in the set order
+# of the common neighbourhoods; on the shuffled RP^2_6 beside a 10-cycle that
+# order is not the sorted one, which would give (0, 4, 6).  The 4-dimensional
+# complexes take the facet scan of ``has_face`` for cliques of 5 and 6.
+@pytest.mark.parametrize("complex_, witness", [
+    (fixture("boundary-3-simplex"), (0, 1, 2, 3)),
+    (fixture("boundary-4-simplex"), (0, 1, 2, 3, 4)),
+    (fixture("projective-plane-6"), (0, 1, 2)),
+    (fixture("s2-x-s1"), (0, 1, 2)),
+    (fixture("torus-7"), (0, 1, 2)),
+    (_shuffled(disjoint_union(_decagon(), fixture("projective-plane-6")), 0), (0, 4, 8)),
+    (SimplicialComplex(6, list(combinations(range(6), 5))), (0, 1, 2, 3, 4, 5)),
+    (join(fixture("boundary-4-simplex"), SimplicialComplex(2, [(0,), (1,)])),
+     (0, 1, 2, 3, 4)),
+], ids=["boundary-3-simplex", "boundary-4-simplex", "projective-plane-6", "s2-x-s1",
+        "torus-7", "shuffled rp2 beside c10", "boundary-5-simplex",
+        "suspension of boundary-4-simplex"])
+def test_flag_witness_is_pinned(complex_, witness):
+    assert is_flag(complex_) == (False, witness)
+
+
+def test_every_non_flag_registry_fixture_has_a_pinned_witness():
+    pinned = {"boundary-3-simplex", "boundary-4-simplex", "projective-plane-6",
+              "s2-x-s1", "torus-7"}
+    assert {n for n in fixture_names() if not is_flag(fixture(n)).is_flag} == pinned
+
+
 def test_flag_matches_oracle_on_random_complexes():
     rng = random.Random(7)
     for _ in range(30):
@@ -130,6 +169,13 @@ def test_square_invariants_validate():
         k = fixture(name)
         for s in find_squares(k):
             s.validate(k)
+
+
+@pytest.mark.parametrize("cycle, side", [
+    ((0, 1, 2, 4), (2, 4)), ((4, 1, 2, 3), (4, 1)), ((-1, 1, 2, 3), (-1, 1))])
+def test_square_validate_rejects_vertices_outside_the_complex(cycle, side):
+    with pytest.raises(ValueError, match=r"square side \(%d,%d\) is not an edge" % side):
+        Square(cycle).validate(fixture("c4"))
 
 
 def test_square_canonical_form_is_dihedral_least():
