@@ -8,7 +8,7 @@ unions, joins, clique complexes and the (oriented) barycentric subdivision.
 
 import json
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from typing import NamedTuple, Optional
 
 
@@ -19,71 +19,86 @@ class InvalidComplexError(ValueError):
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
-    Vertices are 0..vertex_count-1, every vertex appears in some facet,
-    and no facet contains another.  Faces up to dimension 3 are hashed at
-    construction; higher faces are answered by scanning facets.  The
-    facets at each vertex are listed on the first call of ``star``.
+    Vertices are the ints 0..vertex_count-1, every vertex appears in some
+    facet, and no facet contains another; construction checks this and
+    builds nothing else.  The first query that needs them hashes the faces
+    up to dimension 3, builds the vertex adjacency or lists the facets at
+    each vertex.  Higher faces are answered by scanning facets.
     """
 
-    __slots__ = ("vertex_count", "facets", "_faces_small", "_adj", "_stars")
+    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_stars")
 
     def __init__(self, vertex_count, facets):
         self.vertex_count = int(vertex_count)
+        if self.vertex_count < 0:
+            raise InvalidComplexError("vertex count %d is negative" % self.vertex_count)
         seen = set()
         clean = []
         for idx, f in enumerate(facets):
             t = tuple(f)
-            if list(t) != sorted(set(t)):
-                raise InvalidComplexError(
-                    "facet #%d (%r) is not sorted and duplicate-free" % (idx, f))
             if not t:
                 raise InvalidComplexError("empty facet")
+            if set(map(type, t)) != {int}:
+                raise InvalidComplexError("facet #%d is not a list of integers" % idx)
+            if any(map(int.__ge__, t, t[1:])):
+                raise InvalidComplexError(
+                    "facet #%d (%r) is not sorted and duplicate-free" % (idx, f))
             if t[0] < 0 or t[-1] >= self.vertex_count:
                 raise InvalidComplexError("facet %r has a vertex out of range" % (f,))
             if t in seen:
                 raise InvalidComplexError("facet %r listed twice" % (f,))
             seen.add(t)
             clean.append(t)
-        clean.sort(key=lambda t: (len(t), t))
+        clean.sort()
+        clean.sort(key=len)  # stable: ordered by (size, lex)
         self.facets = tuple(clean)
-
-        # hash all faces of dimension <= 3 (size <= 4)
-        small = set()
-        for f in self.facets:
-            k = min(len(f), 4)
-            for size in range(1, k + 1):
-                small.update(combinations(f, size))
-        self._faces_small = frozenset(small)
+        self._small_table = self._adj_table = self._stars = None
 
         # facet vertices lie in range(vertex_count): equal sizes mean all are
         # covered, and the first uncovered vertex is at most len(covered)
-        covered = {v for f in self.facets for v in f}
+        covered = set().union(*clean)
         if len(covered) != self.vertex_count:
             first = next(v for v in range(self.vertex_count) if v not in covered)
             raise InvalidComplexError(
                 "vertex %d appears in no facet (%d of %d covered)"
                 % (first, len(covered), self.vertex_count))
 
-        # no facet contains another; only cross-size pairs can violate this
-        by_size = {}
-        for f in self.facets:
-            by_size.setdefault(len(f), []).append(f)
+        # no facet contains another: each size, largest first, is tested
+        # against all bigger ones; the smallest is never tested against
+        by_size = [list(g) for _, g in groupby(clean, len)][::-1]
         bigger = []
-        for size in sorted(by_size, reverse=True):
-            for f in by_size[size]:
+        for prev, group in zip(by_size, by_size[1:]):
+            bigger.extend(map(set, prev))
+            for f in group:
                 fs = set(f)
                 for g in bigger:
                     if fs <= g:
                         raise InvalidComplexError(
                             "facet %r contained in facet %r" % (f, tuple(sorted(g))))
-            bigger.extend(set(f) for f in by_size[size])
 
-        adj = [set() for _ in range(self.vertex_count)]
-        for (u, v) in self.faces(1):
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._stars = None
+    # Tables built on first read: each is built in full, then stored in one
+    # assignment, so a concurrent reader sees no table or a complete one.
+
+    @property
+    def _faces_small(self):
+        """Every face of dimension <= 3 (size <= 4), hashed."""
+        if self._small_table is None:
+            small = set()
+            for f in self.facets:
+                for size in range(1, min(len(f), 4) + 1):
+                    small.update(combinations(f, size))
+            self._small_table = frozenset(small)
+        return self._small_table
+
+    @property
+    def _adj(self):
+        if self._adj_table is None:
+            adj = [set() for _ in range(self.vertex_count)]
+            for (u, v) in self.faces(1):
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj_table = tuple(frozenset(s) for s in adj)
+        return self._adj_table
 
     # -- basic queries ---------------------------------------------------
 
@@ -105,14 +120,6 @@ class SimplicialComplex:
                 out.update(combinations(f, size))
         return sorted(out)
 
-    def all_faces(self):
-        """Every nonempty face, sorted by (dimension, lex)."""
-        out = set()
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                out.update(combinations(f, size))
-        return sorted(out, key=lambda t: (len(t), t))
-
     def dim(self):
         return max(len(f) for f in self.facets) - 1 if self.facets else -1
 
@@ -122,10 +129,6 @@ class SimplicialComplex:
             for size in range(1, len(f) + 1):
                 counts.setdefault(size, set()).update(combinations(f, size))
         return tuple(len(counts[s]) for s in sorted(counts))
-
-    def euler_characteristic(self):
-        fv = self.f_vector()
-        return sum((-1) ** d * c for d, c in enumerate(fv))
 
     def neighbors(self, v):
         return self._adj[v]
@@ -175,7 +178,7 @@ class SimplicialComplex:
         if type(vertices) is not int or vertices < 0:
             raise InvalidComplexError("'vertices' must be a non-negative integer")
         for idx, f in enumerate(facets):
-            if not isinstance(f, list) or not all(type(v) is int for v in f):
+            if not isinstance(f, list):
                 raise InvalidComplexError("facet #%d is not a list of integers" % idx)
         return cls(vertices, facets)
 
@@ -210,20 +213,6 @@ class Square(NamedTuple):
                   (d, c, b, a), (c, b, a, d), (b, a, d, c), (a, d, c, b)]
         return Square(min(images))
 
-    def vertices(self):
-        return frozenset(self.cycle)
-
-    def validate(self, complex_):
-        a, b, c, d = self.cycle
-        if len({a, b, c, d}) != 4:
-            raise ValueError("square vertices must be distinct")
-        for u, v in ((a, b), (b, c), (c, d), (d, a)):
-            if not (0 <= u < complex_.vertex_count and v in complex_.neighbors(u)):
-                raise ValueError("square side (%d,%d) is not an edge" % (u, v))
-        for u, v in ((a, c), (b, d)):
-            if v in complex_.neighbors(u):
-                raise ValueError("square diagonal (%d,%d) is an edge" % (u, v))
-
 
 class FlagReport(NamedTuple):
     is_flag: bool
@@ -242,17 +231,19 @@ def is_flag(complex_):
     found missing has all proper subsets present: it is a minimal
     non-spanning clique.
     """
+    adj = complex_._adj
+    small = complex_._faces_small
     current = [tuple(f) for f in complex_.faces(1)]
     size = 2
     while current:
         size += 1
-        is_face = complex_._faces_small.__contains__ if size <= 4 else complex_.has_face
+        is_face = small.__contains__ if size <= 4 else complex_.has_face
         nxt = []
         for face in current:
             last = face[-1]
-            common = complex_._adj[face[0]]
+            common = adj[face[0]]
             for v in face[1:]:
-                common = common & complex_._adj[v]
+                common = common & adj[v]
             for v in common:
                 if v <= last:
                     continue
@@ -284,6 +275,7 @@ def scan_nonadjacent_pairs(complex_):
     (the suspension of an edge and a point).
     """
     adj = complex_._adj
+    small = complex_._faces_small
     squares = []
     witnesses = set()
     for p in range(complex_.vertex_count):
@@ -304,8 +296,8 @@ def scan_nonadjacent_pairs(complex_):
                     kind = "3-points"
                 elif xy + xz + yz == 1:
                     u, v = (x, y) if xy else (x, z) if xz else (y, z)
-                    if (tuple(sorted((p, u, v))) not in complex_._faces_small
-                            or tuple(sorted((q, u, v))) not in complex_._faces_small):
+                    if (tuple(sorted((p, u, v))) not in small
+                            or tuple(sorted((q, u, v))) not in small):
                         continue
                     kind = "edge-point"
                 else:

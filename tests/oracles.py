@@ -10,7 +10,9 @@ barycentric subdivision, the subdivision itself from recursively enumerated
 chains of faces, Smith invariants by Bezout elimination with no pivot
 strategy, homology from one independent Smith form per boundary, without
 clearing, and the class map of a cokernel Z by rational
-Gauss-Jordan elimination.
+Gauss-Jordan elimination.  Also the helpers only the tests use: every face,
+the Euler characteristic, square validation and the eagerly built face
+tables.
 """
 
 from fractions import Fraction
@@ -24,6 +26,48 @@ from flatlink.cubes import _unmask
 from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
 from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
                             _cycle_chain, _edge_link_cycle, _skeleton)
+
+
+def all_faces(k):
+    """Every nonempty face, sorted by (dimension, lex)."""
+    out = set()
+    for f in k.facets:
+        for size in range(1, len(f) + 1):
+            out.update(combinations(f, size))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def euler_characteristic(k):
+    return sum((-1) ** d * c for d, c in enumerate(k.f_vector()))
+
+
+def validate_square(square, k):
+    """Raise ValueError unless the square's sides are edges of k and its
+    diagonals are not."""
+    a, b, c, d = square.cycle
+    if len({a, b, c, d}) != 4:
+        raise ValueError("square vertices must be distinct")
+    for u, v in ((a, b), (b, c), (c, d), (d, a)):
+        if not (0 <= u < k.vertex_count and v in k.neighbors(u)):
+            raise ValueError("square side (%d,%d) is not an edge" % (u, v))
+    for u, v in ((a, c), (b, d)):
+        if v in k.neighbors(u):
+            raise ValueError("square diagonal (%d,%d) is an edge" % (u, v))
+
+
+def eager_tables(k):
+    """The face hash (sizes <= 4) and the vertex adjacency, built eagerly
+    from the facets and the sorted edge list: what the library's tables,
+    built on first read, must equal."""
+    small = set()
+    for f in k.facets:
+        for size in range(1, min(len(f), 4) + 1):
+            small.update(combinations(f, size))
+    adj = [set() for _ in range(k.vertex_count)]
+    for (u, v) in k.faces(1):
+        adj[u].add(v)
+        adj[v].add(u)
+    return frozenset(small), tuple(frozenset(s) for s in adj)
 
 
 def brute_force_is_flag(k):
@@ -178,7 +222,7 @@ def brute_force_davis_ball(group, complex_, radius):
     cell at g, (min_coset_rep(g, J), J), is a cell of the ball.
     """
     vertices = frozenset(group.ball(radius))
-    simplices = complex_.all_faces()
+    simplices = all_faces(complex_)
 
     def cell_vertices(rep, J):
         verts = [rep]
@@ -238,7 +282,7 @@ def chain_subdivision(k):
     faces are numbered by (dimension, lex).  Returns the subdivision and
     the face -> id map.
     """
-    face_id = {f: i for i, f in enumerate(k.all_faces())}
+    face_id = {f: i for i, f in enumerate(all_faces(k))}
     facets = [tuple(face_id[c] for c in chain)
               for top in k.facets for chain in _chains_of(top)]
     return SimplicialComplex(len(face_id), facets), face_id

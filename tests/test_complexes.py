@@ -1,6 +1,8 @@
 """Core simplicial predicates, checked against brute-force oracles."""
 
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -12,14 +14,15 @@ from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
                                 find_squares, full_subcomplex, has_isolated_squares,
                                 is_flag, join, maximal_faces, oriented_subdivision,
                                 vertex_link)
-from flatlink.fixtures import fixture, fixture_names
+from flatlink.fixtures import check_hypotheses, fixture, fixture_names
 from flatlink.homology import is_closed_orientable_3manifold
 
 
 # -- independent oracles ----------------------------------------------------
 
 from oracles import (brute_force_is_flag, brute_force_squares, chain_subdivision,
-                     random_flag_complex)
+                     eager_tables, euler_characteristic, random_flag_complex,
+                     validate_square)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -49,6 +52,150 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "octa.json"
     k.dump(path)
     assert SimplicialComplex.load(path) == k
+
+
+# Every construction message, in the order the checks run.  Vertices are
+# refused unless their type is int, so bools and floats are refused too.
+@pytest.mark.parametrize("vertex_count, facets, message", [
+    (-1, [], "vertex count -1 is negative"),
+    (3, [(0, 1, 2), ()], "empty facet"),
+    (2, [[0, 1.0]], "facet #0 is not a list of integers"),
+    (2, [(0,), [0, True]], "facet #1 is not a list of integers"),
+    (2, [["a", 1]], "facet #0 is not a list of integers"),
+    (3, [(1, 0)], "facet #0 ((1, 0)) is not sorted and duplicate-free"),
+    (3, [(0, 1, 2), [0, 0, 1]], "facet #1 ([0, 0, 1]) is not sorted and duplicate-free"),
+    (2, [(0, 3)], "facet (0, 3) has a vertex out of range"),
+    (2, [(-1, 0)], "facet (-1, 0) has a vertex out of range"),
+    (2, [(0, 1), [0, 1]], "facet [0, 1] listed twice"),
+    (3, [(0, 1)], "vertex 2 appears in no facet (2 of 3 covered)"),
+    (1, [], "vertex 0 appears in no facet (0 of 1 covered)"),
+    (3, [(0, 1, 2), (0, 1)], "facet (0, 1) contained in facet (0, 1, 2)"),
+    (5, [(0, 1, 2, 3), (3, 4), (4,)], "facet (4,) contained in facet (3, 4)"),
+    (5, [(0, 1, 2, 3), (3, 4), (0,)], "facet (0,) contained in facet (0, 1, 2, 3)"),
+], ids=["negative count", "empty", "float", "bool", "str", "unsorted", "duplicate vertex",
+        "above range", "below range", "repeated", "uncovered", "no facets",
+        "contained", "contained in the next size", "contained two sizes up"])
+def test_constructor_messages_are_pinned(vertex_count, facets, message):
+    with pytest.raises(InvalidComplexError) as exc:
+        SimplicialComplex(vertex_count, facets)
+    assert str(exc.value) == message
+
+
+# -- lazy tables ---------------------------------------------------------------
+
+def _built(k):
+    """The names of the lazy tables built so far on k."""
+    return [name for name in ("_small_table", "_adj_table", "_stars")
+            if getattr(k, name) is not None]
+
+
+def _assert_tables_match_oracle(k):
+    small, adj = eager_tables(k)
+    fresh = SimplicialComplex(k.vertex_count, k.facets)
+    assert _built(fresh) == []
+    assert fresh._faces_small == small
+    assert fresh._adj == adj
+    assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
+    for d in range(fresh.dim() + 1):
+        assert fresh.faces(d) == sorted({g for f in k.facets
+                                         for g in combinations(f, d + 1)})
+    # each star lists facets through v in facet order, and the stars hold
+    # every (vertex, facet) incidence: so each is all the facets through v
+    position = {f: i for i, f in enumerate(k.facets)}
+    for v in range(k.vertex_count):
+        star = fresh.star(v)
+        assert all(v in f for f in star)
+        assert [position[f] for f in star] == sorted(set(position[f] for f in star))
+    assert sum(len(fresh.star(v)) for v in range(k.vertex_count)) == sum(map(len, k.facets))
+    # built once: later reads return the stored tables
+    assert fresh._faces_small is fresh._faces_small and fresh._adj is fresh._adj
+    # read in the other order, from a second fresh copy
+    other = SimplicialComplex(k.vertex_count, k.facets)
+    assert other._adj == adj and other._faces_small == small
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_lazy_tables_match_eager_oracle_on_registry(name):
+    k = fixture(name)
+    _assert_tables_match_oracle(k)
+    _assert_tables_match_oracle(barycentric_subdivision(k))
+
+
+@st.composite
+def _small_complexes(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6),
+                          max_size=8))
+    faces = [tuple(sorted(f)) for f in faces] + [(v,) for v in range(n)]
+    return SimplicialComplex(n, maximal_faces(faces))
+
+
+@given(_small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_lazy_tables_match_eager_oracle_on_generated_complexes(k):
+    _assert_tables_match_oracle(k)
+
+
+def test_construction_and_subdivision_build_no_table():
+    base = fixture("sd-boundary-4-simplex")
+    k = SimplicialComplex(base.vertex_count, base.facets)
+    sd = barycentric_subdivision(k)
+    assert (sd.vertex_count, len(sd.facets)) == (540, 2880)
+    again = SimplicialComplex(sd.vertex_count, sd.facets)
+    assert _built(k) == _built(sd) == _built(again) == []
+
+
+def test_concurrent_first_reads_see_complete_tables():
+    base = barycentric_subdivision(fixture("boundary-16-cell"))
+    small, adj = eager_tables(base)
+    k = SimplicialComplex(base.vertex_count, base.facets)
+    barrier = threading.Barrier(6)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=10)
+        # copies taken at once: a table published before it is full shows here
+        seen.append((frozenset(k._faces_small), tuple(map(frozenset, k._adj)), k.star(0)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    star0 = tuple(f for f in base.facets if 0 in f)
+    assert seen == [(small, adj, star0)] * 6
+
+
+def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
+    builds = []
+
+    def counting(name, slot):
+        original = vars(SimplicialComplex)[name]
+        read = original.fget if isinstance(original, property) else original
+
+        def wrapper(self, *args):
+            if getattr(self, slot) is None:
+                builds.append((slot, self))  # holding self keeps each id unique
+            return read(self, *args)
+        return property(wrapper) if isinstance(original, property) else wrapper
+
+    for name, slot in (("_faces_small", "_small_table"), ("_adj", "_adj_table"),
+                       ("star", "_stars")):
+        monkeypatch.setattr(SimplicialComplex, name, counting(name, slot))
+    base = fixture("sd-boundary-4-simplex")
+    k = SimplicialComplex(base.vertex_count, base.facets)
+    report = check_hypotheses(k)
+    assert report.checks["is_homology_3sphere"]
+    keys = [(slot, id(obj)) for slot, obj in builds]
+    assert len(keys) == len(set(keys))
+    assert sorted(slot for slot, obj in builds if obj is k) == [
+        "_adj_table", "_small_table", "_stars"]
 
 
 # -- is_flag -----------------------------------------------------------------
@@ -168,14 +315,14 @@ def test_square_invariants_validate():
     for name in ("c4", "octahedron", "boundary-16-cell", "two-squares-disjoint"):
         k = fixture(name)
         for s in find_squares(k):
-            s.validate(k)
+            validate_square(s, k)
 
 
 @pytest.mark.parametrize("cycle, side", [
     ((0, 1, 2, 4), (2, 4)), ((4, 1, 2, 3), (4, 1)), ((-1, 1, 2, 3), (-1, 1))])
 def test_square_validate_rejects_vertices_outside_the_complex(cycle, side):
     with pytest.raises(ValueError, match=r"square side \(%d,%d\) is not an edge" % side):
-        Square(cycle).validate(fixture("c4"))
+        validate_square(Square(cycle), fixture("c4"))
 
 
 def test_square_canonical_form_is_dihedral_least():
@@ -206,8 +353,8 @@ def test_isolated_implies_pairwise_disjoint():
         if has_isolated_squares(k, squares).has_isolated_squares:
             seen = set()
             for s in squares:
-                assert not (seen & s.vertices())
-                seen |= s.vertices()
+                assert not (seen & set(s.cycle))
+                seen |= set(s.cycle)
 
 
 # -- links and full subcomplexes ------------------------------------------------
@@ -287,7 +434,7 @@ def test_subdivision_always_flag():
 def test_subdivision_preserves_euler_characteristic(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     k = clique_complex(n, edges)
-    assert barycentric_subdivision(k).euler_characteristic() == k.euler_characteristic()
+    assert euler_characteristic(barycentric_subdivision(k)) == euler_characteristic(k)
 
 
 def test_subdivision_face_map_consistent():
