@@ -29,10 +29,8 @@ _EXPORTS = {name: module for module, names in (
                  "SphereReport is_closed_orientable_3manifold is_homology_3sphere "
                  "simplicial_chain_complex smith_normal_form"),
     ("links", "EdgeCycleLink LinkingInternalError LinkingMatrix ObstructionReport "
-              "ObstructionVerdict PlanarDiagram brunnian_diagram diagram_linking_matrix "
-              "hopf_diagram linking_matrix obstruction_report simplicial_linking_number "
-              "solomon_diagram subdivide_link three_chain_133_diagram whitehead_diagram "
-              "whitehead_double_diagram"),
+              "ObstructionVerdict PlanarDiagram diagram_linking_matrix linking_matrix "
+              "obstruction_report simplicial_linking_number subdivide_link"),
 ) for name in names.split()}
 __all__ = sorted(_EXPORTS)
 

@@ -94,10 +94,14 @@ class SimplicialComplex:
     def _adj(self):
         if self._adj_table is None:
             adj = [set() for _ in range(self.vertex_count)]
-            for (u, v) in self.faces(1):
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj_table = tuple(frozenset(s) for s in adj)
+            for f in self.facets:
+                for u in f:
+                    adj[u].update(f)
+            for v, s in enumerate(adj):
+                s.discard(v)
+            # each set rebuilt in ascending order, as the sorted edge list built
+            # it: is_flag's witness follows these sets' iteration order
+            self._adj_table = tuple(frozenset(set(sorted(s))) for s in adj)
         return self._adj_table
 
     # -- basic queries ---------------------------------------------------

@@ -9,7 +9,12 @@ the top face.
 
 P_K is the real moment-angle complex of K, so its f-vector and homology
 come from K without building any cell: ``pk_f_vector`` and
-``pk_homology``.  ``build_pk`` builds the cells for ``pk --cells-out``.
+``pk_homology``.  The homology splits over the full subcomplexes K_J; in a
+flag K, each K_J is first dismantled to its core by strong collapses
+(deleting a vertex u when another vertex v of J is in every maximal face
+through u, Barmak-Minian 2012), the J are tallied per core, and each
+distinct core's homology is computed once.  ``build_pk`` builds the cells
+for ``pk --cells-out``.
 """
 
 from typing import NamedTuple
@@ -137,31 +142,75 @@ def pk_f_vector(complex_):
     return tuple(f << (m - k) for k, f in enumerate((1,) + complex_.f_vector()))
 
 
+def _dominated(J, closed):
+    """The lowest vertex u of J, as a bit, with closed[u] & J inside
+    closed[v] for some other v of J; 0 when there is none."""
+    rest = J
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        star = closed[u.bit_length() - 1] & J
+        others = star ^ u
+        while others:
+            v = others & -others
+            others ^= v
+            if star & ~closed[v.bit_length() - 1] == 0:
+                return u
+    return 0
+
+
+def _core_tally(complex_):
+    """How many vertex sets J of a flag complex dismantle to each core.
+
+    A vertex u of J is dominated by another vertex v of J when
+    closed[u] & J lies inside closed[v], closed[] the closed neighbourhoods
+    as bit masks.  K_J is flag, so this holds exactly when v lies in every
+    maximal face of K_J through u; deleting u is then a strong collapse
+    of K_J onto K_(J-u) (Barmak-Minian, "Strong homotopy types, nerves and
+    collapses", Discrete Comput. Geom. 2012), which keeps the homology.
+    The core of J deletes the lowest dominated vertex and takes the core
+    of what is left, read from a table indexed by J: J - u < J, so it is
+    already filled.  Cores of one vertex, which include every cone, are
+    left out.
+    """
+    n = complex_.vertex_count
+    closed = [_mask(complex_.neighbors(v)) | 1 << v for v in range(n)]
+    core = [0] * (1 << n)
+    tally = {}
+    for J in range(1, 1 << n):
+        u = _dominated(J, closed)
+        c = core[J] = core[J ^ u] if u else J
+        if c & (c - 1):
+            tally[c] = tally.get(c, 0) + 1
+    return tally
+
+
 def pk_homology(complex_):
     """Integral homology of P_K by the polyhedral-product splitting.
 
     H~_i(P_K) is the direct sum of H~_(i-1)(K_J) over the nonempty vertex
     sets J, K_J the full subcomplex on J (Bahri-Bendersky-Cohen-Gitler,
     "The polyhedral product functor", Adv. Math. 2010), torsion included.
-    In a flag K, a J with a vertex adjacent to all others in J spans a
-    cone and contributes nothing.  Visits up to 2^|I| subsets and checks
-    no ground bound; callers run ``check_ground`` first.
+    In a flag K each J is first shrunk to its core by strong collapses
+    (``_core_tally``); a J whose core is one vertex contributes nothing,
+    and the homology of each distinct core is computed once and counted
+    once per J that has it.  A K that is not flag visits every J.  Visits
+    up to 2^|I| subsets and checks no ground bound; callers run
+    ``check_ground`` first.
     """
     n = complex_.vertex_count
     size = complex_.dim() + 2
     ranks = [1] + [0] * (size - 1)
     torsion = [[] for _ in range(size)]
-    closed = None
     if is_flag(complex_).is_flag:
-        closed = [_mask(complex_.neighbors(v)) | 1 << v for v in range(n)]
-    for J in range(1, 1 << n):
-        vertices = _unmask(J)
-        if closed is not None and any(J & ~closed[v] == 0 for v in vertices):
-            continue
-        sub = full_subcomplex(complex_, vertices)
+        tally = _core_tally(complex_).items()
+    else:
+        tally = ((J, 1) for J in range(1, 1 << n))
+    for J, count in tally:
+        sub = full_subcomplex(complex_, _unmask(J))
         for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
-            ranks[d + 1] += rank - (d == 0)
-            torsion[d + 1].extend(tors)
+            ranks[d + 1] += count * (rank - (d == 0))
+            torsion[d + 1].extend(tors * count)
     return HomologyProfile((r, _merged_torsion(t)) for r, t in zip(ranks, torsion))
 
 

@@ -266,104 +266,6 @@ def obstruction_report(matrix, nontrivial_certificate=None):
         "link; linking numbers alone cannot decide")
 
 
-# -- diagram fixtures ------------------------------------------------------
-
-def hopf_diagram():
-    """Two components crossing twice, both positive: linking number 1."""
-    return PlanarDiagram(2, [(0, 1, 1), (1, 0, 1)], [[0, 1], [0, 1]])
-
-
-def solomon_diagram():
-    """Four positive inter-component crossings: linking number 2."""
-    crossings = [(0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 0, 1)]
-    return PlanarDiagram(2, crossings, [[0, 1, 2, 3], [0, 1, 2, 3]])
-
-
-def whitehead_diagram():
-    """The clasped unlink: four cancelling inter-component crossings plus a
-    self-crossing in the clasp, linking number 0."""
-    crossings = [(0, 1, 1), (1, 0, -1), (0, 1, -1), (1, 0, 1), (1, 1, -1)]
-    return PlanarDiagram(2, crossings, [[0, 1, 2, 3], [0, 1, 2, 3, 4, 4]])
-
-
-def three_chain_133_diagram():
-    """Three components with pairwise linking numbers 1, 3 and 3."""
-    crossings = []
-    order = [[], [], []]
-
-    def clasp(a, b, count):
-        for _ in range(count):
-            for over, under in ((a, b), (b, a)):
-                idx = len(crossings)
-                crossings.append((over, under, 1))
-                order[a].append(idx)
-                order[b].append(idx)
-
-    clasp(0, 1, 1)   # Lk(0,1) = 1
-    clasp(0, 2, 3)   # Lk(0,2) = 3
-    clasp(1, 2, 3)   # Lk(1,2) = 3
-    return PlanarDiagram(3, crossings, order)
-
-
-def brunnian_diagram(m):
-    """Cyclically clasped components with cancelling signs, all pairwise
-    linking numbers zero; m = 3 is the Borromean pattern."""
-    if m < 3:
-        raise ValueError("a Brunnian pattern needs at least 3 components, got %d" % m)
-    crossings = []
-    order = [[] for _ in range(m)]
-    for i in range(m):
-        j = (i + 1) % m
-        idx = len(crossings)
-        crossings.append((i, j, 1))
-        crossings.append((j, i, -1))
-        order[i] += [idx, idx + 1]
-        order[j] += [idx, idx + 1]
-    diagram = PlanarDiagram(m, crossings, order)
-    matrix = diagram_linking_matrix(diagram)
-    if any(matrix.off_diagonal()):
-        raise AssertionError("Brunnian pattern has a nonzero pairwise sum")
-    return diagram
-
-
-def whitehead_double_diagram(m, twists):
-    """Doubled components of the m-component Brunnian pattern.
-
-    Each inter-component crossing becomes the four crossings of the two
-    parallel strands; each component gains a clasp and the given even
-    number of twist self-crossings.  All pairwise linking numbers are 0.
-    """
-    if m < 3:
-        raise ValueError("need at least 3 components, got %d" % m)
-    if twists % 2:
-        raise ValueError("twist count must be even, got %d" % twists)
-    base = brunnian_diagram(m)
-    crossings = []
-    order = [[] for _ in range(m)]
-    for (over, under, sign) in base.crossings:
-        for _ in range(4):  # two parallel strands on each side
-            idx = len(crossings)
-            crossings.append((over, under, sign))
-            order[over].append(idx)
-            order[under].append(idx)
-    for i in range(m):
-        # the clasp of the double: two cancelling self-crossings
-        for s in (1, -1):
-            idx = len(crossings)
-            crossings.append((i, i, s))
-            order[i] += [idx, idx]
-        twist_sign = 1 if twists >= 0 else -1
-        for _ in range(abs(twists)):
-            idx = len(crossings)
-            crossings.append((i, i, twist_sign))
-            order[i] += [idx, idx]
-    diagram = PlanarDiagram(m, crossings, order)
-    matrix = diagram_linking_matrix(diagram)
-    if any(matrix.off_diagonal()):
-        raise AssertionError("doubled pattern has a nonzero pairwise sum")
-    return diagram
-
-
 # -- simplicial linking numbers --------------------------------------------
 
 def _carry_cycle(cycle, face_id):

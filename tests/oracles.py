@@ -10,9 +10,10 @@ barycentric subdivision, the subdivision itself from recursively enumerated
 chains of faces, Smith invariants by Bezout elimination with no pivot
 strategy, homology from one independent Smith form per boundary, without
 clearing, and the class map of a cokernel Z by rational
-Gauss-Jordan elimination.  Also the helpers only the tests use: every face,
-the Euler characteristic, square validation and the eagerly built face
-tables.
+Gauss-Jordan elimination; the homology of P_K with one Smith-form
+homology per vertex set.  Also the helpers and fixtures only the tests use:
+every face, the Euler characteristic, square validation, the eagerly built
+face tables and the named link diagrams.
 """
 
 from fractions import Fraction
@@ -21,11 +22,12 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from flatlink.complexes import (SimplicialComplex, Square, clique_complex, full_subcomplex,
-                                maximal_faces, oriented_subdivision)
-from flatlink.cubes import _unmask
-from flatlink.homology import HomologyProfile, is_homology_3sphere, smith_normal_form
-from flatlink.links import (LinkingMatrix, _carry_cycle, _class_multiples,
-                            _cycle_chain, _edge_link_cycle, _skeleton)
+                                is_flag, maximal_faces, oriented_subdivision)
+from flatlink.cubes import _mask, _unmask
+from flatlink.homology import (HomologyProfile, _merged_torsion, homology, is_homology_3sphere,
+                               simplicial_chain_complex, smith_normal_form)
+from flatlink.links import (LinkingMatrix, PlanarDiagram, _carry_cycle, _class_multiples,
+                            _cycle_chain, _edge_link_cycle, _skeleton, diagram_linking_matrix)
 
 
 def all_faces(k):
@@ -442,3 +444,123 @@ def cokernel_functional(dense):
     ints = [int(x * lcm(*(y.denominator for y in phi))) for x in phi]
     g = gcd(*ints)
     return [x // g for x in ints]
+
+
+def pk_homology_by_subsets(complex_):
+    """Homology of P_K by the splitting, one Smith-form homology per vertex
+    set J: every J of a non-flag K, and in a flag K every J that no single
+    vertex of J is adjacent to in full (those K_J are cones)."""
+    n = complex_.vertex_count
+    size = complex_.dim() + 2
+    ranks = [1] + [0] * (size - 1)
+    torsion = [[] for _ in range(size)]
+    closed = None
+    if is_flag(complex_).is_flag:
+        closed = [_mask(complex_.neighbors(v)) | 1 << v for v in range(n)]
+    for J in range(1, 1 << n):
+        vertices = _unmask(J)
+        if closed is not None and any(J & ~closed[v] == 0 for v in vertices):
+            continue
+        sub = full_subcomplex(complex_, vertices)
+        for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
+            ranks[d + 1] += rank - (d == 0)
+            torsion[d + 1].extend(tors)
+    return HomologyProfile((r, _merged_torsion(t)) for r, t in zip(ranks, torsion))
+
+
+# -- diagram fixtures ------------------------------------------------------
+
+def hopf_diagram():
+    """Two components crossing twice, both positive: linking number 1."""
+    return PlanarDiagram(2, [(0, 1, 1), (1, 0, 1)], [[0, 1], [0, 1]])
+
+
+def solomon_diagram():
+    """Four positive inter-component crossings: linking number 2."""
+    crossings = [(0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 0, 1)]
+    return PlanarDiagram(2, crossings, [[0, 1, 2, 3], [0, 1, 2, 3]])
+
+
+def whitehead_diagram():
+    """The clasped unlink: four cancelling inter-component crossings plus a
+    self-crossing in the clasp, linking number 0."""
+    crossings = [(0, 1, 1), (1, 0, -1), (0, 1, -1), (1, 0, 1), (1, 1, -1)]
+    return PlanarDiagram(2, crossings, [[0, 1, 2, 3], [0, 1, 2, 3, 4, 4]])
+
+
+def three_chain_133_diagram():
+    """Three components with pairwise linking numbers 1, 3 and 3."""
+    crossings = []
+    order = [[], [], []]
+
+    def clasp(a, b, count):
+        for _ in range(count):
+            for over, under in ((a, b), (b, a)):
+                idx = len(crossings)
+                crossings.append((over, under, 1))
+                order[a].append(idx)
+                order[b].append(idx)
+
+    clasp(0, 1, 1)   # Lk(0,1) = 1
+    clasp(0, 2, 3)   # Lk(0,2) = 3
+    clasp(1, 2, 3)   # Lk(1,2) = 3
+    return PlanarDiagram(3, crossings, order)
+
+
+def brunnian_diagram(m):
+    """Cyclically clasped components with cancelling signs, all pairwise
+    linking numbers zero; m = 3 is the Borromean pattern."""
+    if m < 3:
+        raise ValueError("a Brunnian pattern needs at least 3 components, got %d" % m)
+    crossings = []
+    order = [[] for _ in range(m)]
+    for i in range(m):
+        j = (i + 1) % m
+        idx = len(crossings)
+        crossings.append((i, j, 1))
+        crossings.append((j, i, -1))
+        order[i] += [idx, idx + 1]
+        order[j] += [idx, idx + 1]
+    diagram = PlanarDiagram(m, crossings, order)
+    matrix = diagram_linking_matrix(diagram)
+    if any(matrix.off_diagonal()):
+        raise AssertionError("Brunnian pattern has a nonzero pairwise sum")
+    return diagram
+
+
+def whitehead_double_diagram(m, twists):
+    """Doubled components of the m-component Brunnian pattern.
+
+    Each inter-component crossing becomes the four crossings of the two
+    parallel strands; each component gains a clasp and the given even
+    number of twist self-crossings.  All pairwise linking numbers are 0.
+    """
+    if m < 3:
+        raise ValueError("need at least 3 components, got %d" % m)
+    if twists % 2:
+        raise ValueError("twist count must be even, got %d" % twists)
+    base = brunnian_diagram(m)
+    crossings = []
+    order = [[] for _ in range(m)]
+    for (over, under, sign) in base.crossings:
+        for _ in range(4):  # two parallel strands on each side
+            idx = len(crossings)
+            crossings.append((over, under, sign))
+            order[over].append(idx)
+            order[under].append(idx)
+    for i in range(m):
+        # the clasp of the double: two cancelling self-crossings
+        for s in (1, -1):
+            idx = len(crossings)
+            crossings.append((i, i, s))
+            order[i] += [idx, idx]
+        twist_sign = 1 if twists >= 0 else -1
+        for _ in range(abs(twists)):
+            idx = len(crossings)
+            crossings.append((i, i, twist_sign))
+            order[i] += [idx, idx]
+    diagram = PlanarDiagram(m, crossings, order)
+    matrix = diagram_linking_matrix(diagram)
+    if any(matrix.off_diagonal()):
+        raise AssertionError("doubled pattern has a nonzero pairwise sum")
+    return diagram

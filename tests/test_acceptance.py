@@ -5,7 +5,9 @@ Run with -s to see the per-criterion pass lines.
 
 import random
 
-from oracles import all_graphs, cokernel_functional, oracle_canonical, pk_vertex_link
+from oracles import (all_graphs, brunnian_diagram, cokernel_functional, hopf_diagram,
+                     oracle_canonical, pk_vertex_link, solomon_diagram, three_chain_133_diagram,
+                     whitehead_diagram)
 
 from flatlink.complexes import (clique_complex, find_squares, has_isolated_squares,
                                 is_flag)
@@ -15,11 +17,9 @@ from flatlink.fixtures import fixture, fixture_names, hopf_pair, split_pair
 from flatlink.homology import (HomologyProfile, IntegerMatrix, S3_PROFILE, homology,
                                is_homology_3sphere, simplicial_chain_complex,
                                smith_normal_form)
-from flatlink.links import (LinkingMatrix, ObstructionVerdict, brunnian_diagram,
-                            diagram_linking_matrix, linking_matrix,
-                            obstruction_report, simplicial_linking_number,
-                            solomon_diagram, subdivide_link, three_chain_133_diagram,
-                            whitehead_diagram)
+from flatlink.links import (LinkingMatrix, ObstructionVerdict, diagram_linking_matrix,
+                            linking_matrix, obstruction_report, simplicial_linking_number,
+                            subdivide_link)
 
 
 def _passed(n, text):
@@ -90,9 +90,7 @@ def test_criterion_4_isolated_squares_imply_caprace():
 def test_criterion_5_oracle_equivalence_hopf_and_split():
     ambient, hopf = hopf_pair()
     simp = simplicial_linking_number(ambient, hopf, 0, 1)
-    diag = diagram_linking_matrix(
-        __import__("flatlink.links", fromlist=["hopf_diagram"]).hopf_diagram()
-    ).entries[0][1]
+    diag = diagram_linking_matrix(hopf_diagram()).entries[0][1]
     assert abs(simp) == 1 and abs(diag) == 1  # equal up to the global sign
     ambient2, split = split_pair()
     assert simplicial_linking_number(ambient2, split, 0, 1) == 0

@@ -95,6 +95,8 @@ def _assert_tables_match_oracle(k):
     assert _built(fresh) == []
     assert fresh._faces_small == small
     assert fresh._adj == adj
+    # and iterates as it: is_flag's witness follows that order
+    assert [list(s) for s in fresh._adj] == [list(s) for s in adj]
     assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
     for d in range(fresh.dim() + 1):
         assert fresh.faces(d) == sorted({g for f in k.facets

@@ -3,21 +3,24 @@ homology.
 
 The splitting route (``pk_homology``, ``pk_f_vector``) is checked against
 the cells: ``homology(cubical_chain_complex(build_pk(K)))`` and
-``build_pk(K).f_vector()``.
+``build_pk(K).f_vector()``; its strong collapses are checked against one
+homology per vertex set, ``pk_homology_by_subsets``.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from flatlink.complexes import SimplicialComplex, disjoint_union, full_subcomplex
+from flatlink.complexes import SimplicialComplex, disjoint_union, full_subcomplex, join
 from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _mask, build_pk,
                             check_ground, cubical_chain_complex, pk_f_vector, pk_homology)
-from flatlink.fixtures import fixture, fixture_names
+from flatlink.fixtures import _cycle, fixture, fixture_names
 from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
                                smith_normal_form)
 
-from oracles import all_faces, oracle_invariant_factors, pk_vertex_link, random_flag_complex
+from oracles import (all_faces, oracle_invariant_factors, pk_homology_by_subsets,
+                     pk_vertex_link, random_flag_complex)
 
 
 def test_pk_point_is_segment():
@@ -157,7 +160,9 @@ SPLITTING_CASES = _splitting_cases()
 @pytest.mark.parametrize("name,k", SPLITTING_CASES, ids=[c[0] for c in SPLITTING_CASES])
 def test_pk_homology_matches_cubical_homology(name, k):
     cells = build_pk(k)
-    assert pk_homology(k) == homology(cubical_chain_complex(cells))
+    profile = pk_homology(k)
+    assert profile == homology(cubical_chain_complex(cells))
+    assert profile == pk_homology_by_subsets(k)
     f = pk_f_vector(k)
     assert f == cells.f_vector()
     assert sum((-1) ** d * c for d, c in enumerate(f)) == cells.euler_characteristic()
@@ -179,14 +184,16 @@ def test_pk_homology_pinned_values():
 
 
 def test_pk_homology_of_join_c6_c6_without_cells():
-    # 12 vertices: the cubical route takes about ten times as long
+    # 12 vertices: 168 cores stand for the 1,155 vertex sets whose core is
+    # not one vertex, and the cubical route is far slower
     k = fixture("join-c6-c6")
     assert pk_f_vector(k) == (4096, 24576, 49152, 36864, 9216)
     assert pk_homology(k) == HomologyProfile(
         [(1, ()), (68, ()), (1158, ()), (68, ()), (1, ())])
 
 
-def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
+def _recorded_full_subcomplexes(monkeypatch):
+    """The vertex tuples ``pk_homology`` takes full subcomplexes on, in order."""
     import flatlink.cubes as cubes_module
     visited = []
 
@@ -195,6 +202,11 @@ def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
         return full_subcomplex(complex_, vertices)
 
     monkeypatch.setattr(cubes_module, "full_subcomplex", recording)
+    return visited
+
+
+def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
+    visited = _recorded_full_subcomplexes(monkeypatch)
     pk_homology(fixture("c4"))  # K_J is a cone unless J holds a diagonal
     assert visited == [(0, 2), (1, 3), (0, 1, 2, 3)]
     visited.clear()
@@ -203,6 +215,40 @@ def test_pk_homology_skips_cones_of_flag_complexes(monkeypatch):
     visited.clear()
     pk_homology(fixture("projective-plane-6"))  # not flag: every J is visited
     assert len(visited) == 63
+
+
+def test_pk_homology_matches_the_subset_oracle_up_to_12_vertices():
+    rng = random.Random(41)
+    cases = [random_flag_complex(rng, max_vertices=12) for _ in range(20)]
+    cases += [join(_cycle(4), _cycle(6)), fixture("join-c6-c6")]
+    for k in cases:
+        assert pk_homology(k) == pk_homology_by_subsets(k)
+
+
+def test_pk_homology_dismantles_a_forest_to_one_vertex_per_component(monkeypatch):
+    # a connected J spans a subtree, which strong-collapses to a vertex, so
+    # only J that span no edge are left: no homology of a connected J
+    path = SimplicialComplex(6, [(i, i + 1) for i in range(5)])
+    tree = SimplicialComplex(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6)])
+    visited = _recorded_full_subcomplexes(monkeypatch)
+    for k in (path, tree):
+        visited.clear()
+        assert pk_homology(k) == pk_homology_by_subsets(k)
+        edges = set(k.faces(1))
+        assert visited
+        assert not any(e in edges for t in visited for e in combinations(t, 2))
+
+
+def test_pk_homology_takes_the_homology_of_each_core_once(monkeypatch):
+    visited = _recorded_full_subcomplexes(monkeypatch)
+    rng = random.Random(43)
+    cases = [random_flag_complex(rng, max_vertices=10) for _ in range(10)]
+    for k in cases + [fixture("join-c6-c6"), join(_cycle(4), _cycle(6))]:
+        visited.clear()
+        pk_homology(k)
+        assert len(set(visited)) == len(visited)
+    # the cone prune alone visits 183 vertex sets of join(C4,C6)
+    assert len(visited) < 183 // 3
 
 
 @pytest.mark.parametrize("coefficients,expected", [

@@ -6,7 +6,9 @@ from flatlink.complexes import SimplicialComplex, barycentric_subdivision, is_fl
 from flatlink.fixtures import (check_hypotheses, fixture, fixture_names,
                                product_triangulation, verify_type_l)
 from flatlink.homology import homology, simplicial_chain_complex
-from flatlink.links import LinkingMatrix, hopf_diagram
+from flatlink.links import LinkingMatrix
+
+from oracles import hopf_diagram
 
 
 def corpus_properties(name):

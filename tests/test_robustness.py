@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from flatlink.cli import main
 from flatlink.complexes import SimplicialComplex, clique_complex
 from flatlink.fixtures import fixture, hopf_pair, split_pair
-from flatlink.links import (hopf_diagram, solomon_diagram, three_chain_133_diagram,
-                            whitehead_diagram)
+
+from oracles import hopf_diagram, solomon_diagram, three_chain_133_diagram, whitehead_diagram
 
 SMALL_FIXTURES = ("boundary-3-simplex", "boundary-4-simplex", "c4", "octahedron",
                   "boundary-16-cell", "suspension-3-points", "suspension-edge-point",
