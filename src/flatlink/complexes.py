@@ -276,12 +276,15 @@ def scan_nonadjacent_pairs(complex_):
     its least vertex and so (p, x, q, y) its canonical cycle.  A witness is
     a triple of C(p, q) spanning no edge (the full subcomplex is the
     suspension of 3 points), or exactly one edge uv with puv and quv faces
-    (the suspension of an edge and a point).
+    (the suspension of an edge and a point).  Each 5-set comes from one
+    pair: in a 3-points witness only {p, q} is adjacent to the other three
+    vertices, and in an edge-point one w is adjacent to neither u nor v.
+    Flat int tuples are sorted, as CPython compares them faster, then wrapped.
     """
     adj = complex_._adj
     small = complex_._faces_small
     squares = []
-    witnesses = set()
+    witnesses = []
     for p in range(complex_.vertex_count):
         common = {}
         for m in adj[p]:
@@ -293,7 +296,7 @@ def scan_nonadjacent_pairs(complex_):
             for i, x in enumerate(mids):
                 for y in mids[i + 1:]:
                     if p < x and y not in adj[x]:
-                        squares.append(Square((p, x, q, y)))
+                        squares.append((p, x, q, y))
             for x, y, z in combinations(mids, 3):
                 xy, xz, yz = y in adj[x], z in adj[x], z in adj[y]
                 if not (xy or xz or yz):
@@ -306,8 +309,9 @@ def scan_nonadjacent_pairs(complex_):
                     kind = "edge-point"
                 else:
                     continue
-                witnesses.add((tuple(sorted((p, q, x, y, z))), kind))
-    return PairScan(sorted(squares), tuple(sorted(witnesses)))
+                witnesses.append((*sorted((p, q, x, y, z)), kind))
+    return PairScan([Square(c) for c in sorted(squares)],
+                    tuple((w[:5], w[5]) for w in sorted(witnesses)))
 
 
 def find_squares(complex_):

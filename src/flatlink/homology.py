@@ -5,13 +5,14 @@ point.  One Smith normal form serves the homology checks and the
 linking-number solves in ``links``.  A sparse kernel,
 ``eliminate_unit_pivots``, pivots on +-1 entries (the reduction scheme of
 Dumas-Heckenbach-Saunders-Welker, 2003), singleton rows and columns first
-through a queue, then by least Markowitz cost.  It stops when no unit
-entry is left or, checked every 64 pivots, when fill-in passes 30% of the
-live block.  Euclid steps diagonalise the dense core that is left, and
-the gcd/lcm merge ``_merged_torsion``, the one torsion merge in the
-package, turns the diagonal into invariant factors.  Vectors can be
-carried through the row operations of both eliminations, which reads off
-their classes in the cokernel; no transform matrices are built.
+through a queue, then the shortest column with a unit entry, pivoting in
+its shortest row.  It stops when no unit entry is left or, checked every
+64 pivots, when fill-in passes 30% of the live block.  Euclid steps
+diagonalise the dense core that is left, and the gcd/lcm merge
+``_merged_torsion``, the one torsion merge in the package, turns the
+diagonal into invariant factors.  Vectors can be carried through the row
+operations of both eliminations, which reads off their classes in the
+cokernel; no transform matrices are built.
 
 ``homology`` reduces top-down with clearing (Chen-Kerber 2011; Bauer-
 Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
@@ -161,27 +162,23 @@ def eliminate_unit_pivots(rows, cols, carried=()):
     +-1 entry (i, j): column operations clear row i, row operations clear
     column j, and row i and column j leave both dicts, each pivot standing
     for one invariant factor 1.  Singleton rows and columns, which cause
-    no fill-in, go first through a queue; otherwise the unit entry of least
-    Markowitz cost (|row| - 1) * (|column| - 1) is taken from a lazy heap.
-    Every carried vector ({row: value}) goes through the same row
-    operations and drops its pivot coordinates, so it keeps its class in
-    the cokernel.  The elimination stops when no unit entry is left, or
-    when fill-in passes 30% of the live block, checked every 64 pivots;
-    what is left in ``rows``/``cols`` is the core.
+    no fill-in, go first through a queue.  Otherwise the pivot is the unit
+    entry in the shortest row (ties by index) of the shortest column with
+    one, from a heap of (length, column) pairs built when the queue first
+    runs dry.  A pivot pushes the columns of row i that it leaves with two
+    or more entries; stale pairs are skipped, and a column without a unit
+    entry leaves the heap until a pivot changes it.  Every carried vector
+    ({row: value}) goes through the same row operations and drops its
+    pivot coordinates, so it keeps its class in the cokernel.  The
+    elimination stops when no unit entry is left, or when fill-in passes
+    30% of the live block, checked every 64 pivots; what is left in
+    ``rows``/``cols`` is the core.
     """
     pivots = []
     nnz = sum(len(r) for r in rows.values())
     queue = deque([("r", i) for i in sorted(rows) if len(rows[i]) == 1]
                   + [("c", j) for j in sorted(cols) if len(cols[j]) == 1])
     heap = None
-
-    def push_units(k):
-        rk = rows[k]
-        cost = len(rk) - 1
-        for j, val in rk.items():
-            if val in (1, -1):
-                heapq.heappush(heap, (cost * (len(cols[j]) - 1), k, j))
-
     while True:
         if queue:
             kind, key = queue.popleft()
@@ -193,18 +190,15 @@ def eliminate_unit_pivots(rows, cols, carried=()):
                 continue
         else:
             if heap is None:
-                heap = []
-                for k in rows:
-                    push_units(k)
+                heap = [(len(c), j) for j, c in cols.items()]
+                heapq.heapify(heap)
             while heap:
-                cost, i, j = heapq.heappop(heap)
-                if i not in rows or rows[i].get(j) not in (1, -1):
-                    continue
-                cur = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-                if cur > cost:
-                    heapq.heappush(heap, (cur, i, j))
-                    continue
-                break
+                length, j = heapq.heappop(heap)
+                if len(cols.get(j, ())) == length:
+                    units = [(len(rows[k]), k) for k, v in cols[j].items() if v in (1, -1)]
+                    if units:
+                        i = min(units)[1]
+                        break
             else:
                 return pivots
 
@@ -233,6 +227,8 @@ def eliminate_unit_pivots(rows, cols, carried=()):
                 del cols[j2]
             elif len(col_j2) == 1:
                 queue.append(("c", j2))
+            elif heap is not None:
+                heapq.heappush(heap, (len(col_j2), j2))
         # row operations: row k -= vkj * s * row i clears column j
         moving = [(vec, vec.pop(i)) for vec in carried if i in vec]
         for k, vkj in col_j.items():
@@ -247,11 +243,8 @@ def eliminate_unit_pivots(rows, cols, carried=()):
             del row_k[j]
             if not row_k:
                 del rows[k]
-                continue
-            if len(row_k) == 1:
+            elif len(row_k) == 1:
                 queue.append(("r", k))
-            if heap is not None:
-                push_units(k)
         pivots.append(i)
         if len(pivots) % 64 == 0 and rows and nnz * 10 > 3 * len(rows) * len(cols):
             return pivots

@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from flatlink.complexes import SimplicialComplex, clique_complex, has_isolated_squares
+from flatlink.complexes import (SimplicialComplex, barycentric_subdivision, clique_complex,
+                                has_isolated_squares, scan_nonadjacent_pairs)
 from flatlink.coxeter import (Racg, ResourceLimitError, caprace_criterion, davis_ball,
                               racg_from_skeleton)
 from flatlink.fixtures import fixture, fixture_names
@@ -273,6 +274,22 @@ def test_caprace_witnesses_match_five_subset_oracle():
         assert caprace_criterion(k).witnesses == brute_force_caprace_witnesses(k), name
     kinds = {kind for _, k in cases for _, kind in caprace_criterion(k).witnesses}
     assert kinds == {"3-points", "edge-point"}
+
+
+@pytest.mark.parametrize("name, squares, witnesses", [
+    ("sd-boundary-4-simplex", 6480, 20160), ("join-c10-c10", 6600, 30000)])
+def test_pair_scan_on_second_subdivisions(name, squares, witnesses):
+    # past the reach of the 5-subset oracle: each 5-set is found from one
+    # pair only, so the unsorted lists repeat nothing
+    k = barycentric_subdivision(fixture(name))
+    scan = scan_nonadjacent_pairs(k)
+    assert (len(scan.squares), len(scan.caprace_witnesses)) == (squares, witnesses)
+    assert all(a < b for a, b in zip(scan.squares, scan.squares[1:]))
+    fives = [five for five, _ in scan.caprace_witnesses]
+    assert all(a < b for a, b in zip(fives, fives[1:]))
+    for five, kind in scan.caprace_witnesses:
+        edges = sum(k.has_face(e) for e in combinations(five, 2))
+        assert edges == {"3-points": 6, "edge-point": 7}[kind], (five, kind)
 
 
 def test_isolated_squares_imply_caprace_on_corpus():

@@ -5,8 +5,10 @@ elimination of ``oracles.oracle_invariant_factors``, and homology examples
 against independently built boundary matrices.
 """
 
+import heapq
 import importlib
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.complexes import SimplicialComplex, join, vertex_link
+from flatlink.complexes import SimplicialComplex, barycentric_subdivision, join, vertex_link
 from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
@@ -229,6 +231,30 @@ def test_eliminate_unit_pivots_fill_in_fallback_matches_oracle():
     assert smith_normal_form(matrix).invariants == oracle_invariant_factors(dense)
 
 
+def test_eliminate_unit_pivots_selection_work_is_linear_on_a_manifold_boundary(monkeypatch):
+    # d_3 of sd(sd-boundary-4-simplex): 2,879 pivots on 2,880 columns, no
+    # core.  A pivot pushes only the columns it changes, one here, so the
+    # heap work stays linear; a heap of unit entries, re-pushed for every
+    # row a pivot touches, makes 57,093 pushes on this matrix
+    calls = {"heappush": 0, "heappop": 0}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return getattr(heapq, name)(*args)
+        return call
+
+    counted = types.SimpleNamespace(heapify=heapq.heapify, heappush=counting("heappush"),
+                                    heappop=counting("heappop"))
+    monkeypatch.setattr(importlib.import_module("flatlink.homology"), "heapq", counted)
+    d3 = simplicial_chain_complex(barycentric_subdivision(fixture("sd-boundary-4-simplex")))
+    rows, cols = _row_and_col_dicts(d3.boundary(3))
+    assert len(cols) == 2880
+    assert len(eliminate_unit_pivots(rows, cols)) == 2879
+    assert not rows and not cols
+    assert calls["heappush"] <= 2880 and calls["heappop"] <= 2 * 2880
+
+
 # -- chain complexes and homology -------------------------------------------------
 
 def test_chain_complex_rejects_nonzero_boundary_square():
@@ -334,7 +360,7 @@ def test_cleared_homology_matches_independent_oracle():
 
 
 @pytest.mark.parametrize("name,ops,seed", [
-    ("boundary-4-simplex", 60, 1),      # pivots stop at a core with no unit entry
+    ("boundary-4-simplex", 60, 4),      # pivots stop at a core with no unit entry
     ("join-c10-c10", 600, 1),           # pivots stop after 64, at the fill-in bound
 ])
 def test_cleared_homology_matches_oracle_on_a_partial_pivot_set(name, ops, seed):
@@ -342,11 +368,17 @@ def test_cleared_homology_matches_oracle_on_a_partial_pivot_set(name, ops, seed)
                                  random.Random(seed), ops)
     top = smith_normal_form(chain_complex.boundary(3))
     assert 0 < len(top.pivot_rows) < top.rank()
+    # each case stops for its own reason: unit entries are left in the core
+    # exactly when the fill-in bound stopped the pivots
+    rows, cols = _row_and_col_dicts(chain_complex.boundary(3))
+    assert eliminate_unit_pivots(rows, cols) == list(top.pivot_rows)
+    units_left = any(v in (1, -1) for row in rows.values() for v in row.values())
+    assert units_left == (len(top.pivot_rows) == 64)
     assert homology(chain_complex) == independent_snf_homology(chain_complex) == S3_PROFILE
 
 
 def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
-    # 800 basis changes leave d_3 of sd-boundary-4-simplex with a 173 x 56
+    # 800 basis changes leave d_3 of sd-boundary-4-simplex with a 176 x 56
     # core after 64 unit pivots; the dense Smith form finishes it
     d3 = _mixed_bases(simplicial_chain_complex(fixture("sd-boundary-4-simplex")),
                       random.Random(0), 800).boundary(3)
@@ -356,18 +388,20 @@ def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
         cols.setdefault(j, {})[i] = val
     pivots = eliminate_unit_pivots(rows, cols)
     core = [[rows[r].get(c, 0) for c in sorted(cols)] for r in sorted(rows)]
-    assert (len(pivots), len(core), len(core[0])) == (64, 173, 56)
+    assert (len(pivots), len(core), len(core[0])) == (64, 176, 56)
     matrix = IntegerMatrix.from_dense(core)
-    # the free coordinates F of the 173 unit vectors read the free part of
-    # the cokernel: F M = 0, and F maps Z^173 onto Z^(173 - rank)
-    snf, _ = _carry(matrix, _units(173), [[1] * 56, [(-1) ** j * j for j in range(56)]])
-    free = IntegerMatrix.from_dense([list(c) for c in zip(*snf.carried[:173])])
-    assert (free.rows, free.cols) == (173 - snf.rank(), 173)
+    # the free coordinates F of the 176 unit vectors read the free part of
+    # the cokernel: F M = 0, and F maps Z^176 onto Z^(176 - rank)
+    snf, _ = _carry(matrix, _units(176), [[1] * 56, [(-1) ** j * j for j in range(56)]])
+    free = IntegerMatrix.from_dense([list(c) for c in zip(*snf.carried[:176])])
+    assert (free.rows, free.cols) == (176 - snf.rank(), 176)
     assert (free @ matrix).nnz() == 0
     assert smith_normal_form(free).invariants == (1,) * free.rows
-    # a matrix and its transpose share invariant factors; the oracle's
-    # unguided Bezout steps stay short on the 56-row side
-    assert snf.invariants == oracle_invariant_factors([list(c) for c in zip(*core)])
+    # a matrix, its transpose and its row permutations share invariant
+    # factors; the oracle's unguided Bezout steps stay short on the 56-row
+    # side with the core's rows in descending order (in ascending order
+    # their entries swell, and the oracle ran past five minutes)
+    assert snf.invariants == oracle_invariant_factors([list(c) for c in zip(*core[::-1])])
     assert smith_normal_form(d3).invariants == (1,) * 64 + snf.invariants
 
 
