@@ -99,9 +99,7 @@ class SimplicialComplex:
                     adj[u].update(f)
             for v, s in enumerate(adj):
                 s.discard(v)
-            # each set rebuilt in ascending order, as the sorted edge list built
-            # it: is_flag's witness follows these sets' iteration order
-            self._adj_table = tuple(frozenset(set(sorted(s))) for s in adj)
+            self._adj_table = tuple(map(frozenset, adj))
         return self._adj_table
 
     # -- basic queries ---------------------------------------------------
@@ -231,35 +229,21 @@ class IsolatedSquaresReport(NamedTuple):
 def is_flag(complex_):
     """Check that every clique of the 1-skeleton spans a face.
 
-    Candidate cliques of size k are grown from (k-1)-faces, so any clique
-    found missing has all proper subsets present: it is a minimal
-    non-spanning clique.
-    """
-    adj = complex_._adj
-    small = complex_._faces_small
-    current = [tuple(f) for f in complex_.faces(1)]
-    size = 2
-    while current:
-        size += 1
-        is_face = small.__contains__ if size <= 4 else complex_.has_face
-        nxt = []
-        for face in current:
-            last = face[-1]
-            common = adj[face[0]]
-            for v in face[1:]:
-                common = common & adj[v]
-            for v in common:
-                if v <= last:
-                    continue
-                cand = face + (v,)
-                # each (size-1)-subset must be a face (face is; so are a triangle's sides)
-                if size == 3 or all(is_face(cand[:i] + cand[i + 1:])
-                                    for i in range(size - 1)):
-                    if not is_face(cand):
-                        return FlagReport(False, cand)
-                    nxt.append(cand)
-        current = nxt
-    return FlagReport(True, None)
+    That holds exactly when every maximal clique is a facet: a maximal
+    clique that is a face lies in a facet, itself a clique, so it is that
+    facet.  Otherwise the witness is the lexicographically least maximal
+    clique that is not a facet, less each vertex, largest first, whose
+    removal leaves a non-face: a minimal non-spanning clique."""
+    facets = set(complex_.facets)
+    witness = min((c for c in _maximal_cliques(complex_._adj, complex_.vertex_count)
+                   if c not in facets), default=None)
+    if witness is None:
+        return FlagReport(True, None)
+    for v in reversed(witness):
+        smaller = tuple(u for u in witness if u != v)
+        if not complex_.has_face(smaller):
+            witness = smaller
+    return FlagReport(False, witness)
 
 
 class PairScan(NamedTuple):
@@ -422,14 +406,10 @@ def barycentric_subdivision(complex_, return_face_map=False):
     return sd
 
 
-def clique_complex(vertex_count, edges):
-    """Flag complex of a graph: facets are the maximal cliques."""
-    adj = [set() for _ in range(vertex_count)]
-    for (u, v) in edges:
-        if u == v:
-            raise ValueError("loop edge (%d,%d)" % (u, v))
-        adj[u].add(v)
-        adj[v].add(u)
+def _maximal_cliques(adj, n):
+    """The maximal cliques of the graph on 0..n-1 with neighbour sets adj,
+    each sorted: Bron-Kerbosch with pivoting (Bron-Kerbosch 1973;
+    Tomita-Tanaka-Takahashi 2006); no clique when n is 0."""
     cliques = []
 
     def bron_kerbosch(r, p, x):
@@ -443,8 +423,20 @@ def clique_complex(vertex_count, edges):
             p = p - {v}
             x = x | {v}
 
-    bron_kerbosch(set(), set(range(vertex_count)), set())
-    return SimplicialComplex(vertex_count, sorted(cliques))
+    if n:
+        bron_kerbosch(set(), set(range(n)), set())
+    return cliques
+
+
+def clique_complex(vertex_count, edges):
+    """Flag complex of a graph: facets are the maximal cliques."""
+    adj = [set() for _ in range(vertex_count)]
+    for (u, v) in edges:
+        if u == v:
+            raise ValueError("loop edge (%d,%d)" % (u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    return SimplicialComplex(vertex_count, sorted(_maximal_cliques(adj, vertex_count)))
 
 
 def disjoint_union(k1, k2):

@@ -236,8 +236,8 @@ def check_hypotheses(complex_):
     homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
     pairs yields both the squares and the Caprace witnesses, and the
     manifold is certified once.  Simple connectivity is NOT checked.  A
-    complex above dimension 3, where the flag check alone is exponential
-    in the facet size, is refused with ValueError before any check.
+    complex above dimension 3 is refused with ValueError before any check:
+    the paper's K is 3-dimensional.
     """
     from .homology import is_homology_3sphere
     if complex_.dim() > 3:

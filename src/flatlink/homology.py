@@ -433,29 +433,33 @@ class Manifold3Report(NamedTuple):
 
 def _link_is_2sphere(complex_, v):
     """The link of v in a pure 3-complex, the triangles f - {v} of its star,
-    is a connected closed surface (every edge in two triangles) with chi = 2."""
+    is a 2-sphere: every edge in two triangles, the triangles connected
+    through edges, and chi = 2.  Such a link is a connected closed surface
+    S' with vertices pinched together, chi(S') = chi + (copies - vertices)
+    <= 2, so chi = 2 leaves no pinch (two 2-spheres glued at two points
+    have chi = 2 and connected vertices, but not connected triangles)."""
     triangles = [tuple(u for u in f if u != v) for f in complex_.star(v)]
     if not triangles:
         return False
-    edge_count = {}
-    for t in triangles:
+    sides = {}  # edge -> the triangles through it
+    for i, t in enumerate(triangles):
         for e in combinations(t, 2):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(c != 2 for c in edge_count.values()):
+            sides.setdefault(e, []).append(i)
+    if any(len(s) != 2 for s in sides.values()):
         return False
-    adjacent = {}
-    for a, b in edge_count:
-        adjacent.setdefault(a, []).append(b)
-        adjacent.setdefault(b, []).append(a)
-    seen = {triangles[0][0]}
-    stack = [triangles[0][0]]
+    across = [[] for _ in triangles]
+    for a, b in sides.values():
+        across[a].append(b)
+        across[b].append(a)
+    seen = {0}
+    stack = [0]
     while stack:
-        for nb in adjacent[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
+        for i in across[stack.pop()]:
+            if i not in seen:
+                seen.add(i)
+                stack.append(i)
     degree = len(complex_.neighbors(v))
-    return len(seen) == degree and degree - len(edge_count) + len(triangles) == 2
+    return len(seen) == len(triangles) and degree - len(sides) + len(triangles) == 2
 
 
 def is_closed_orientable_3manifold(complex_):
@@ -465,11 +469,13 @@ def is_closed_orientable_3manifold(complex_):
     exactly two tetrahedra, every vertex link a 2-sphere, and a consistent
     facet orientation, found by one sign-propagating walk over the dual
     graph.  The walk goes on past an orientation mismatch (recording the
-    first) and counts the facets it reaches.  If it misses some while every
-    vertex link is a 2-sphere, the complex is disconnected: an error.  A
-    connected complex whose dual graph is not, such as two 3-spheres wedged
-    at a vertex, fails at that vertex's link instead.  The orientation is
-    normalized so the lexicographically least facet is positive.
+    first) and counts the facets it reaches.  The tetrahedra at a vertex
+    whose link is a 2-sphere are connected through triangles, so if it
+    misses some while every link is one, the complex is disconnected: an
+    error.  A connected complex whose dual graph is not, such as two
+    3-spheres wedged at a vertex or glued along a square, fails at a vertex
+    link instead.  The orientation is normalized so the lexicographically
+    least facet is positive.
     """
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")

@@ -7,13 +7,14 @@ criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, cube-vertex
 links of P_K read off its cell lists, linking numbers in the second
 barycentric subdivision, the subdivision itself from recursively enumerated
-chains of faces, Smith invariants by Bezout elimination with no pivot
-strategy, homology from one independent Smith form per boundary, without
-clearing, and the class map of a cokernel Z by rational
-Gauss-Jordan elimination; the homology of P_K with one Smith-form
+chains of faces, Smith invariants from a Hermite basis by Bezout
+elimination with no pivot strategy, homology from one independent Smith
+form per boundary, without clearing, and the class map of a cokernel Z by
+rational Gauss-Jordan elimination; the homology of P_K with one Smith-form
 homology per vertex set.  Also the helpers and fixtures only the tests use:
 every face, the Euler characteristic, square validation, the eagerly built
-face tables and the named link diagrams.
+face tables, complexes with pinched vertex links and the named link
+diagrams.
 """
 
 from fractions import Fraction
@@ -21,9 +22,11 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from flatlink.complexes import (SimplicialComplex, Square, clique_complex, full_subcomplex,
-                                is_flag, maximal_faces, oriented_subdivision)
+from flatlink.complexes import (SimplicialComplex, Square, barycentric_subdivision,
+                                clique_complex, full_subcomplex, is_flag, maximal_faces,
+                                oriented_subdivision)
 from flatlink.cubes import _mask, _unmask
+from flatlink.fixtures import fixture
 from flatlink.homology import (HomologyProfile, _merged_torsion, homology, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
 from flatlink.links import (LinkingMatrix, PlanarDiagram, _carry_cycle, _class_multiples,
@@ -41,6 +44,27 @@ def all_faces(k):
 
 def euler_characteristic(k):
     return sum((-1) ** d * c for d, c in enumerate(k.f_vector()))
+
+
+def pinched_3_complexes():
+    """Connected pure 3-complexes, every triangle in two tetrahedra, where
+    the link of vertex 0 is two 2-spheres glued at two points: two 16-cells
+    glued along the square (0, 2, 1, 3) (12 vertices, 32 facets), and
+    sd(join-c10-c10) with two of its squares glued together (436 vertices,
+    2,400 facets; its dual graph is connected and orients)."""
+    def glued(k, cycle, onto):  # each vertex of cycle onto its place in onto
+        to = dict(zip(cycle, onto))
+        index = {u: i for i, u in enumerate(u for u in range(k.vertex_count) if u not in to)}
+        return SimplicialComplex(len(index), sorted(
+            tuple(sorted(index[to.get(u, u)] for u in f)) for f in k.facets))
+
+    c16 = fixture("boundary-16-cell").facets
+    return {"16-cells on a square": glued(
+                SimplicialComplex(16, c16 + tuple(tuple(v + 8 for v in f) for f in c16)),
+                (8, 10, 9, 11), (0, 2, 1, 3)),
+            "sd(join-c10-c10) on two squares": glued(
+                barycentric_subdivision(fixture("join-c10-c10")),
+                (3, 212, 4, 213), (0, 140, 1, 141))}
 
 
 def validate_square(square, k):
@@ -321,11 +345,53 @@ def second_subdivision_linking_matrix(sigma, link, orientation=None):
     return LinkingMatrix.from_pairs(m, pairs)
 
 
+def _hermite_rows(dense):
+    """The Hermite normal form of the row lattice, built a row at a time.
+
+    Each row is reduced by the pivot rows, in column order, before it joins
+    them: by a multiple where a pivot divides its entry, else by a Bezout
+    step that makes the pivot their gcd.  Every entry above a pivot is then
+    brought into [0, pivot), which keeps the entries small.  The row
+    operations are unimodular, so the invariant factors stay.
+    """
+    basis = {}  # pivot column -> row, pivot positive
+    for row in dense:
+        row = list(row)
+        for c in range(len(row)):
+            x = row[c]
+            if not x:
+                continue
+            if c not in basis:
+                basis[c] = row if x > 0 else [-y for y in row]
+                break
+            p = basis[c]
+            if x % p[c]:
+                s, t = _bezout(p[c], x)
+                g = s * p[c] + t * x
+                if g < 0:
+                    s, t, g = -s, -t, -g
+                u, w = p[c] // g, x // g  # det [[s, t], [-w, u]] = 1
+                basis[c] = [s * a + t * b for a, b in zip(p, row)]
+                row = [u * b - w * a for a, b in zip(p, row)]
+            else:
+                q = x // p[c]
+                row = [b - q * a for a, b in zip(p, row)]
+        pivots = sorted(basis)
+        for k, c in enumerate(pivots):
+            p = basis[c]
+            for above in pivots[:k]:
+                q = basis[above][c] // p[c]
+                if q:
+                    basis[above] = [a - q * b for a, b in zip(basis[above], p)]
+    return [basis[c] for c in sorted(basis)]
+
+
 def oracle_invariant_factors(dense):
-    """Naive Smith invariants: gcd-based elimination, no pivot strategy."""
-    a = [row[:] for row in dense]
+    """Naive Smith invariants: the Hermite rows of ``_hermite_rows``, then
+    gcd-based elimination with no pivot strategy."""
+    a = _hermite_rows(dense)
     m = len(a)
-    n = len(a[0]) if m else 0
+    n = len(dense[0]) if dense else 0
     out = []
     t = 0
     while t < min(m, n):

@@ -20,7 +20,7 @@ from flatlink.fixtures import fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import EdgeCycleLink, LinkingMatrix
 
-from oracles import validate_square
+from oracles import pinched_3_complexes, validate_square
 from test_fixtures import corpus_properties
 
 
@@ -101,6 +101,17 @@ def test_pk_c4_f_vector(write_fixture, tmp_path):
     assert report["checks"]["f_vector"] == [16, 32, 16]
     assert report["checks"]["euler_characteristic"] == 0
     assert report["checks"]["homology"]["H"][1] == {"rank": 2, "torsion": []}
+
+
+def test_pk_homology_of_one_facet_of_18_vertices(tmp_path):
+    # the flag test behind the cone prune finds one maximal clique, the facet;
+    # growing cliques face by face took about 10 s here
+    path = tmp_path / "simplex17.json"
+    path.write_text(json.dumps({"vertices": 18, "facets": [list(range(18))]}))
+    rc, report = run_json(["pk", str(path), "--homology"], tmp_path)
+    assert rc == 0
+    assert report["checks"]["homology"]["H"] == (
+        [{"rank": 1, "torsion": []}] + [{"rank": 0, "torsion": []}] * 18)
 
 
 def test_pk_ground_bound_env_override(write_fixture, tmp_path):
@@ -379,7 +390,7 @@ def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixtur
         simplex = tmp_path / ("simplex%d.json" % (n - 1))
         simplex.write_text(json.dumps({"vertices": n, "facets": [list(range(n))]}))
         paths[simplex.stem] = str(simplex)
-    # the flag check is exponential in the facet size: it must not start
+    # every refusal comes before any check: the flag check must not start
     monkeypatch.setattr(importlib.import_module("flatlink.fixtures"), "is_flag",
                         lambda complex_: pytest.fail("the flag check ran"))
     if env is not None:
@@ -392,14 +403,17 @@ def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixtur
 
 
 _B4 = fixture("boundary-4-simplex")
+_PINCHED = pinched_3_complexes()
 
 
 @pytest.mark.parametrize("complex_, failures, error", [
     # two 3-spheres wedged at vertex 4: connected, but its dual graph is not
     (SimplicialComplex(9, list(_B4.facets) + [tuple(v + 4 for v in f) for f in _B4.facets]),
      ["link of vertex 4 is not a 2-sphere"], None),
+    # pinched vertex links: connected, and the walk misses no facet
+    *[(k, ["link of vertex 0 is not a 2-sphere"], None) for k in _PINCHED.values()],
     (disjoint_union(_B4, _B4), None, "complex is not connected"),
-], ids=["wedge", "disjoint union"])
+], ids=["wedge", *_PINCHED, "disjoint union"])
 def test_manifold_check_names_a_bad_link_before_disconnection(complex_, failures, error,
                                                               tmp_path):
     if error is None:

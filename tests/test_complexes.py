@@ -95,8 +95,6 @@ def _assert_tables_match_oracle(k):
     assert _built(fresh) == []
     assert fresh._faces_small == small
     assert fresh._adj == adj
-    # and iterates as it: is_flag's witness follows that order
-    assert [list(s) for s in fresh._adj] == [list(s) for s in adj]
     assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
     for d in range(fresh.dim() + 1):
         assert fresh.faces(d) == sorted({g for f in k.facets
@@ -218,15 +216,28 @@ def test_flag_sd_boundary_4_simplex_against_oracle():
     assert brute_force_is_flag(sd)
 
 
-def test_flag_witness_is_minimal_nonface_clique():
-    k = fixture("boundary-4-simplex")
-    report = is_flag(k)
-    w = report.witness
+def _assert_minimal_nonface_clique(k, w):
     edges = set(k.faces(1))
     assert all(tuple(sorted(p)) in edges for p in combinations(w, 2))
     assert not k.has_face(w)
     for i in range(len(w)):
         assert k.has_face(w[:i] + w[i + 1:])
+
+
+def test_flag_witness_is_minimal_nonface_clique():
+    k = fixture("boundary-4-simplex")
+    _assert_minimal_nonface_clique(k, is_flag(k).witness)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_flag_matches_oracle_on_registry_and_subdivisions(name):
+    k = fixture(name)
+    report = is_flag(k)
+    assert report.is_flag == brute_force_is_flag(k)
+    if not report.is_flag:
+        _assert_minimal_nonface_clique(k, report.witness)
+    sd = barycentric_subdivision(k)
+    assert is_flag(sd).is_flag and brute_force_is_flag(sd)
 
 
 def _shuffled(k, seed):
@@ -240,25 +251,37 @@ def _decagon():
     return SimplicialComplex(10, sorted(tuple(sorted((i, (i + 1) % 10))) for i in range(10)))
 
 
-# The witness is part of the verify report.  Candidates grow in the set order
-# of the common neighbourhoods; on the shuffled RP^2_6 beside a 10-cycle that
-# order is not the sorted one, which would give (0, 4, 6).  The 4-dimensional
-# complexes take the facet scan of ``has_face`` for cliques of 5 and 6.
+# The witness is part of the verify report and depends only on the complex:
+# the lexicographically least maximal clique that is not a facet, shrunk
+# from its largest vertex down.  On the shuffled RP^2_6 beside a 10-cycle
+# that clique is the triangle (0, 4, 6), whatever order the neighbour sets
+# iterate in.  The 4-dimensional complexes take the facet scan of
+# ``has_face`` for cliques of 5 and 6; the boundary of the 23-simplex keeps
+# its whole maximal clique, 24 vertices, as every 23 of them span a facet.
 @pytest.mark.parametrize("complex_, witness", [
     (fixture("boundary-3-simplex"), (0, 1, 2, 3)),
     (fixture("boundary-4-simplex"), (0, 1, 2, 3, 4)),
     (fixture("projective-plane-6"), (0, 1, 2)),
     (fixture("s2-x-s1"), (0, 1, 2)),
     (fixture("torus-7"), (0, 1, 2)),
-    (_shuffled(disjoint_union(_decagon(), fixture("projective-plane-6")), 0), (0, 4, 8)),
+    (_shuffled(disjoint_union(_decagon(), fixture("projective-plane-6")), 0), (0, 4, 6)),
     (SimplicialComplex(6, list(combinations(range(6), 5))), (0, 1, 2, 3, 4, 5)),
     (join(fixture("boundary-4-simplex"), SimplicialComplex(2, [(0,), (1,)])),
      (0, 1, 2, 3, 4)),
+    (SimplicialComplex(24, list(combinations(range(24), 23))), tuple(range(24))),
 ], ids=["boundary-3-simplex", "boundary-4-simplex", "projective-plane-6", "s2-x-s1",
         "torus-7", "shuffled rp2 beside c10", "boundary-5-simplex",
-        "suspension of boundary-4-simplex"])
+        "suspension of boundary-4-simplex", "boundary-23-simplex"])
 def test_flag_witness_is_pinned(complex_, witness):
     assert is_flag(complex_) == (False, witness)
+
+
+@pytest.mark.parametrize("complex_", [
+    SimplicialComplex(0, []),
+    SimplicialComplex(24, [tuple(range(24))]),
+], ids=["empty", "one facet of 24 vertices"])
+def test_flag_edge_cases_are_flag(complex_):
+    assert is_flag(complex_) == (True, None)
 
 
 def test_every_non_flag_registry_fixture_has_a_pinned_witness():
@@ -269,22 +292,23 @@ def test_every_non_flag_registry_fixture_has_a_pinned_witness():
 
 def test_flag_matches_oracle_on_random_complexes():
     rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(3, 7)
+    non_flag = 0
+    for _ in range(300):
+        n = rng.randint(3, 12)
         facets = set()
-        for _ in range(rng.randint(2, 10)):
-            size = rng.randint(1, 4)
+        for _ in range(rng.randint(2, 12)):
+            size = rng.randint(1, 7)
             facets.add(tuple(sorted(rng.sample(range(n), min(size, n)))))
         usable = sorted({v for f in facets for v in f})
         relabel = {v: i for i, v in enumerate(usable)}
-        renamed = sorted({tuple(sorted(relabel[v] for v in f)) for f in facets},
-                         key=len, reverse=True)
-        maximal = []
-        for f in renamed:
-            if not any(set(f) <= set(g) for g in maximal):
-                maximal.append(f)
-        k = SimplicialComplex(len(usable), maximal)
-        assert is_flag(k).is_flag == brute_force_is_flag(k)
+        k = SimplicialComplex(len(usable), maximal_faces(
+            tuple(sorted(relabel[v] for v in f)) for f in facets))
+        report = is_flag(k)
+        assert report.is_flag == brute_force_is_flag(k)
+        if not report.is_flag:
+            non_flag += 1
+            _assert_minimal_nonface_clique(k, report.witness)
+    assert non_flag > 100
 
 
 # -- squares ------------------------------------------------------------------
