@@ -3,9 +3,11 @@
 Generators are the vertices of a complex's 1-skeleton, one involution per
 vertex, with commuting relations along edges.  Words are tuples of
 generator indices; the normal form is the ShortLex least word for the
-element, computed with the piling (heap of pieces) representation.
+element, built one letter at a time.  The breadth-first search over the
+group records each element's right descents as it meets them.
 """
 
+from collections import Counter
 from typing import NamedTuple
 
 from .complexes import scan_nonadjacent_pairs
@@ -29,9 +31,6 @@ class Racg:
             self.commuting[u].add(v)
             self.commuting[v].add(u)
         self.commuting = tuple(frozenset(s) for s in self.commuting)
-        self._blockers = tuple(
-            frozenset(set(range(self.n)) - self.commuting[g] - {g})
-            for g in range(self.n))
 
     def commutes(self, a, b):
         return b in self.commuting[a]
@@ -45,41 +44,27 @@ class Racg:
     def normal_form(self, word):
         """ShortLex least word for the group element.
 
-        Piles: each generator keeps a stack holding 1 for its own letters
-        and 0 for blockers from non-commuting letters.  A letter cancels
-        when its own pile shows an unblocked copy on top; the normal form
-        is read off by repeatedly taking the least available generator.
+        Reduced words are the orderings of the element's heap (Viennot
+        1986), and the normal form is its greedy, least ordering.  Each
+        letter g of ``word`` moves left past the trailing letters that
+        commute with it.  If it stops on g, the two cancel; otherwise it
+        settles after the letter that stopped it, before the first later
+        letter greater than g.
         """
-        piles = [[] for _ in range(self.n)]
-        count = 0
+        out = []
         for g in word:
             if not 0 <= g < self.n:
                 raise ValueError("letter %r is not a generator" % (g,))
-            pile = piles[g]
-            if pile and pile[-1] == 1:
-                pile.pop()
-                for j in self._blockers[g]:
-                    piles[j].pop()
-                count -= 1
+            commuting = self.commuting[g]
+            i = len(out)
+            while i and out[i - 1] in commuting:
+                i -= 1
+            if i and out[i - 1] == g:
+                del out[i - 1]
             else:
-                pile.append(1)
-                for j in self._blockers[g]:
-                    piles[j].append(0)
-                count += 1
-
-        out = []
-        positions = [0] * self.n  # read piles bottom-up
-        lengths = [len(p) for p in piles]
-        for _ in range(count):
-            for g in range(self.n):
-                if positions[g] < lengths[g] and piles[g][positions[g]] == 1:
-                    out.append(g)
-                    positions[g] += 1
-                    for j in self._blockers[g]:
-                        positions[j] += 1
-                    break
-            else:
-                raise AssertionError("piling invariant broken")
+                while i < len(out) and out[i] < g:
+                    i += 1
+                out.insert(i, g)
         return tuple(out)
 
     def ball_sizes(self, radius):
@@ -87,38 +72,37 @@ class Racg:
         return sphere_sizes(self.ball(radius), radius)
 
     def ball(self, radius, max_vertices=None):
-        """All normal forms of length <= radius; ResourceLimitError as soon
+        """Every normal form of length <= radius, mapped to its right
+        descents (the s with len(w s) < len(w)); ResourceLimitError as soon
         as more than ``max_vertices`` (when given) are found.  Stops at the
-        first empty sphere: a finite group has no longer elements."""
-        sphere = {()}
-        seen = {()}
+        first empty sphere: a finite group has no longer elements.
+
+        The descents of a word are the generators that reach it from the
+        previous sphere, and its other generators are exactly those that
+        lengthen it, so each word is extended by those only.
+        """
+        sphere = {(): frozenset()}
+        ball = dict(sphere)
         for _ in range(radius):
             if not sphere:
                 break
-            nxt = set()
-            for w in sphere:
+            nxt = {}
+            for w, descents in sphere.items():
                 for g in range(self.n):
+                    if g in descents:
+                        continue
                     nf = self.normal_form(w + (g,))
-                    if nf not in seen and len(nf) == len(w) + 1:
-                        nxt.add(nf)
-                        if max_vertices is not None and len(seen) + len(nxt) > max_vertices:
-                            raise ResourceLimitError(
-                                "ball of radius %d exceeds the bound of %d vertices"
-                                % (radius, max_vertices))
-            seen |= nxt
-            sphere = nxt
-        return seen
-
-    def right_descents(self, word):
-        """Generators s with len(word * s) < len(word), for a normal-form word:
-        those with no blocker after their last letter, which can move to the end."""
-        descents = set()
-        later = set()
-        for g in reversed(word):
-            if self._blockers[g].isdisjoint(later):
-                descents.add(g)
-            later.add(g)
-        return frozenset(descents)
+                    if nf in nxt:
+                        nxt[nf].add(g)
+                        continue
+                    nxt[nf] = {g}
+                    if max_vertices is not None and len(ball) + len(nxt) > max_vertices:
+                        raise ResourceLimitError(
+                            "ball of radius %d exceeds the bound of %d vertices"
+                            % (radius, max_vertices))
+            sphere = {w: frozenset(d) for w, d in nxt.items()}
+            ball.update(sphere)
+        return ball
 
     # no command calls this: the brute-force Davis oracle does, and perfbench traces it
     def min_coset_rep(self, word, parabolic):
@@ -155,17 +139,17 @@ class DavisBall:
 
     Cells are the cosets wW_J, J a simplex of K (Davis 2008), stored as
     (w, J) with w the shortest element, so J misses the right descents
-    D_R(w) (Bjorner-Brenti 2005).  The ball of radius r keeps the cells
-    with len(w) + |J| <= r; g is interior when len(g) + |J - D_R(g)| <= r
-    for every J.
+    D_R(w) (Bjorner-Brenti 2005), which ``Racg.ball`` returns.  The ball
+    of radius r keeps the cells with len(w) + |J| <= r; g is interior when
+    len(g) + |J - D_R(g)| <= r for every J.
     """
 
-    def __init__(self, group, complex_, radius, max_vertices=200000):
+    def __init__(self, group, complex_, radius, max_vertices):
         self.group = group
         self.base = complex_
         self.radius = int(radius)
-        self.vertices = frozenset(group.ball(self.radius, max_vertices=max_vertices))
-        self._descents = {w: group.right_descents(w) for w in self.vertices}
+        self._descents = group.ball(self.radius, max_vertices=max_vertices)
+        self.vertices = frozenset(self._descents)
         faces_by_dim = [complex_.faces(d)
                         for d in range(min(complex_.dim() + 1, self.radius))]
         cells = [(w, J) for w, descents in self._descents.items()
@@ -173,14 +157,10 @@ class DavisBall:
                  for J in faces if descents.isdisjoint(J)]
         self.cells = tuple(sorted(cells, key=lambda c: (len(c[1]), c[1], c[0])))
 
-    def cells_of_dim(self, d):
-        return [c for c in self.cells if len(c[1]) == d]
-
     def f_vector(self):
-        top = max((len(J) for _, J in self.cells), default=0)
-        counts = [len(self.vertices)]
-        counts += [len(self.cells_of_dim(d)) for d in range(1, top + 1)]
-        return tuple(counts)
+        sizes = Counter(len(J) for _, J in self.cells)
+        return tuple([len(self.vertices)]
+                     + [sizes[d] for d in range(1, max(sizes, default=0) + 1)])
 
     def interior_vertices(self):
         """Vertices whose whole star in the Davis complex lies in the ball."""

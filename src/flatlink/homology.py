@@ -482,10 +482,10 @@ def is_closed_orientable_3manifold(complex_):
 
     failures = []
     facets = complex_.facets
-    tri_to_facets = {}
+    tri_to_facets = {}  # triangle -> [(facet index, sign of the triangle in its boundary)]
     for idx, f in enumerate(facets):
-        for t in combinations(f, 3):
-            tri_to_facets.setdefault(t, []).append(idx)
+        for t, sign in zip(combinations(f, 3), (-1, 1, -1, 1)):
+            tri_to_facets.setdefault(t, []).append((idx, sign))
 
     pseudo = True
     for t, owners in tri_to_facets.items():
@@ -505,17 +505,17 @@ def is_closed_orientable_3manifold(complex_):
     orientation = None
     if pseudo:
         dual = [[] for _ in facets]
-        for t, (a, b) in tri_to_facets.items():
-            dual[a].append((b, t))
-            dual[b].append((a, t))
+        for t, ((a, e_a), (b, e_b)) in tri_to_facets.items():
+            dual[a].append((b, t, e_a * e_b))
+            dual[b].append((a, t, e_a * e_b))
         signs = {0: 1}
         stack = [0]
         consistent = True
         while stack:
             cur = stack.pop()
-            for nb, tri in dual[cur]:
+            for nb, tri, same in dual[cur]:
                 # induced orientations on the shared triangle must be opposite
-                want = -signs[cur] * _relative_sign(facets[cur], facets[nb], tri)
+                want = -signs[cur] * same
                 if nb not in signs:
                     signs[nb] = want
                     stack.append(nb)
@@ -532,13 +532,6 @@ def is_closed_orientable_3manifold(complex_):
             orientation = {facets[i]: s for i, s in signs.items()}
 
     return Manifold3Report(pseudo, links_ok, orientable, orientation, tuple(failures))
-
-
-def _relative_sign(facet_a, facet_b, tri):
-    """+1 when the two facets induce the same orientation on their shared triangle."""
-    pos_a = facet_a.index(next(x for x in facet_a if x not in tri))
-    pos_b = facet_b.index(next(x for x in facet_b if x not in tri))
-    return 1 if (pos_a + pos_b) % 2 == 0 else -1
 
 
 class SphereReport(NamedTuple):

@@ -312,11 +312,13 @@ def test_verify_type_l_and_corpus_properties_agree_with_verify(name, write_fixtu
 
 def test_one_coxeter_bfs_per_davis(write_fixture, tmp_path, monkeypatch):
     calls = (_count_calls(monkeypatch, Racg, "ball"),
-             _count_calls(monkeypatch, Racg, "ball_sizes"))
+             _count_calls(monkeypatch, Racg, "ball_sizes"),
+             _count_calls(monkeypatch, Racg, "normal_form"))
     rc, report = run_json(["davis", write_fixture("c4"), "-n", "3"], tmp_path)
     assert rc == 0
     assert report["checks"]["sphere_sizes"] == [1, 4, 8, 12]
-    assert [len(c) for c in calls] == [1, 0]
+    # each word is extended by its non-descents only: 4 + 4*3 + (4*2 + 4*3)
+    assert [len(c) for c in calls] == [1, 0, 36]
 
 
 @pytest.mark.parametrize("argv", [

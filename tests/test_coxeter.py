@@ -51,6 +51,20 @@ def test_normal_form_matches_oracle_all_racgs_up_to_4_generators():
                 assert len(nf) <= len(word)
                 other = tuple(rng.randrange(n) for _ in range(rng.randint(0, 6)))
                 assert (g.normal_form(other) == nf) == oracle_equal(g, word, other)
+    # random graphs on 5-7 generators, sparse enough for the oracle's commutation classes
+    for _ in range(30):
+        n = rng.randint(5, 7)
+        p = rng.uniform(0.2, 0.6)
+        g = Racg(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(8):
+            word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 12)))
+            nf = g.normal_form(word)
+            assert nf == oracle_canonical(g, word)
+            assert g.normal_form(nf) == nf
+    # the last 0 cancels the first from behind the commuting run 3, 2, 1
+    g = Racg(5, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    word = (4, 0, 3, 2, 1, 0)
+    assert g.normal_form(word) == oracle_canonical(g, word) == (4, 3, 1, 2)
 
 
 def test_ball_sizes_c4_grid_growth():
@@ -135,8 +149,8 @@ def _assert_davis_ball_matches_oracle(k, radius):
     assert ball.cells == ref.cells
     assert ball.vertices == ref.vertices
     assert ball.interior_vertices() == ref.interior
-    for g in ball.vertices:
-        assert group.right_descents(g) == {
+    for g, descents in group.ball(radius).items():
+        assert descents == {
             s for s in range(group.n) if len(group.normal_form(g + (s,))) < len(g)}
     return ball
 
