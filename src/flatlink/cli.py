@@ -2,11 +2,12 @@
 
 Subcommands: verify, obstruct, pk, davis, lk, fixture.  Each ``cmd_*``
 returns its data; ``main`` alone times the command, builds the RunReport
-and writes it as JSON (sorted keys) to stdout or --out, or with --human,
-the only output switch, a line-per-check summary.  Exit codes: 0 success,
-1 failed checks, 2 usage or input errors (``main`` prints ``error: ...``
-for every ValueError, KeyError or OSError, never a traceback).  Verdicts
-are report data, not errors: an obstruction found is a successful analysis.
+and writes it with ``json.dumps`` (sorted keys, two-space indents) to
+stdout or --out, or with --human, the only output switch, a line-per-check
+summary.  Exit codes: 0 success, 1 failed checks, 2 usage or input errors
+(``main`` prints ``error: ...`` for every ValueError, KeyError or OSError,
+never a traceback).  Verdicts are report data, not errors: an obstruction
+found is a successful analysis.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .complexes import SimplicialComplex
@@ -41,7 +41,6 @@ def _report(command, inputs, checks, verdicts, started, extra):
         "verdicts": verdicts,
         "timing_ms": int((time.time() - started) * 1000),
         "version": __version__,
-        "seed": None,
     }
     if extra:
         rep.update(extra)
@@ -61,36 +60,8 @@ def _emit(report, opts):
             lines.append("%-32s %s" % (name, verdict))
         text = "\n".join(lines) if lines else "(no checks)"
     else:
-        text = _json_text(report)
+        text = json.dumps(report, sort_keys=True, indent=2, default=str)
     _put(text, opts.out)
-
-
-def _json_text(obj, indent="\n"):
-    """The text json writes for ``obj`` with sorted keys, ``default=str`` and
-    two-space indents.  A container's text is one ``str.join`` of pieces that
-    hold its items' texts as they are, so a long text is copied once a level."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
-        return "[" + inner + sep.join(map(int.__repr__, obj)) + indent + "]"
-    if isinstance(obj, (list, tuple)) and obj:
-        pieces = ["[" + inner]
-        for x in obj:
-            pieces += (_json_text(x, inner), sep)
-        pieces[-1] = indent + "]"
-    elif isinstance(obj, dict) and obj:
-        pieces = ["{" + inner]
-        for k, v in sorted(obj.items()):
-            # json's own text of {k: 0} gives a key that is not a str, or its TypeError
-            key = (encode_basestring_ascii(k) if isinstance(k, str)
-                   else json.dumps({k: 0})[1:-4])
-            pieces += (key, ": ", _json_text(v, inner), sep)
-        pieces[-1] = indent + "}"
-    else:
-        return json.dumps(obj, default=str)  # scalars, empty containers
-    return "".join(pieces)
 
 
 def _put(text, out):

@@ -248,11 +248,13 @@ def is_flag(complex_):
 
 class PairScan(NamedTuple):
     squares: list     # sorted canonical Squares
-    caprace_witnesses: tuple  # sorted ((5-vertex tuple, "3-points" | "edge-point"), ...)
+    caprace_witness: Optional[tuple]  # the least (sorted 5-vertex tuple, kind), or None
+    caprace_witness_count: int
 
 
 def scan_nonadjacent_pairs(complex_):
-    """Squares and Caprace witnesses from the common neighbourhoods C(p, q).
+    """Squares, and the count and least of the Caprace witnesses, from the
+    common neighbourhoods C(p, q).
 
     C(p, q) of every non-adjacent pair p < q is gathered by walking the
     paths p - m - q of length two (work: the sum of squared degrees).  A
@@ -262,13 +264,15 @@ def scan_nonadjacent_pairs(complex_):
     suspension of 3 points), or exactly one edge uv with puv and quv faces
     (the suspension of an edge and a point).  Each 5-set comes from one
     pair: in a 3-points witness only {p, q} is adjacent to the other three
-    vertices, and in an edge-point one w is adjacent to neither u nor v.
-    Flat int tuples are sorted, as CPython compares them faster, then wrapped.
+    vertices, and in an edge-point one w is adjacent to neither u nor v.  So
+    each witness is counted once, and only the least (5-set, kind) is kept.
+    The squares are sorted as flat int tuples, which CPython compares
+    faster, then wrapped.
     """
     adj = complex_._adj
     small = complex_._faces_small
     squares = []
-    witnesses = []
+    least, count = None, 0
     for p in range(complex_.vertex_count):
         common = {}
         for m in adj[p]:
@@ -293,9 +297,10 @@ def scan_nonadjacent_pairs(complex_):
                     kind = "edge-point"
                 else:
                     continue
-                witnesses.append((*sorted((p, q, x, y, z)), kind))
-    return PairScan([Square(c) for c in sorted(squares)],
-                    tuple((w[:5], w[5]) for w in sorted(witnesses)))
+                witness = (tuple(sorted((p, q, x, y, z))), kind)
+                least = witness if least is None else min(least, witness)
+                count += 1
+    return PairScan([Square(c) for c in sorted(squares)], least, count)
 
 
 def find_squares(complex_):

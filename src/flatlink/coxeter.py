@@ -8,7 +8,7 @@ group records each element's right descents as it meets them.
 """
 
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .complexes import scan_nonadjacent_pairs
 
@@ -68,7 +68,8 @@ class Racg:
         return tuple(out)
 
     def ball_sizes(self, radius):
-        """Sphere sizes |S_0| .. |S_radius|, counted over ``ball``."""
+        """Sphere sizes |S_0| .. |S_radius|, counted over ``ball`` up to the
+        first empty sphere."""
         return sphere_sizes(self.ball(radius), radius)
 
     def ball(self, radius, max_vertices=None):
@@ -127,11 +128,11 @@ def racg_from_skeleton(complex_):
 
 
 def sphere_sizes(words, radius):
-    """How many of the normal forms ``words`` have each length 0..radius."""
-    sizes = [0] * (max(radius, 0) + 1)
-    for w in words:
-        sizes[len(w)] += 1
-    return sizes
+    """How many of the normal forms ``words`` have each length 0..radius,
+    ending at the first empty sphere: a finite group has no longer elements."""
+    sizes = Counter(map(len, words))
+    last = min(max(radius, 0), max(sizes, default=-1) + 1)
+    return [sizes[k] for k in range(last + 1)]
 
 
 class DavisBall:
@@ -191,7 +192,8 @@ def davis_ball(group, complex_, radius, max_vertices=200000):
 
 class CapraceReport(NamedTuple):
     passes: bool
-    witnesses: tuple  # ((sorted 5-vertex tuple, "3-points" | "edge-point"), ...)
+    witness: Optional[tuple]  # the least (sorted 5-vertex tuple, "3-points" | "edge-point")
+    count: int
 
 
 def caprace_criterion(complex_):
@@ -200,7 +202,9 @@ def caprace_criterion(complex_):
     Forbidden: a full 5-vertex subcomplex isomorphic to the suspension of
     3 points, or of (edge and a point).  The suspension points are a
     non-adjacent pair and the other three vertices lie in their common
-    neighbourhood; ``scan_nonadjacent_pairs`` finds them.
+    neighbourhood; ``scan_nonadjacent_pairs`` counts them and keeps the
+    least.
     """
-    witnesses = scan_nonadjacent_pairs(complex_).caprace_witnesses
-    return CapraceReport(not witnesses, witnesses)
+    scan = scan_nonadjacent_pairs(complex_)
+    return CapraceReport(not scan.caprace_witness_count, scan.caprace_witness,
+                         scan.caprace_witness_count)

@@ -234,10 +234,11 @@ def check_hypotheses(complex_):
 
     In order: flag, isolated squares, closed orientable 3-manifold,
     homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
-    pairs yields both the squares and the Caprace witnesses, and the
-    manifold is certified once.  Simple connectivity is NOT checked.  A
-    complex above dimension 3 is refused with ValueError before any check:
-    the paper's K is 3-dimensional.
+    pairs yields both the squares and the Caprace witnesses; a failed
+    criterion reports the least witness and their count.  The manifold is
+    certified once.  Simple connectivity is NOT checked.  A complex above
+    dimension 3 is refused with ValueError before any check: the paper's K
+    is 3-dimensional.
     """
     from .homology import is_homology_3sphere
     if complex_.dim() > 3:
@@ -270,12 +271,13 @@ def check_hypotheses(complex_):
         checks["manifold_error"] = str(exc)
     checks["is_closed_orientable_3manifold"] = manifold_ok
     checks["is_homology_3sphere"] = sphere_ok
-    checks["caprace_criterion"] = not scan.caprace_witnesses
-    if scan.caprace_witnesses:
-        checks["caprace_witnesses"] = [
-            {"vertices": list(vs), "type": kind} for vs, kind in scan.caprace_witnesses]
+    checks["caprace_criterion"] = not scan.caprace_witness_count
+    if scan.caprace_witness_count:
+        vertices, kind = scan.caprace_witness
+        checks["caprace_witness"] = {"vertices": list(vertices), "type": kind}
+        checks["caprace_witness_count"] = scan.caprace_witness_count
     passed = (flag.is_flag and isolated.has_isolated_squares and sphere_ok
-              and not scan.caprace_witnesses)
+              and not scan.caprace_witness_count)
     return HypothesisReport(checks, passed, orientation, scan.squares)
 
 

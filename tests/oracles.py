@@ -185,9 +185,11 @@ def random_flag_complex(rng, max_vertices=12):
 
 
 def commutation_class(group, word, cap=200000):
-    """All words reachable by adjacent commuting swaps (same length)."""
+    """The words reachable by adjacent commuting swaps (same length), yielded
+    breadth first as the search meets them."""
     seen = {tuple(word)}
     frontier = [tuple(word)]
+    yield tuple(word)
     while frontier:
         nxt = []
         for w in frontier:
@@ -197,30 +199,28 @@ def commutation_class(group, word, cap=200000):
                     swapped = w[:i] + (b, a) + w[i + 2:]
                     if swapped not in seen:
                         seen.add(swapped)
-                        nxt.append(swapped)
                         if len(seen) > cap:
                             raise AssertionError("commutation class too large")
+                        nxt.append(swapped)
+                        yield swapped
         frontier = nxt
-    return seen
 
 
 def oracle_reduce(group, word):
     """Fully reduce by cancelling adjacent equal pairs found anywhere in the
-    commutation class; sound and complete for Coxeter groups."""
+    commutation class, each as soon as the class search meets it; sound and
+    complete for Coxeter groups.  Returns the class of the reduced word."""
     current = tuple(word)
     while True:
-        cls = commutation_class(group, current)
-        shorter = None
-        for w in cls:
-            for i in range(len(w) - 1):
-                if w[i] == w[i + 1]:
-                    shorter = w[:i] + w[i + 2:]
-                    break
-            if shorter is not None:
+        cls = set()
+        for w in commutation_class(group, current):
+            pair = next((i for i in range(len(w) - 1) if w[i] == w[i + 1]), None)
+            if pair is not None:
+                current = w[:pair] + w[pair + 2:]
                 break
-        if shorter is None:
+            cls.add(w)
+        else:
             return cls
-        current = shorter
 
 
 def oracle_equal(group, u, v):

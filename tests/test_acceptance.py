@@ -194,6 +194,7 @@ def test_criterion_10_negative_controls():
     susp = fixture("suspension-3-points")
     report = caprace_criterion(susp)
     assert not report.passes
-    assert report.witnesses[0][0] == (0, 1, 2, 3, 4)
+    assert report.witness[0] == (0, 1, 2, 3, 4)
+    assert report.count == 1
     _passed(10, "flagness, isolated-squares (6 squares), and forbidden-suspension "
                "controls all fail as required")
