@@ -3,7 +3,8 @@
 Complexes live on vertex set {0..n-1} and are described by their maximal
 faces (facets).  The predicates are flagness, empty squares and isolated
 squares; the constructions are vertex links, full subcomplexes, disjoint
-unions, joins, clique complexes and the (oriented) barycentric subdivision.
+unions, joins, clique complexes, the (oriented) barycentric subdivision and
+the oriented starring of a list of faces.
 """
 
 import json
@@ -400,6 +401,37 @@ def oriented_subdivision(facets_signed):
         for parity, prefixes in _flag_table(len(f)):
             out.append((tuple(map(ids.__getitem__, prefixes)), sign * parity))
     return out, face_id
+
+
+def _stellar_subdivision(facets_signed, faces, vertex_count):
+    """Star each face of a list of (sorted facet, sign) pairs, in order.
+
+    The k-th face gets the new vertex w = vertex_count + k.  Each signed
+    facet (f, s) through it becomes one facet per vertex t of the face: f
+    with t replaced by w in place, signed by s times the parity of that
+    tuple, then sorted.  A vertex -> facet-id index, kept up to date as
+    facets split, finds the facets through a face without scanning every
+    facet, so the work follows the sizes of the stars.  Returns the signed
+    facets, sorted.
+    """
+    facets = list(facets_signed)
+    index = [set() for _ in range(vertex_count)]
+    for i, (f, _) in enumerate(facets):
+        for v in f:
+            index[v].add(i)
+    for w, face in enumerate(faces, vertex_count):
+        index.append(set())
+        for i in set.intersection(*(index[v] for v in face)):
+            f, sign = facets[i]
+            facets[i] = None
+            for v in f:
+                index[v].discard(i)
+            for t in face:
+                child = tuple(w if v == t else v for v in f)
+                for v in child:
+                    index[v].add(len(facets))
+                facets.append((tuple(sorted(child)), sign * _parity(child)))
+    return sorted(f for f in facets if f is not None)
 
 
 def barycentric_subdivision(complex_, return_face_map=False):

@@ -8,7 +8,9 @@ the complement of j, which is infinite cyclic.  If j is a full subcomplex,
 its complement deformation-retracts onto the full subcomplex spanned by the
 other vertices (Rourke-Sanderson, Introduction to Piecewise-Linear
 Topology, on derived neighbourhoods).  Squares of a flag complex are full;
-if some component is not, one barycentric subdivision makes all of them full.
+a component that is not is made full by starring the faces its vertices
+span beyond the cycle: its chords, and the triangle a 3-cycle spans
+(stellar subdivision, which keeps the PL sphere and its orientation).
 """
 
 from collections import deque
@@ -16,7 +18,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .complexes import _parity, barycentric_subdivision, oriented_subdivision
+from .complexes import _parity, _stellar_subdivision
 from .homology import IntegerMatrix, is_homology_3sphere, smith_normal_form
 
 
@@ -268,17 +270,6 @@ def obstruction_report(matrix, nontrivial_certificate=None):
 
 # -- simplicial linking numbers --------------------------------------------
 
-def _carry_cycle(cycle, face_id):
-    """Push an edge cycle through one subdivision: vertex, midpoint, vertex."""
-    out = []
-    r = len(cycle)
-    for k in range(r):
-        u, v = cycle[k], cycle[(k + 1) % r]
-        out.append(face_id[(u,)])
-        out.append(face_id[tuple(sorted((u, v)))])
-    return tuple(out)
-
-
 def _cycle_chain(cycle, factor=1):
     chain = {}
     r = len(cycle)
@@ -404,18 +395,24 @@ def _skeleton(facets_signed):
     return edges, triangles
 
 
-def _is_full(cycle, edges, triangles):
-    """Whether the cycle's vertices span only the cycle: no chord, no triangle."""
-    ordered = sorted(cycle)
-    spanned = sum(1 for e in combinations(ordered, 2) if e in edges)
-    return spanned == len(cycle) and tuple(ordered) not in triangles
+def _spanned_faces(cycle, edges, triangles):
+    """The faces that keep a cycle from being full: its chords, the edges
+    between two of its vertices that are not cycle edges, and for a 3-cycle
+    the triangle it spans, if that is a face."""
+    ordered = tuple(sorted(cycle))
+    steps = {(u, v) if u < v else (v, u) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    faces = [e for e in combinations(ordered, 2) if e in edges and e not in steps]
+    if len(cycle) == 3 and ordered in triangles:
+        faces.append(ordered)
+    return faces
 
 
 class _Complements:
-    """Complements of the components of a link, all full after ``level``
-    (0 or 1) barycentric subdivisions.  One makes any edge cycle full: its
-    vertices then alternate vertices and edge midpoints, and two of them
-    span an edge only when one is an end of the other."""
+    """Complements of the components of a link, each made full by starring
+    the faces in ``starred``: every chord of a component and the triangle a
+    3-cycle spans.  Starring a face keeps every face that does not contain
+    it, and no listed face contains a cycle edge or another listed face, so
+    the components stay as they are."""
 
     def __init__(self, sigma, link, orientation=None):
         if link.ambient is not sigma and link.ambient != sigma:
@@ -427,15 +424,17 @@ class _Complements:
                     "ambient is not a verified homology 3-sphere: %s" % report.note)
             orientation = report.manifold.orientation
         facets_signed = sorted(orientation.items())
-        self.level = 0
         self.orientations = link.orientations
         self.components = link.components
         edges, triangles = _skeleton(facets_signed)
-        if not all(_is_full(c, edges, triangles) for c in self.components):
-            self.level = 1
-            facets_signed, face_id = oriented_subdivision(facets_signed)
-            self.components = [_carry_cycle(c, face_id) for c in self.components]
+        self.starred = tuple(face for c in self.components
+                             for face in _spanned_faces(c, edges, triangles))
+        if self.starred:
+            facets_signed = _stellar_subdivision(facets_signed, self.starred,
+                                                 sigma.vertex_count)
             edges, triangles = _skeleton(facets_signed)
+            if any(_spanned_faces(c, edges, triangles) for c in self.components):
+                raise LinkingInternalError("a component is not full after starring")
         self.facets_signed = facets_signed
         self.edges = sorted(edges)
         self.triangles = sorted(triangles)
@@ -498,10 +497,3 @@ def linking_matrix(sigma, link, orientation=None):
                     % (i, j, value, j, i, other))
             pairs[(i, j)] = value
     return LinkingMatrix.from_pairs(m, pairs)
-
-
-def subdivide_link(sigma, link):
-    """Carry a link into the barycentric subdivision of its ambient complex."""
-    sd, face_map = barycentric_subdivision(sigma, return_face_map=True)
-    comps = [_carry_cycle(c, face_map) for c in link.components]
-    return sd, EdgeCycleLink(sd, comps, link.orientations)

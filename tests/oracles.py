@@ -13,8 +13,8 @@ form per boundary, without clearing, and the class map of a cokernel Z by
 rational Gauss-Jordan elimination; the homology of P_K with one Smith-form
 homology per vertex set.  Also the helpers and fixtures only the tests use:
 every face, the Euler characteristic, square validation, the eagerly built
-face tables, complexes with pinched vertex links and the named link
-diagrams.
+face tables, complexes with pinched vertex links, links carried into the
+barycentric subdivision and the named link diagrams.
 """
 
 from fractions import Fraction
@@ -29,7 +29,7 @@ from flatlink.cubes import _mask, _unmask
 from flatlink.fixtures import fixture
 from flatlink.homology import (HomologyProfile, _merged_torsion, homology, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
-from flatlink.links import (LinkingMatrix, PlanarDiagram, _carry_cycle, _class_multiples,
+from flatlink.links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram, _class_multiples,
                             _cycle_chain, _edge_link_cycle, _skeleton, diagram_linking_matrix)
 
 
@@ -312,6 +312,24 @@ def chain_subdivision(k):
     facets = [tuple(face_id[c] for c in chain)
               for top in k.facets for chain in _chains_of(top)]
     return SimplicialComplex(len(face_id), facets), face_id
+
+
+def _carry_cycle(cycle, face_id):
+    """Push an edge cycle through one subdivision: vertex, midpoint, vertex."""
+    out = []
+    r = len(cycle)
+    for k in range(r):
+        u, v = cycle[k], cycle[(k + 1) % r]
+        out.append(face_id[(u,)])
+        out.append(face_id[tuple(sorted((u, v)))])
+    return tuple(out)
+
+
+def subdivide_link(sigma, link):
+    """Carry a link into the barycentric subdivision of its ambient complex."""
+    sd, face_map = barycentric_subdivision(sigma, return_face_map=True)
+    comps = [_carry_cycle(c, face_map) for c in link.components]
+    return sd, EdgeCycleLink(sd, comps, link.orientations)
 
 
 def second_subdivision_linking_matrix(sigma, link, orientation=None):

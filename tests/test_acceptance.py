@@ -6,8 +6,8 @@ Run with -s to see the per-criterion pass lines.
 import random
 
 from oracles import (all_graphs, brunnian_diagram, cokernel_functional, hopf_diagram,
-                     oracle_canonical, pk_vertex_link, solomon_diagram, three_chain_133_diagram,
-                     whitehead_diagram)
+                     oracle_canonical, pk_vertex_link, solomon_diagram, subdivide_link,
+                     three_chain_133_diagram, whitehead_diagram)
 
 from flatlink.complexes import (clique_complex, find_squares, has_isolated_squares,
                                 is_flag)
@@ -18,8 +18,7 @@ from flatlink.homology import (HomologyProfile, IntegerMatrix, S3_PROFILE, homol
                                is_homology_3sphere, simplicial_chain_complex,
                                smith_normal_form)
 from flatlink.links import (LinkingMatrix, ObstructionVerdict, diagram_linking_matrix,
-                            linking_matrix, obstruction_report, simplicial_linking_number,
-                            subdivide_link)
+                            linking_matrix, obstruction_report, simplicial_linking_number)
 
 
 def _passed(n, text):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
-                                barycentric_subdivision, clique_complex, disjoint_union,
-                                find_squares, full_subcomplex, has_isolated_squares,
-                                is_flag, join, maximal_faces, oriented_subdivision,
-                                vertex_link)
+                                _stellar_subdivision, barycentric_subdivision, clique_complex,
+                                disjoint_union, find_squares, full_subcomplex,
+                                has_isolated_squares, is_flag, join, maximal_faces,
+                                oriented_subdivision, vertex_link)
 from flatlink.fixtures import check_hypotheses, fixture, fixture_names
 from flatlink.homology import is_closed_orientable_3manifold
 
@@ -496,6 +496,26 @@ def test_carried_orientation_matches_certified_orientation_of_subdivision(name):
     assert face_map == barycentric_subdivision(k, return_face_map=True)[1]
     assert sorted(f for f, _ in signed) == list(sd.facets)
     certified = is_closed_orientable_3manifold(sd).orientation
+    flip = certified[signed[0][0]] * signed[0][1]
+    assert all(certified[f] == flip * s for f, s in signed)
+
+
+@pytest.mark.parametrize("name", ["boundary-16-cell", "600-cell", "join-c10-c10",
+                                  "sd-boundary-4-simplex", "s2-x-s1"])
+def test_carried_orientation_matches_certified_orientation_of_starring(name):
+    # star an edge, then a triangle through one end of it and not the
+    # other: some facets through the triangle are children of the first
+    # starring, so they are found through the updated index
+    k = fixture(name)
+    orientation = is_closed_orientable_3manifold(k).orientation
+    edge = k.faces(1)[0]
+    triangle = next(t for t in k.faces(2) if edge[0] in t and edge[1] not in t
+                    and any(set(t) | {edge[1]} <= set(f) for f in k.facets))
+    signed = _stellar_subdivision(sorted(orientation.items()), [edge, triangle],
+                                  k.vertex_count)
+    starred = SimplicialComplex(k.vertex_count + 2, [f for f, _ in signed])
+    assert not starred.has_face(edge) and not starred.has_face(triangle)
+    certified = is_closed_orientable_3manifold(starred).orientation
     flip = certified[signed[0][0]] * signed[0][1]
     assert all(certified[f] == flip * s for f, s in signed)
 

@@ -108,6 +108,12 @@ def collect_cases():
     one_one = zigzag_cycle(10, 10, 0, 0, 2, 2, 5)
     cases.append((c1010, one_one, zigzag_cycle(10, 10, 1, 1, 2, 2, 5), coords1010))
     cases.append((c1010, one_one, zigzag_cycle(10, 10, 1, 1, 2, 4, 5), coords1010))
+
+    # chord-heavy: each component spans hundreds of chords to be starred
+    for m in (20, 30):
+        ring = cycle_complex(m)
+        cases.append((join(ring, ring), zigzag_cycle(m, m, 0, 0, 2, 2, m // 2),
+                      zigzag_cycle(m, m, 1, 1, 2, 2, m // 2), join_coords(m, m)))
     return cases
 
 

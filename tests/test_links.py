@@ -7,10 +7,10 @@ from flatlink.complexes import SimplicialComplex
 from flatlink.fixtures import check_hypotheses, fixture, hopf_pair, split_pair, verify_type_l
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             PlanarDiagram, diagram_linking_matrix, linking_matrix,
-                            obstruction_report, simplicial_linking_number, subdivide_link)
+                            obstruction_report, simplicial_linking_number)
 
-from oracles import (brunnian_diagram, hopf_diagram, solomon_diagram, three_chain_133_diagram,
-                     whitehead_diagram, whitehead_double_diagram)
+from oracles import (brunnian_diagram, hopf_diagram, solomon_diagram, subdivide_link,
+                     three_chain_133_diagram, whitehead_diagram, whitehead_double_diagram)
 
 
 # -- edge cycle links ---------------------------------------------------------
@@ -308,26 +308,41 @@ def test_mixed_configuration_hopf_plus_bounding_triangle():
 
 
 def test_full_complement_route_matches_second_subdivision_oracle():
-    # the route subdivides only when some component is not full; the
-    # second-subdivision oracle never looks at fullness
+    # the route stars exactly the chords and spanned triangles of the
+    # components; the second-subdivision oracle never looks at fullness
+    from itertools import product
+
     from flatlink.complexes import barycentric_subdivision
     from flatlink.fixtures import solomon_pair
     from flatlink.links import _Complements
     from oracles import second_subdivision_linking_matrix
 
-    def level(ambient, link):
-        return _Complements(ambient, link).level
+    def starred(ambient, link):
+        return _Complements(ambient, link).starred
+
+    def join_chords(cycle):
+        # each Solomon zigzag visits every other vertex of both 10-gons, so
+        # it spans no edge inside a factor: its chords are its cross pairs
+        # that are not cycle steps
+        steps = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        pairs = product(sorted(v for v in cycle if v < 10), sorted(v for v in cycle if v >= 10))
+        return tuple(e for e in pairs if e not in steps)
 
     c66 = fixture("join-c6-c6")
     fibers = (c66, EdgeCycleLink(c66, [(k, 6 + k, k + 3, 9 + k) for k in range(3)]))
-    cases = [(hopf_pair(), 0), (fibers, 0), (split_pair(), 1), (solomon_pair(), 1)]
-    for (ambient, link), expected_level in cases:
-        assert level(ambient, link) == expected_level
+    solomon = solomon_pair()
+    solomon_chords = sum(map(join_chords, solomon[1].components), ())
+    assert len(solomon_chords) == 30
+    cases = [(hopf_pair(), ()), (fibers, ()), (split_pair(), ((0, 2, 4), (1, 3, 7))),
+             (solomon, solomon_chords)]
+    for (ambient, link), expected in cases:
+        assert starred(ambient, link) == expected
         assert (linking_matrix(ambient, link)
                 == second_subdivision_linking_matrix(ambient, link))
+    assert len(_Complements(*solomon).facets_signed) == 260
 
     ambient, hopf = hopf_pair()
     sd, face_map = barycentric_subdivision(ambient, return_face_map=True)
     _, sd_hopf = subdivide_link(ambient, hopf)
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
-    assert level(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == 1
+    assert starred(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == (triangle,)
