@@ -8,6 +8,7 @@ the oriented starring of a list of faces.
 """
 
 import json
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, groupby, permutations
 from typing import NamedTuple, Optional
@@ -117,6 +118,8 @@ class SimplicialComplex:
     def faces(self, dim):
         """Sorted list of all faces of the given dimension."""
         size = dim + 1
+        if 1 <= size <= 4:
+            return sorted([f for f in self._faces_small if len(f) == size])
         out = set()
         for f in self.facets:
             if len(f) >= size:
@@ -127,11 +130,9 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1 if self.facets else -1
 
     def f_vector(self):
-        counts = {}
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                counts.setdefault(size, set()).update(combinations(f, size))
-        return tuple(len(counts[s]) for s in sorted(counts))
+        """Face counts by dimension, one dimension's faces held at a time."""
+        return tuple(len({g for f in self.facets for g in combinations(f, size)})
+                     for size in range(1, self.dim() + 2))
 
     def neighbors(self, v):
         return self._adj[v]
@@ -267,6 +268,8 @@ def scan_nonadjacent_pairs(complex_):
     pair: in a 3-points witness only {p, q} is adjacent to the other three
     vertices, and in an edge-point one w is adjacent to neither u nor v.  So
     each witness is counted once, and only the least (5-set, kind) is kept.
+    As q > p and the mids x < y < z are sorted, its 5-set starts with min(p, x):
+    only when that is at most the least one's first vertex is it built.
     The squares are sorted as flat int tuples, which CPython compares
     faster, then wrapped.
     """
@@ -282,9 +285,10 @@ def scan_nonadjacent_pairs(complex_):
                     common.setdefault(q, []).append(m)
         for q, mids in common.items():
             mids.sort()
-            for i, x in enumerate(mids):
+            for i in range(bisect_right(mids, p), len(mids)):
+                x = mids[i]
                 for y in mids[i + 1:]:
-                    if p < x and y not in adj[x]:
+                    if y not in adj[x]:
                         squares.append((p, x, q, y))
             for x, y, z in combinations(mids, 3):
                 xy, xz, yz = y in adj[x], z in adj[x], z in adj[y]
@@ -298,9 +302,10 @@ def scan_nonadjacent_pairs(complex_):
                     kind = "edge-point"
                 else:
                     continue
-                witness = (tuple(sorted((p, q, x, y, z))), kind)
-                least = witness if least is None else min(least, witness)
                 count += 1
+                if least is None or min(p, x) <= least[0][0]:
+                    witness = (tuple(sorted((p, q, x, y, z))), kind)
+                    least = witness if least is None else min(least, witness)
     return PairScan([Square(c) for c in sorted(squares)], least, count)
 
 

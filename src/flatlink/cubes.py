@@ -252,14 +252,15 @@ def cubical_chain_complex(cubical):
         mat = IntegerMatrix(len(cubical.cells[d - 1]), len(cubical.cells[d]))
         lower = index[d - 1]
         for col, cell in enumerate(cubical.cells[d]):
+            column = mat.columns[col] = {}
             for rank, b in enumerate(_unmask(cell.J)):
                 sub = cell.J & ~(1 << b)
                 sign = 1 if rank % 2 == 0 else -1
                 top = CubicalCell(sub, cell.coset)            # bit 0: coordinate +1
                 bottom = CubicalCell(sub, cell.coset | (1 << b))
                 # written once: faces differ in type across b, in bit b within
-                mat.entries[(lower[top], col)] = sign
-                mat.entries[(lower[bottom], col)] = -sign
+                column[lower[top]] = sign
+                column[lower[bottom]] = -sign
         boundaries[d] = mat
     counts = [len(cubical.cells[d]) for d in dims]
     return ChainComplex(counts, boundaries)

@@ -1,8 +1,9 @@
 """Exact integer chain complexes, Smith normal form and 3-manifold checks.
 
 Everything here is over the integers with unbounded precision; no floating
-point.  One Smith normal form serves the homology checks and the
-linking-number solves in ``links``.  A sparse kernel,
+point.  Matrices are stored by columns, one {row: value} dict per cell,
+from the builders to the elimination.  One Smith normal form serves the
+homology checks and the linking-number solves in ``links``.  A sparse kernel,
 ``eliminate_unit_pivots``, pivots on +-1 entries (the reduction scheme of
 Dumas-Heckenbach-Saunders-Welker, 2003), singleton rows and columns first
 through a queue, then the shortest column with a unit entry, pivoting in
@@ -25,74 +26,77 @@ import heapq
 from collections import deque
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 
 class IntegerMatrix:
-    """Sparse integer matrix; no stored zeros, exact arithmetic."""
+    """Sparse integer matrix, ``columns`` = {col: {row: value}} with no zeros
+    and no empty columns; ``entries`` is a read-only {(row, col): value} view."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = int(rows)
         self.cols = int(cols)
-        self.entries = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                self.set(i, j, v)
+        self.columns = {}
+        for (i, j), v in dict(entries or ()).items():
+            self.set(i, j, v)
+
+    @property
+    def entries(self):
+        return MappingProxyType({(i, j): v for j, col in self.columns.items()
+                                 for i, v in col.items()})
 
     def set(self, i, j, v):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d,%d) out of bounds" % (i, j))
         if v:
-            self.entries[(i, j)] = int(v)
-        else:
-            self.entries.pop((i, j), None)
+            self.columns.setdefault(j, {})[i] = int(v)
+        elif self.columns.get(j, {}).pop(i, 0) and not self.columns[j]:
+            del self.columns[j]
 
     def get(self, i, j):
-        return self.entries.get((i, j), 0)
+        return self.columns.get(j, {}).get(i, 0)
 
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.columns.values()))
 
     @classmethod
     def from_dense(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m.set(i, j, v)
-        return m
+        if len(set(map(len, data))) > 1:
+            raise ValueError("ragged rows")
+        return cls(len(data), len(data[0]) if data else 0,
+                   {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for j, col in self.columns.items():
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def __matmul__(self, other):
+        """The product, one column of ``other`` at a time."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
         out = IntegerMatrix(self.rows, other.cols)
-        acc = {}
-        for (i, k), v in self.entries.items():
-            for (j, w) in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        for key, v in acc.items():
-            if v:
-                out.entries[key] = v
+        mine = self.columns
+        for j, col in other.columns.items():
+            acc = {}
+            for k, w in col.items():
+                for i, v in mine.get(k, {}).items():
+                    if i in acc:
+                        acc[i] += v * w
+                    else:
+                        acc[i] = v * w
+            if any(acc.values()):
+                out.columns[j] = {i: v for i, v in acc.items() if v}
         return out
 
     def __eq__(self, other):
         return (isinstance(other, IntegerMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.columns == other.columns)
 
     def __repr__(self):
         return "IntegerMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, self.nnz())
@@ -270,19 +274,19 @@ def smith_normal_form(matrix, *, carried=()):
 
     ``eliminate_unit_pivots`` reduces the matrix and ``_dense_diagonal``
     diagonalises its core; ``_merged_torsion`` turns the diagonal into
-    invariant factors.  The rows of the unit pivots come back as
-    ``pivot_rows``.  Each carried vector ({row: value}, left unchanged)
+    invariant factors, on copies of the columns.  The rows of the unit
+    pivots come back as ``pivot_rows``.  Each carried vector ({row: value}, left unchanged)
     goes through the row operations of both.  It comes back in
     ``carried`` as its coordinates on the rows - rank zero rows of the
     diagonal form, its image in the free part of the cokernel: first the
     zero rows of the dense core, which also holds every row a carried
     vector touches, then the empty rows, on which it is 0.
     """
+    cols = {j: dict(col) for j, col in matrix.columns.items()}
     rows = {}
-    cols = {}
-    for (i, j), val in matrix.entries.items():
-        rows.setdefault(i, {})[j] = val
-        cols.setdefault(j, {})[i] = val
+    for j, col in cols.items():
+        for i, val in col.items():
+            rows.setdefault(i, {})[j] = val
     carried = [dict(vec) for vec in carried]
     pivots = eliminate_unit_pivots(rows, cols, carried)
     ci = {c: k for k, c in enumerate(sorted(cols))}
@@ -342,7 +346,7 @@ class ChainComplex:
     """Integer chain complex on bases of the given sizes.
 
     boundaries[d] maps dimension-d chains to dimension-(d-1) chains;
-    the composition of consecutive boundaries is checked to vanish.
+    d_(d-1) d_d is checked to vanish, one column of d_d at a time.
     """
 
     def __init__(self, cell_counts, boundaries):
@@ -358,10 +362,8 @@ class ChainComplex:
         for d in range(2, self.dim + 1):
             lower = self.boundaries.get(d - 1)
             upper = self.boundaries.get(d)
-            if lower is not None and upper is not None:
-                prod = lower @ upper
-                if prod.nnz():
-                    raise ValueError("boundary of boundary is nonzero in dim %d" % d)
+            if lower is not None and upper is not None and (lower @ upper).columns:
+                raise ValueError("boundary of boundary is nonzero in dim %d" % d)
 
     def boundary(self, d):
         mat = self.boundaries.get(d)
@@ -376,18 +378,16 @@ def homology(chain_complex):
     """Integral homology H_d = ker d_d / im d_{d+1}, exactly.
 
     Top-down with clearing, see above; relies on d_d d_{d+1} = 0, which
-    ``ChainComplex`` always checks.
+    ``ChainComplex`` always checks.  The cleared copy shares the boundary's columns.
     """
     ranks = {}
     torsions = {}
     cleared = frozenset()
     for d in range(chain_complex.dim, 0, -1):
         mat = chain_complex.boundary(d)
-        if cleared:
-            kept = IntegerMatrix(mat.rows, mat.cols)
-            kept.entries = {ij: v for ij, v in mat.entries.items() if ij[1] not in cleared}
-            mat = kept
-        snf = smith_normal_form(mat)
+        kept = IntegerMatrix(mat.rows, mat.cols)
+        kept.columns = {j: col for j, col in mat.columns.items() if j not in cleared}
+        snf = smith_normal_form(kept)
         ranks[d] = snf.rank()
         torsions[d] = tuple(t for t in snf.invariants if t > 1)
         cleared = frozenset(snf.pivot_rows)
@@ -410,10 +410,10 @@ def simplicial_chain_complex(complex_):
     boundaries = {}
     for d in range(1, dim + 1):
         mat = IntegerMatrix(len(faces[d - 1]), len(faces[d]))
-        for j, f in enumerate(faces[d]):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                mat.entries[(index[d - 1][sub], j)] = 1 if pos % 2 == 0 else -1
+        lower = index[d - 1].__getitem__
+        signs = [(-1) ** (d - k) for k in range(d + 1)]  # k-th omits position d - k
+        mat.columns = {j: dict(zip(map(lower, combinations(f, d)), signs))
+                       for j, f in enumerate(faces[d])}
         boundaries[d] = mat
     counts = [len(faces[d]) for d in range(dim + 1)]
     return ChainComplex(counts, boundaries)

@@ -355,20 +355,12 @@ def _class_multiples(edges, triangles, generator, targets):
             coord[e] = len(coord)
 
     def project(chain):
-        out = {}
-        for e, c in chain.items():
-            idx = coord.get(e)
-            if idx is not None and c:
-                out[idx] = c
-        return out
+        return {coord[e]: c for e, c in chain.items() if c and e in coord}
 
     relations = IntegerMatrix(len(coord), len(triangles))
-    entries = relations.entries
-    for cid, (a, b, c) in enumerate(triangles):
-        for e, s in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-            idx = coord.get(e)
-            if idx is not None:
-                entries[(idx, cid)] = s
+    for cid, (a, b, c) in enumerate(triangles):  # a forest never holds all three sides
+        sides = (((b, c), 1), ((a, c), -1), ((a, b), 1))
+        relations.columns[cid] = {coord[e]: s for e, s in sides if e in coord}
     snf = smith_normal_form(relations, carried=[project(generator)]
                             + [project(t) for t in targets])
     torsion = [d for d in snf.invariants if d != 1]

@@ -75,18 +75,51 @@ def test_matrix_basics():
     m.set(0, 0, 5)
     m.set(0, 0, 0)
     assert m.nnz() == 0
+    assert m.columns == {}  # the emptied column is dropped
     m.set(1, 2, -4)
+    m.set(0, 2, 7)
+    m.set(0, 2, 0)
     assert m.get(1, 2) == -4
+    assert m.columns == {2: {1: -4}}
     with pytest.raises(IndexError):
         m.set(2, 0, 1)
     d = [[1, 0, 2], [0, 3, 0]]
     assert IntegerMatrix.from_dense(d).to_dense() == d
+    m = IntegerMatrix.from_dense(d)
+    assert m.nnz() == len(m.entries) == 3
+    assert dict(m.entries) == {(0, 0): 1, (0, 2): 2, (1, 1): 3}
+    with pytest.raises(TypeError):
+        m.entries[(1, 0)] = 1  # a read-only view
 
 
 def test_matrix_multiplication():
     a = IntegerMatrix.from_dense([[1, 2], [3, 4]])
     b = IntegerMatrix.from_dense([[0, 1], [1, 0]])
     assert (a @ b).to_dense() == [[2, 1], [4, 3]]
+
+
+def test_matrix_multiplication_matches_dense_on_random_rectangular():
+    # entries in {-1, 0, 1} make many products cancel to 0: those entries,
+    # and columns left empty, must not be stored
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(200):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.choice((-1, 0, 0, 1)) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(k)]
+        dense = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                 for i in range(m)]
+        prod = IntegerMatrix.from_dense(a) @ IntegerMatrix.from_dense(b)
+        assert (prod.rows, prod.cols) == (m, n)
+        assert prod.to_dense() == dense
+        assert prod == IntegerMatrix.from_dense(dense)
+        assert all(col and all(col.values()) for col in prod.columns.values())
+        assert prod.nnz() == len(prod.entries)
+        cancelled += any(a[i][t] * b[t][j] and not dense[i][j]
+                         for i in range(m) for j in range(n) for t in range(k))
+    assert cancelled > 50
+    with pytest.raises(ValueError, match="shape"):
+        IntegerMatrix(2, 3) @ IntegerMatrix(2, 3)
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -108,8 +141,9 @@ def _carry(matrix, vecs, xs=()):
     images = []
     for x in xs:
         image = {}
-        for (i, j), val in matrix.entries.items():
-            image[i] = image.get(i, 0) + val * x[j]
+        for j, col in matrix.columns.items():
+            for i, val in col.items():
+                image[i] = image.get(i, 0) + val * x[j]
         images.append({i: val for i, val in image.items() if val})
     snf = smith_normal_form(matrix, carried=list(vecs) + images)
     free = matrix.rows - snf.rank()
@@ -162,10 +196,11 @@ def test_snf_sparse_path_matches_oracle_on_larger_random():
 
 
 def _row_and_col_dicts(matrix):
-    rows, cols = {}, {}
-    for (i, j), v in matrix.entries.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, {})[i] = v
+    cols = {j: dict(col) for j, col in matrix.columns.items()}
+    rows = {}
+    for j, col in cols.items():
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
     return rows, cols
 
 
@@ -382,10 +417,7 @@ def test_dense_core_of_a_mixed_basis_boundary_matches_the_oracle():
     # core after 64 unit pivots; the dense Smith form finishes it
     d3 = _mixed_bases(simplicial_chain_complex(fixture("sd-boundary-4-simplex")),
                       random.Random(0), 800).boundary(3)
-    rows, cols = {}, {}
-    for (i, j), val in d3.entries.items():
-        rows.setdefault(i, {})[j] = val
-        cols.setdefault(j, {})[i] = val
+    rows, cols = _row_and_col_dicts(d3)
     pivots = eliminate_unit_pivots(rows, cols)
     core = [[rows[r].get(c, 0) for c in sorted(cols)] for r in sorted(rows)]
     assert (len(pivots), len(core), len(core[0])) == (64, 176, 56)
@@ -435,9 +467,25 @@ def test_homology_clears_the_pivot_rows_of_the_boundary_above(monkeypatch):
     assert [m.cols for m, _ in handed] == [chain_complex.cell_counts[d] for d in (3, 2, 1)]
     for (_, upper), (lower, _) in zip(handed, handed[1:]):
         assert upper.pivot_rows
-        assert not {j for _, j in lower.entries} & set(upper.pivot_rows)
+        assert not set(lower.columns) & set(upper.pivot_rows)
     assert (sum(m.nnz() for m, _ in handed)
             < sum(chain_complex.boundary(d).nnz() for d in (1, 2, 3)))
+
+
+def test_homology_and_smith_form_leave_their_input_unchanged():
+    # the cleared matrix shares its column dicts with the boundary, so an
+    # elimination that wrote to them would corrupt the complex
+    chain_complex = simplicial_chain_complex(fixture("sd-boundary-4-simplex"))
+    before = {d: {j: dict(col) for j, col in m.columns.items()}
+              for d, m in chain_complex.boundaries.items()}
+    assert homology(chain_complex) == homology(chain_complex) == S3_PROFILE
+    assert {d: m.columns for d, m in chain_complex.boundaries.items()} == before
+    matrix = IntegerMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16], [1, 1, 0]])
+    vec = {0: 1, 3: -2}
+    snf = smith_normal_form(matrix, carried=[vec])
+    assert matrix.to_dense() == [[2, 4, 4], [-6, 6, 12], [10, 4, 16], [1, 1, 0]]
+    assert vec == {0: 1, 3: -2}
+    assert smith_normal_form(matrix, carried=[vec]) == snf
 
 
 # -- 3-manifold checks --------------------------------------------------------------
