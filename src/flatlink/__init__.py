@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in (
                  "simplicial_chain_complex smith_normal_form"),
     ("links", "EdgeCycleLink LinkingInternalError LinkingMatrix ObstructionReport "
               "ObstructionVerdict PlanarDiagram diagram_linking_matrix linking_matrix "
-              "obstruction_report simplicial_linking_number"),
+              "obstruction_report"),
 ) for name in names.split()}
 __all__ = sorted(_EXPORTS)
 

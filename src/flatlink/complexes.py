@@ -23,12 +23,14 @@ class SimplicialComplex:
 
     Vertices are the ints 0..vertex_count-1, every vertex appears in some
     facet, and no facet contains another; construction checks this and
-    builds nothing else.  The first query that needs them hashes the faces
-    up to dimension 3, builds the vertex adjacency or lists the facets at
-    each vertex.  Higher faces are answered by scanning facets.
+    builds nothing else.  The first query that needs one builds each table:
+    the faces up to dimension 3, hashed; the neighbours of each vertex as a
+    frozenset and as the set bits of an int; the facets at each vertex.
+    ``faces(d)`` reads the hash once it is built, else scans the facets.
     """
 
-    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_stars")
+    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table",
+                 "_stars")
 
     def __init__(self, vertex_count, facets):
         self.vertex_count = int(vertex_count)
@@ -54,7 +56,7 @@ class SimplicialComplex:
         clean.sort()
         clean.sort(key=len)  # stable: ordered by (size, lex)
         self.facets = tuple(clean)
-        self._small_table = self._adj_table = self._stars = None
+        self._small_table = self._adj_table = self._mask_table = self._stars = None
 
         # facet vertices lie in range(vertex_count): equal sizes mean all are
         # covered, and the first uncovered vertex is at most len(covered)
@@ -104,6 +106,19 @@ class SimplicialComplex:
             self._adj_table = tuple(map(frozenset, adj))
         return self._adj_table
 
+    @property
+    def _masks(self):
+        """Per vertex, its neighbours as the set bits of one int."""
+        if self._mask_table is None:
+            masks = [0] * self.vertex_count
+            for f in self.facets:
+                m = _mask(f)
+                for u in f:
+                    masks[u] |= m
+            # every vertex lies in a facet, so its own bit is set
+            self._mask_table = tuple(m ^ 1 << v for v, m in enumerate(masks))
+        return self._mask_table
+
     # -- basic queries ---------------------------------------------------
 
     def has_face(self, face):
@@ -118,8 +133,9 @@ class SimplicialComplex:
     def faces(self, dim):
         """Sorted list of all faces of the given dimension."""
         size = dim + 1
-        if 1 <= size <= 4:
-            return sorted([f for f in self._faces_small if len(f) == size])
+        small = self._small_table
+        if small is not None and 1 <= size <= 4:
+            return sorted([f for f in small if len(f) == size])
         out = set()
         for f in self.facets:
             if len(f) >= size:
@@ -237,8 +253,8 @@ def is_flag(complex_):
     clique that is not a facet, less each vertex, largest first, whose
     removal leaves a non-face: a minimal non-spanning clique."""
     facets = set(complex_.facets)
-    witness = min((c for c in _maximal_cliques(complex_._adj, complex_.vertex_count)
-                   if c not in facets), default=None)
+    witness = min((c for c in _maximal_cliques(complex_._masks) if c not in facets),
+                  default=None)
     if witness is None:
         return FlagReport(True, None)
     for v in reversed(witness):
@@ -258,33 +274,36 @@ def scan_nonadjacent_pairs(complex_):
     """Squares, and the count and least of the Caprace witnesses, from the
     common neighbourhoods C(p, q).
 
-    C(p, q) of every non-adjacent pair p < q is gathered by walking the
-    paths p - m - q of length two (work: the sum of squared degrees).  A
-    square is a non-adjacent pair x < y in C(p, q), taken once, when p is
-    its least vertex and so (p, x, q, y) its canonical cycle.  A witness is
-    a triple of C(p, q) spanning no edge (the full subcomplex is the
-    suspension of 3 points), or exactly one edge uv with puv and quv faces
-    (the suspension of an edge and a point).  Each 5-set comes from one
-    pair: in a 3-points witness only {p, q} is adjacent to the other three
-    vertices, and in an edge-point one w is adjacent to neither u nor v.  So
-    each witness is counted once, and only the least (5-set, kind) is kept.
-    As q > p and the mids x < y < z are sorted, its 5-set starts with min(p, x):
-    only when that is at most the least one's first vertex is it built.
-    The squares are sorted as flat int tuples, which CPython compares
-    faster, then wrapped.
+    For each p, a fold over its neighbours m of the bit masks, twice |=
+    once & masks[m] and once |= masks[m], sets in ``twice`` the vertices
+    with two or more neighbours in common with p; a pair with one common
+    neighbour holds no square and no triple, so only the non-adjacent q > p
+    of ``twice`` are visited, with C(p, q) the sorted intersection of the
+    neighbour sets.  A square is a non-adjacent pair x < y in C(p, q), taken
+    once, when p is its least vertex and so (p, x, q, y) its canonical
+    cycle.  A witness is a triple of C(p, q) spanning no edge (the full
+    subcomplex is the suspension of 3 points), or exactly one edge uv with
+    puv and quv faces (the suspension of an edge and a point).  Each 5-set
+    comes from one pair: in a 3-points witness only {p, q} is adjacent to
+    the other three vertices, and in an edge-point one w is adjacent to
+    neither u nor v.  So each witness is counted once, and only the least
+    (5-set, kind) is kept.  As q > p and the mids x < y < z are sorted, its
+    5-set starts with min(p, x): only when that is at most the least one's
+    first vertex is it built.  The squares are sorted as flat int tuples,
+    which CPython compares faster, then wrapped.
     """
     adj = complex_._adj
+    masks = complex_._masks
     small = complex_._faces_small
     squares = []
     least, count = None, 0
     for p in range(complex_.vertex_count):
-        common = {}
+        once = twice = 0
         for m in adj[p]:
-            for q in adj[m]:
-                if q > p and q not in adj[p]:
-                    common.setdefault(q, []).append(m)
-        for q, mids in common.items():
-            mids.sort()
+            twice |= once & masks[m]
+            once |= masks[m]
+        for q in _bits(twice & ~masks[p] & -(2 << p)):  # non-adjacent, above p
+            mids = sorted(adj[p] & adj[q])
             for i in range(bisect_right(mids, p), len(mids)):
                 x = mids[i]
                 for y in mids[i + 1:]:
@@ -296,8 +315,10 @@ def scan_nonadjacent_pairs(complex_):
                     kind = "3-points"
                 elif xy + xz + yz == 1:
                     u, v = (x, y) if xy else (x, z) if xz else (y, z)
-                    if (tuple(sorted((p, u, v))) not in small
-                            or tuple(sorted((q, u, v))) not in small):
+                    # u < v: place p, then q, in the sorted triangle
+                    if ((p, u, v) if p < u else (u, p, v) if p < v else (u, v, p)) not in small:
+                        continue
+                    if ((q, u, v) if q < u else (u, q, v) if q < v else (u, v, q)) not in small:
                         continue
                     kind = "edge-point"
                 else:
@@ -448,37 +469,67 @@ def barycentric_subdivision(complex_, return_face_map=False):
     return sd
 
 
-def _maximal_cliques(adj, n):
-    """The maximal cliques of the graph on 0..n-1 with neighbour sets adj,
-    each sorted: Bron-Kerbosch with pivoting (Bron-Kerbosch 1973;
-    Tomita-Tanaka-Takahashi 2006); no clique when n is 0."""
+def _mask(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _bits(mask):
+    """The set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(masks):
+    """The maximal cliques of the graph on 0..len(masks)-1 whose neighbours
+    are the set bits of masks[v], each sorted: Bron-Kerbosch with pivoting
+    (Bron-Kerbosch 1973; Tomita-Tanaka-Takahashi 2006) on bit-mask sets (San
+    Segundo-Rodriguez-Losada-Jimenez 2011); no clique on no vertex."""
     cliques = []
 
     def bron_kerbosch(r, p, x):
         if not p and not x:
             cliques.append(tuple(sorted(r)))
             return
-        pivot_pool = p | x
-        pivot = max(pivot_pool, key=lambda w: len(adj[w] & p))
-        for v in sorted(p - adj[pivot]):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        # bits walked inline: a ``_bits`` generator per call slows the search by a third
+        pool, best = p | x, -1
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            w = low.bit_length() - 1
+            size = (masks[w] & p).bit_count()
+            if size > best:
+                pivot, best = w, size
+        todo = p & ~masks[pivot]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            bron_kerbosch(r + (v,), p & masks[v], x & masks[v])
+            p ^= low
+            x |= low
 
-    if n:
-        bron_kerbosch(set(), set(range(n)), set())
+    if masks:
+        bron_kerbosch((), (1 << len(masks)) - 1, 0)
     return cliques
 
 
 def clique_complex(vertex_count, edges):
     """Flag complex of a graph: facets are the maximal cliques."""
-    adj = [set() for _ in range(vertex_count)]
+    masks = [0] * vertex_count
     for (u, v) in edges:
         if u == v:
             raise ValueError("loop edge (%d,%d)" % (u, v))
-        adj[u].add(v)
-        adj[v].add(u)
-    return SimplicialComplex(vertex_count, sorted(_maximal_cliques(adj, vertex_count)))
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError("edge (%d,%d) has a vertex out of range for %d vertices"
+                             % (u, v, vertex_count))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return SimplicialComplex(vertex_count, sorted(_maximal_cliques(masks)))
 
 
 def disjoint_union(k1, k2):

@@ -32,9 +32,6 @@ class Racg:
             self.commuting[v].add(u)
         self.commuting = tuple(frozenset(s) for s in self.commuting)
 
-    def commutes(self, a, b):
-        return b in self.commuting[a]
-
     def __repr__(self):
         edges = sum(len(s) for s in self.commuting) // 2
         return "Racg(%d generators, %d commuting pairs)" % (self.n, edges)

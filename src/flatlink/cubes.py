@@ -19,7 +19,7 @@ for ``pk --cells-out``.
 
 from typing import NamedTuple
 
-from .complexes import full_subcomplex, is_flag
+from .complexes import _bits, _mask, full_subcomplex, is_flag
 from .homology import (ChainComplex, HomologyProfile, IntegerMatrix, _merged_torsion,
                        homology, simplicial_chain_complex)
 
@@ -31,34 +31,12 @@ class GroundSetTooLarge(ValueError):
 DEFAULT_MAX_GROUND = 24
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
-def _mask(vertices):
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _unmask(mask):
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 class CubicalCell(NamedTuple):
     J: int      # face type, bit mask over the ground set
     coset: int  # canonical representative, bits in J forced to zero
 
     def dim(self):
-        return _popcount(self.J)
+        return self.J.bit_count()
 
 
 class CubicalComplex:
@@ -78,7 +56,7 @@ class CubicalComplex:
         d = max(per_dim, default=0)
         while d > 0:
             for cell in list(per_dim.get(d, ())):
-                for b in _unmask(cell.J):
+                for b in _bits(cell.J):
                     sub = cell.J & ~(1 << b)
                     for bit in (0, 1 << b):
                         face = CubicalCell(sub, cell.coset | bit)
@@ -106,7 +84,7 @@ class CubicalComplex:
             if d == 0:
                 continue
             for cell in cells:
-                for b in _unmask(cell.J):
+                for b in _bits(cell.J):
                     sub = cell.J & ~(1 << b)
                     covered.add(CubicalCell(sub, cell.coset))
                     covered.add(CubicalCell(sub, cell.coset | (1 << b)))
@@ -118,7 +96,7 @@ class CubicalComplex:
 
     def to_json(self):
         return {"ground": self.ground,
-                "cells": [{"J": list(_unmask(c.J)), "coset": "%x" % c.coset}
+                "cells": [{"J": list(_bits(c.J)), "coset": "%x" % c.coset}
                           for c in self.top_cells()]}
 
 
@@ -174,7 +152,7 @@ def _core_tally(complex_):
     left out.
     """
     n = complex_.vertex_count
-    closed = [_mask(complex_.neighbors(v)) | 1 << v for v in range(n)]
+    closed = [m | 1 << v for v, m in enumerate(complex_._masks)]
     core = [0] * (1 << n)
     tally = {}
     for J in range(1, 1 << n):
@@ -207,7 +185,7 @@ def pk_homology(complex_):
     else:
         tally = ((J, 1) for J in range(1, 1 << n))
     for J, count in tally:
-        sub = full_subcomplex(complex_, _unmask(J))
+        sub = full_subcomplex(complex_, tuple(_bits(J)))
         for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
             ranks[d + 1] += count * (rank - (d == 0))
             torsion[d + 1].extend(tors * count)
@@ -253,7 +231,7 @@ def cubical_chain_complex(cubical):
         lower = index[d - 1]
         for col, cell in enumerate(cubical.cells[d]):
             column = mat.columns[col] = {}
-            for rank, b in enumerate(_unmask(cell.J)):
+            for rank, b in enumerate(_bits(cell.J)):
                 sub = cell.J & ~(1 << b)
                 sign = 1 if rank % 2 == 0 else -1
                 top = CubicalCell(sub, cell.coset)            # bit 0: coordinate +1

@@ -62,20 +62,6 @@ class IntegerMatrix:
     def nnz(self):
         return sum(map(len, self.columns.values()))
 
-    @classmethod
-    def from_dense(cls, data):
-        if len(set(map(len, data))) > 1:
-            raise ValueError("ragged rows")
-        return cls(len(data), len(data[0]) if data else 0,
-                   {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
-
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for j, col in self.columns.items():
-            for i, v in col.items():
-                out[i][j] = v
-        return out
-
     def __matmul__(self, other):
         """The product, one column of ``other`` at a time."""
         if self.cols != other.rows:

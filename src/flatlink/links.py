@@ -457,18 +457,6 @@ class _Complements:
         return dict(zip(others, _class_multiples(edges, triangles, meridian, targets)))
 
 
-def simplicial_linking_number(sigma, link, i, j, orientation=None):
-    """Exact linking number of two components of an edge-cycle link.
-
-    The ambient must verify as a homology 3-sphere (or pass a precomputed
-    facet orientation to skip re-verification).  The ambient orientation is
-    normalized with the lexicographically least facet positive.
-    """
-    if i == j:
-        raise ValueError("need two distinct components")
-    return _Complements(sigma, link, orientation).column(j, [i])[i]
-
-
 def linking_matrix(sigma, link, orientation=None):
     """All pairwise linking numbers of an edge-cycle link.
 

@@ -13,8 +13,10 @@ form per boundary, without clearing, and the class map of a cokernel Z by
 rational Gauss-Jordan elimination; the homology of P_K with one Smith-form
 homology per vertex set.  Also the helpers and fixtures only the tests use:
 every face, the Euler characteristic, square validation, the eagerly built
-face tables, complexes with pinched vertex links, links carried into the
-barycentric subdivision and the named link diagrams.
+face tables, complexes with pinched vertex links, dense matrices, the
+commutation test of two generators, the linking number of one pair of
+components, links carried into the barycentric subdivision and the named
+link diagrams.
 """
 
 from fractions import Fraction
@@ -25,12 +27,26 @@ from typing import NamedTuple
 from flatlink.complexes import (SimplicialComplex, Square, barycentric_subdivision,
                                 clique_complex, full_subcomplex, is_flag, maximal_faces,
                                 oriented_subdivision)
-from flatlink.cubes import _mask, _unmask
+from flatlink.cubes import _mask
 from flatlink.fixtures import fixture
-from flatlink.homology import (HomologyProfile, _merged_torsion, homology, is_homology_3sphere,
-                               simplicial_chain_complex, smith_normal_form)
+from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
+                               is_homology_3sphere, simplicial_chain_complex, smith_normal_form)
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram, _class_multiples,
-                            _cycle_chain, _edge_link_cycle, _skeleton, diagram_linking_matrix)
+                            _Complements, _cycle_chain, _edge_link_cycle, _skeleton,
+                            diagram_linking_matrix)
+
+
+def _unmask(mask):
+    """The set bits of a non-negative int, lowest first, read one shift at
+    a time."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
 
 
 def all_faces(k):
@@ -44,6 +60,23 @@ def all_faces(k):
 
 def euler_characteristic(k):
     return sum((-1) ** d * c for d, c in enumerate(k.f_vector()))
+
+
+def from_dense(data):
+    """The IntegerMatrix of a list of rows of equal length."""
+    if len(set(map(len, data))) > 1:
+        raise ValueError("ragged rows")
+    return IntegerMatrix(len(data), len(data[0]) if data else 0,
+                         {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
+
+
+def to_dense(matrix):
+    """The rows of an IntegerMatrix, zeros included."""
+    out = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for j, col in matrix.columns.items():
+        for i, v in col.items():
+            out[i][j] = v
+    return out
 
 
 def pinched_3_complexes():
@@ -82,9 +115,9 @@ def validate_square(square, k):
 
 
 def eager_tables(k):
-    """The face hash (sizes <= 4) and the vertex adjacency, built eagerly
-    from the facets and the sorted edge list: what the library's tables,
-    built on first read, must equal."""
+    """The face hash (sizes <= 4), the vertex adjacency and its bit masks,
+    built eagerly from the facets and the sorted edge list: what the
+    library's tables, built on first read, must equal."""
     small = set()
     for f in k.facets:
         for size in range(1, min(len(f), 4) + 1):
@@ -93,7 +126,8 @@ def eager_tables(k):
     for (u, v) in k.faces(1):
         adj[u].add(v)
         adj[v].add(u)
-    return frozenset(small), tuple(frozenset(s) for s in adj)
+    masks = tuple(sum(2 ** u for u in s) for s in adj)
+    return frozenset(small), tuple(frozenset(s) for s in adj), masks
 
 
 def brute_force_is_flag(k):
@@ -109,6 +143,29 @@ def brute_force_is_flag(k):
             stack.append((clique + (u,), sorted(w for w in extensions
                                                 if w > u and w in adj[u])))
     return True
+
+
+def brute_force_flag_witness(k):
+    """None when k is flag, else the least maximal clique that is not a
+    facet, less each vertex, largest first, whose removal leaves a non-face.
+    The maximal cliques are the cliques, grown in increasing vertex order,
+    that no vertex extends."""
+    n = k.vertex_count
+    adj = [set(k.neighbors(v)) for v in range(n)]
+    least = None
+    stack = [(v,) for v in range(n)]
+    while stack:
+        clique = stack.pop()
+        extensions = [u for u in range(n) if all(u in adj[w] for w in clique)]
+        if not extensions and not k.has_face(clique) and (least is None or clique < least):
+            least = clique
+        stack.extend(clique + (u,) for u in extensions if u > clique[-1])
+    if least is not None:
+        for v in reversed(least):
+            smaller = tuple(u for u in least if u != v)
+            if not k.has_face(smaller):
+                least = smaller
+    return least
 
 
 def brute_force_squares(k):
@@ -184,6 +241,10 @@ def random_flag_complex(rng, max_vertices=12):
     return clique_complex(n, edges)
 
 
+def commutes(group, a, b):
+    return b in group.commuting[a]
+
+
 def commutation_class(group, word, cap=200000):
     """The words reachable by adjacent commuting swaps (same length), yielded
     breadth first as the search meets them."""
@@ -195,7 +256,7 @@ def commutation_class(group, word, cap=200000):
         for w in frontier:
             for i in range(len(w) - 1):
                 a, b = w[i], w[i + 1]
-                if a != b and group.commutes(a, b):
+                if a != b and commutes(group, a, b):
                     swapped = w[:i] + (b, a) + w[i + 2:]
                     if swapped not in seen:
                         seen.add(swapped)
@@ -330,6 +391,19 @@ def subdivide_link(sigma, link):
     sd, face_map = barycentric_subdivision(sigma, return_face_map=True)
     comps = [_carry_cycle(c, face_map) for c in link.components]
     return sd, EdgeCycleLink(sd, comps, link.orientations)
+
+
+def simplicial_linking_number(sigma, link, i, j, orientation=None):
+    """Exact linking number of two components of an edge-cycle link, from
+    the one elimination over the complement of component j.
+
+    The ambient must verify as a homology 3-sphere (or pass a precomputed
+    facet orientation to skip re-verification).  The ambient orientation is
+    normalized with the lexicographically least facet positive.
+    """
+    if i == j:
+        raise ValueError("need two distinct components")
+    return _Complements(sigma, link, orientation).column(j, [i])[i]
 
 
 def second_subdivision_linking_matrix(sigma, link, orientation=None):

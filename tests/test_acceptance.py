@@ -5,20 +5,20 @@ Run with -s to see the per-criterion pass lines.
 
 import random
 
-from oracles import (all_graphs, brunnian_diagram, cokernel_functional, hopf_diagram,
-                     oracle_canonical, pk_vertex_link, solomon_diagram, subdivide_link,
-                     three_chain_133_diagram, whitehead_diagram)
+from oracles import (all_graphs, brunnian_diagram, cokernel_functional, from_dense,
+                     hopf_diagram, oracle_canonical, pk_vertex_link, simplicial_linking_number,
+                     solomon_diagram, subdivide_link, three_chain_133_diagram,
+                     whitehead_diagram)
 
 from flatlink.complexes import (clique_complex, find_squares, has_isolated_squares,
                                 is_flag)
 from flatlink.coxeter import Racg, caprace_criterion, racg_from_skeleton
 from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names, hopf_pair, split_pair
-from flatlink.homology import (HomologyProfile, IntegerMatrix, S3_PROFILE, homology,
-                               is_homology_3sphere, simplicial_chain_complex,
-                               smith_normal_form)
+from flatlink.homology import (HomologyProfile, S3_PROFILE, homology, is_homology_3sphere,
+                               simplicial_chain_complex, smith_normal_form)
 from flatlink.links import (LinkingMatrix, ObstructionVerdict, diagram_linking_matrix,
-                            linking_matrix, obstruction_report, simplicial_linking_number)
+                            linking_matrix, obstruction_report)
 
 
 def _passed(n, text):
@@ -119,7 +119,7 @@ def test_criterion_7_homology_suite():
                 for _ in range(rng.randint(1, 5))]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        m = IntegerMatrix.from_dense(rows)
+        m = from_dense(rows)
         # carry the unit vectors and one image M x through the Smith form
         x = [(-2) ** j for j in range(width)]
         image = {i: v for i, row in enumerate(rows) if (v := sum(a * b for a, b in zip(row, x)))}

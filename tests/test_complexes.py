@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,16 +14,16 @@ from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
                                 _stellar_subdivision, barycentric_subdivision, clique_complex,
                                 disjoint_union, find_squares, full_subcomplex,
                                 has_isolated_squares, is_flag, join, maximal_faces,
-                                oriented_subdivision, vertex_link)
+                                oriented_subdivision, scan_nonadjacent_pairs, vertex_link)
 from flatlink.fixtures import check_hypotheses, fixture, fixture_names
 from flatlink.homology import is_closed_orientable_3manifold
 
 
 # -- independent oracles ----------------------------------------------------
 
-from oracles import (brute_force_is_flag, brute_force_squares, chain_subdivision,
-                     eager_tables, euler_characteristic, random_flag_complex,
-                     validate_square)
+from oracles import (brute_force_caprace_witnesses, brute_force_flag_witness,
+                     brute_force_is_flag, brute_force_squares, chain_subdivision, eager_tables,
+                     euler_characteristic, random_flag_complex, validate_square)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -85,20 +86,23 @@ def test_constructor_messages_are_pinned(vertex_count, facets, message):
 
 def _built(k):
     """The names of the lazy tables built so far on k."""
-    return [name for name in ("_small_table", "_adj_table", "_stars")
+    return [name for name in ("_small_table", "_adj_table", "_mask_table", "_stars")
             if getattr(k, name) is not None]
 
 
 def _assert_tables_match_oracle(k):
-    small, adj = eager_tables(k)
+    small, adj, masks = eager_tables(k)
+    every_face = [sorted({g for f in k.facets for g in combinations(f, d + 1)})
+                  for d in range(k.dim() + 1)]
     fresh = SimplicialComplex(k.vertex_count, k.facets)
+    # faces(d) scans the facets until the face hash is built, then reads it
+    assert [fresh.faces(d) for d in range(fresh.dim() + 1)] == every_face
     assert _built(fresh) == []
     assert fresh._faces_small == small
+    assert [fresh.faces(d) for d in range(fresh.dim() + 1)] == every_face
     assert fresh._adj == adj
+    assert fresh._masks == masks
     assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
-    for d in range(fresh.dim() + 1):
-        assert fresh.faces(d) == sorted({g for f in k.facets
-                                         for g in combinations(f, d + 1)})
     # each star lists facets through v in facet order, and the stars hold
     # every (vertex, facet) incidence: so each is all the facets through v
     position = {f: i for i, f in enumerate(k.facets)}
@@ -109,9 +113,10 @@ def _assert_tables_match_oracle(k):
     assert sum(len(fresh.star(v)) for v in range(k.vertex_count)) == sum(map(len, k.facets))
     # built once: later reads return the stored tables
     assert fresh._faces_small is fresh._faces_small and fresh._adj is fresh._adj
+    assert fresh._masks is fresh._masks
     # read in the other order, from a second fresh copy
     other = SimplicialComplex(k.vertex_count, k.facets)
-    assert other._adj == adj and other._faces_small == small
+    assert other._masks == masks and other._adj == adj and other._faces_small == small
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -147,7 +152,7 @@ def test_construction_and_subdivision_build_no_table():
 
 def test_concurrent_first_reads_see_complete_tables():
     base = barycentric_subdivision(fixture("boundary-16-cell"))
-    small, adj = eager_tables(base)
+    small, adj, masks = eager_tables(base)
     k = SimplicialComplex(base.vertex_count, base.facets)
     barrier = threading.Barrier(6)
     seen = []
@@ -155,7 +160,8 @@ def test_concurrent_first_reads_see_complete_tables():
     def read():
         barrier.wait(timeout=10)
         # copies taken at once: a table published before it is full shows here
-        seen.append((frozenset(k._faces_small), tuple(map(frozenset, k._adj)), k.star(0)))
+        seen.append((frozenset(k._faces_small), tuple(map(frozenset, k._adj)),
+                     tuple(k._masks), k.star(0)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -169,7 +175,7 @@ def test_concurrent_first_reads_see_complete_tables():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     star0 = tuple(f for f in base.facets if 0 in f)
-    assert seen == [(small, adj, star0)] * 6
+    assert seen == [(small, adj, masks, star0)] * 6
 
 
 def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
@@ -186,7 +192,7 @@ def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
         return property(wrapper) if isinstance(original, property) else wrapper
 
     for name, slot in (("_faces_small", "_small_table"), ("_adj", "_adj_table"),
-                       ("star", "_stars")):
+                       ("_masks", "_mask_table"), ("star", "_stars")):
         monkeypatch.setattr(SimplicialComplex, name, counting(name, slot))
     base = fixture("sd-boundary-4-simplex")
     k = SimplicialComplex(base.vertex_count, base.facets)
@@ -195,7 +201,7 @@ def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
     keys = [(slot, id(obj)) for slot, obj in builds]
     assert len(keys) == len(set(keys))
     assert sorted(slot for slot, obj in builds if obj is k) == [
-        "_adj_table", "_small_table", "_stars"]
+        "_adj_table", "_mask_table", "_small_table", "_stars"]
 
 
 # -- is_flag -----------------------------------------------------------------
@@ -354,6 +360,112 @@ def test_square_validate_rejects_vertices_outside_the_complex(cycle, side):
 def test_square_canonical_form_is_dihedral_least():
     images = [(0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0), (2, 1, 0, 3)]
     assert all(Square.canonical(c).cycle == (0, 1, 2, 3) for c in images)
+
+
+# -- the bit-mask kernels against the oracles ------------------------------------
+
+def _random_complex(rng, max_vertices):
+    """A flag complex of a random graph, or the maximal faces of random
+    vertex sets (mostly not flag), on at least one vertex."""
+    if rng.random() < 0.5:
+        return random_flag_complex(rng, max_vertices)
+    n = rng.randint(1, max_vertices)
+    faces = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 4)))))
+             for _ in range(rng.randint(1, 2 * n))]
+    return SimplicialComplex(n, maximal_faces(faces + [(v,) for v in range(n)]))
+
+
+def _spread(k, targets):
+    """k with vertex v renamed targets[v], increasing, on targets[-1] + 1
+    vertices; the vertices no target names are isolated points."""
+    n = targets[-1] + 1
+    isolated = sorted(set(range(n)) - set(targets))
+    return SimplicialComplex(n, [tuple(targets[v] for v in f) for f in k.facets]
+                             + [(v,) for v in isolated])
+
+
+def _oracle_kernels(k, kinds=None):
+    witnesses = brute_force_caprace_witnesses(k)
+    if kinds is not None:
+        kinds.update(kind for _, kind in witnesses)
+    return (brute_force_flag_witness(k), brute_force_squares(k),
+            witnesses[0] if witnesses else None, len(witnesses))
+
+
+def _library_kernels(k):
+    flag, scan = is_flag(k), scan_nonadjacent_pairs(k)
+    assert flag.is_flag == (flag.witness is None) == brute_force_is_flag(k)
+    return flag.witness, scan.squares, scan.caprace_witness, scan.caprace_witness_count
+
+
+def test_mask_kernels_match_oracles_on_random_and_disconnected_complexes():
+    rng = random.Random(24)
+    kinds = Counter()
+    for trial in range(60):
+        k = _random_complex(rng, 10)
+        if trial % 3 == 0:
+            k = disjoint_union(k, _random_complex(rng, 6))
+        witness, squares, _, _ = found = _library_kernels(k)
+        assert found == _oracle_kernels(k, kinds)
+        kinds.update(["non-flag"] * (witness is not None) + ["squares"] * bool(squares))
+    assert min(kinds[key] for key in ("non-flag", "squares", "3-points", "edge-point")) >= 5, kinds
+
+
+@pytest.mark.parametrize("size", [65, 129, 200])
+def test_mask_kernels_match_oracles_past_one_machine_word(size):
+    # the complex's vertices are spread over 0..size-1 with the largest
+    # ones past 64 (or 128), so each mask spans several words; an increasing
+    # renaming keeps every canonical form and every order
+    rng = random.Random(size)
+    counts = []
+    for _ in range(16):
+        k = _random_complex(rng, 12)
+        targets = sorted(rng.sample(range(size - 1), k.vertex_count - 1)) + [size - 1]
+
+        def spread(face):
+            return tuple(targets[v] for v in face)
+
+        witness, squares, least, count = _oracle_kernels(k)
+        assert _library_kernels(_spread(k, targets)) == (
+            witness and spread(witness), [Square(spread(s.cycle)) for s in squares],
+            least and (spread(least[0]), least[1]), count)
+        counts.append((witness is not None, len(squares), count))
+    assert all(map(any, zip(*counts))), counts
+    # a sparse graph on all of them, and the same with one facet hollowed
+    k = clique_complex(size, [e for e in combinations(range(size), 2)
+                              if rng.random() < 6 / size])
+    f = max(k.facets, key=len)
+    hollow = SimplicialComplex(size, maximal_faces(
+        [g for g in k.facets if g != f] + list(combinations(f, len(f) - 1))))
+    for case in (k, hollow):
+        assert is_flag(case).witness == brute_force_flag_witness(case)
+    assert is_flag(hollow).witness == f
+
+
+@pytest.mark.parametrize("complex_", [SimplicialComplex(0, []), SimplicialComplex(1, [(0,)])],
+                         ids=["empty", "one vertex"])
+def test_mask_kernels_on_the_smallest_complexes(complex_):
+    assert complex_._masks == (0,) * complex_.vertex_count
+    assert is_flag(complex_) == (True, None)
+    assert scan_nonadjacent_pairs(complex_) == ([], None, 0)
+
+
+def test_a_pair_with_one_common_neighbour_beside_a_square():
+    # (1, 4) has only 0 in common and (2, 4) nothing; (1, 3) holds the square
+    k = clique_complex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    assert scan_nonadjacent_pairs(k) == ([Square((0, 1, 2, 3))], None, 0)
+    assert _oracle_kernels(k) == (None, [Square((0, 1, 2, 3))], None, 0)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 2), (2, -1)], r"edge \(2,-1\) has a vertex out of range for 4 vertices"),
+    ([(0, 1), (1, 4)], r"edge \(1,4\) has a vertex out of range for 4 vertices"),
+    ([(0, 1), (1, 5)], r"edge \(1,5\) has a vertex out of range for 4 vertices"),
+    ([(1, 1)], r"loop edge \(1,1\)"),
+], ids=["negative", "one past the end", "past the end", "loop"])
+def test_clique_complex_names_a_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        clique_complex(4, edges)
 
 
 # -- isolated squares ---------------------------------------------------------

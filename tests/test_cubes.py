@@ -19,8 +19,8 @@ from flatlink.fixtures import _cycle, fixture, fixture_names
 from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
                                smith_normal_form)
 
-from oracles import (all_faces, oracle_invariant_factors, pk_homology_by_subsets,
-                     pk_vertex_link, random_flag_complex)
+from oracles import (all_faces, from_dense, oracle_invariant_factors, pk_homology_by_subsets,
+                     pk_vertex_link, random_flag_complex, to_dense)
 
 
 def test_pk_point_is_segment():
@@ -78,7 +78,7 @@ def test_segment_boundary_matrix():
     p = build_pk(SimplicialComplex(1, [(0,)]))
     cc = cubical_chain_complex(p)
     # vertices ordered (coset 0, coset 1); bit 0 is the top (+1) face
-    assert cc.boundary(1).to_dense() == [[1], [-1]]
+    assert to_dense(cc.boundary(1)) == [[1], [-1]]
 
 
 def _accumulated_boundaries(cubical):
@@ -267,7 +267,7 @@ def test_torsion_merge_matches_smith_form_of_the_diagonal():
         dense = [[c if i == j else 0 for j in range(n)] for i, c in enumerate(coefficients)]
         invariants = oracle_invariant_factors(dense)
         assert _merged_torsion(coefficients) == tuple(t for t in invariants if t > 1)
-        assert smith_normal_form(IntegerMatrix.from_dense(dense)).invariants == invariants
+        assert smith_normal_form(from_dense(dense)).invariants == invariants
 
 
 def test_check_ground_is_the_bound_of_build_pk():

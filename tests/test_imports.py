@@ -153,6 +153,18 @@ def test_unknown_export_is_an_attribute_error():
         flatlink.nope
 
 
+@pytest.mark.parametrize("module, owner, name", [
+    ("homology", "IntegerMatrix", "from_dense"), ("homology", "IntegerMatrix", "to_dense"),
+    ("coxeter", "Racg", "commutes"), ("links", None, "simplicial_linking_number"),
+])
+def test_test_only_helpers_live_in_the_oracles(module, owner, name):
+    # only the tests used them: they are in tests/oracles.py, not exported
+    holder = importlib.import_module("flatlink." + module)
+    assert not hasattr(getattr(holder, owner) if owner else holder, name)
+    assert name not in flatlink.__all__
+    assert callable(getattr(importlib.import_module("oracles"), name))
+
+
 def test_no_export_is_named_like_a_submodule():
     # the import system binds a loaded submodule over a package attribute
     assert set(flatlink.__all__).isdisjoint(flatlink._EXPORTS.values())

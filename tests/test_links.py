@@ -7,10 +7,11 @@ from flatlink.complexes import SimplicialComplex
 from flatlink.fixtures import check_hypotheses, fixture, hopf_pair, split_pair, verify_type_l
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             PlanarDiagram, diagram_linking_matrix, linking_matrix,
-                            obstruction_report, simplicial_linking_number)
+                            obstruction_report)
 
-from oracles import (brunnian_diagram, hopf_diagram, solomon_diagram, subdivide_link,
-                     three_chain_133_diagram, whitehead_diagram, whitehead_double_diagram)
+from oracles import (brunnian_diagram, hopf_diagram, simplicial_linking_number,
+                     solomon_diagram, subdivide_link, three_chain_133_diagram,
+                     whitehead_diagram, whitehead_double_diagram)
 
 
 # -- edge cycle links ---------------------------------------------------------
