@@ -23,14 +23,13 @@ class SimplicialComplex:
 
     Vertices are the ints 0..vertex_count-1, every vertex appears in some
     facet, and no facet contains another; construction checks this and
-    builds nothing else.  The first query that needs one builds each table:
-    the faces up to dimension 3, hashed; the neighbours of each vertex as a
-    frozenset and as the set bits of an int; the facets at each vertex.
-    ``faces(d)`` reads the hash once it is built, else scans the facets.
+    builds nothing else.  The first query that needs one builds each of
+    three tables: the faces up to dimension 3, hashed; the neighbours of
+    each vertex as a frozenset and as the set bits of an int.  ``faces(d)``
+    reads the hash once it is built, else scans the facets.
     """
 
-    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table",
-                 "_stars")
+    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
 
     def __init__(self, vertex_count, facets):
         self.vertex_count = int(vertex_count)
@@ -56,7 +55,7 @@ class SimplicialComplex:
         clean.sort()
         clean.sort(key=len)  # stable: ordered by (size, lex)
         self.facets = tuple(clean)
-        self._small_table = self._adj_table = self._mask_table = self._stars = None
+        self._small_table = self._adj_table = self._mask_table = None
 
         # facet vertices lie in range(vertex_count): equal sizes mean all are
         # covered, and the first uncovered vertex is at most len(covered)
@@ -152,16 +151,6 @@ class SimplicialComplex:
 
     def neighbors(self, v):
         return self._adj[v]
-
-    def star(self, v):
-        """The facets containing vertex v, in facet order."""
-        if self._stars is None:
-            stars = [[] for _ in range(self.vertex_count)]
-            for f in self.facets:
-                for u in f:
-                    stars[u].append(f)
-            self._stars = tuple(map(tuple, stars))
-        return self._stars[v]
 
     def is_pure(self, dim=None):
         sizes = {len(f) for f in self.facets}
@@ -335,10 +324,8 @@ def find_squares(complex_):
     return scan_nonadjacent_pairs(complex_).squares
 
 
-def has_isolated_squares(complex_, squares=None):
+def has_isolated_squares(squares):
     """True when no vertex lies in two distinct squares."""
-    if squares is None:
-        squares = find_squares(complex_)
     seen = {}
     for s in squares:
         for v in s.cycle:
@@ -349,7 +336,8 @@ def has_isolated_squares(complex_, squares=None):
 
 
 def vertex_link(complex_, v):
-    """Link of a vertex, relabelled onto 0..k-1 by sorted neighbor order.
+    """Link of a vertex, relabelled onto 0..k-1 by sorted neighbor order,
+    from one scan of the facets.
 
     Vertex i of the result corresponds to the i-th smallest neighbor of v.
     """
@@ -357,7 +345,7 @@ def vertex_link(complex_, v):
         raise ValueError("vertex %d out of range" % v)
     nbrs = sorted(complex_.neighbors(v))
     index = {u: i for i, u in enumerate(nbrs)}
-    facets = [tuple(index[u] for u in f if u != v) for f in complex_.star(v)]
+    facets = [tuple(index[u] for u in f if u != v) for f in complex_.facets if v in f]
     return SimplicialComplex(len(nbrs), sorted(f for f in facets if f))
 
 
@@ -460,13 +448,10 @@ def _stellar_subdivision(facets_signed, faces, vertex_count):
     return sorted(f for f in facets if f is not None)
 
 
-def barycentric_subdivision(complex_, return_face_map=False):
+def barycentric_subdivision(complex_):
     """Order complex of the face poset: ``oriented_subdivision`` unsigned."""
     signed, face_id = oriented_subdivision([(f, 1) for f in complex_.facets])
-    sd = SimplicialComplex(len(face_id), sorted(f for f, _ in signed))
-    if return_face_map:
-        return sd, face_id
-    return sd
+    return SimplicialComplex(len(face_id), sorted(f for f, _ in signed))
 
 
 def _mask(vertices):

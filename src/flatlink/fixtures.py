@@ -251,7 +251,7 @@ def check_hypotheses(complex_):
         checks["flag_witness"] = list(flag.witness)
     scan = scan_nonadjacent_pairs(complex_)
     checks["square_count"] = len(scan.squares)
-    isolated = has_isolated_squares(complex_, scan.squares)
+    isolated = has_isolated_squares(scan.squares)
     checks["has_isolated_squares"] = isolated.has_isolated_squares
     if not isolated.has_isolated_squares:
         checks["isolated_offending_vertex"] = isolated.offending_vertex

@@ -417,35 +417,29 @@ class Manifold3Report(NamedTuple):
         return self.pseudomanifold and self.vertex_links_are_2spheres and self.orientable
 
 
-def _link_is_2sphere(complex_, v):
-    """The link of v in a pure 3-complex, the triangles f - {v} of its star,
-    is a 2-sphere: every edge in two triangles, the triangles connected
-    through edges, and chi = 2.  Such a link is a connected closed surface
-    S' with vertices pinched together, chi(S') = chi + (copies - vertices)
-    <= 2, so chi = 2 leaves no pinch (two 2-spheres glued at two points
-    have chi = 2 and connected vertices, but not connected triangles)."""
-    triangles = [tuple(u for u in f if u != v) for f in complex_.star(v)]
-    if not triangles:
-        return False
-    sides = {}  # edge -> the triangles through it
-    for i, t in enumerate(triangles):
-        for e in combinations(t, 2):
-            sides.setdefault(e, []).append(i)
-    if any(len(s) != 2 for s in sides.values()):
-        return False
-    across = [[] for _ in triangles]
-    for a, b in sides.values():
-        across[a].append(b)
-        across[b].append(a)
-    seen = {0}
-    stack = [0]
+def _link_is_2sphere(pairs, degree):
+    """The link of a vertex v of a pure 3-complex, every triangle through v
+    in two tetrahedra, is a 2-sphere.  ``pairs`` holds, per triangle through
+    v, its two (tetrahedron, sign) entries of the triangle table: the link's
+    edges, each between the two link triangles it bounds, the tetrahedra
+    through v.  The link is then a closed surface S' with vertices
+    pinched together; it is a 2-sphere when its triangles are connected
+    through edges and chi = degree - edges + triangles = 2, since
+    chi(S') = chi + (copies - vertices) <= 2 leaves no pinch (two 2-spheres
+    glued at two points have chi = 2 and connected vertices, but not
+    connected triangles)."""
+    across = {}
+    for (a, _), (b, _) in pairs:
+        across.setdefault(a, []).append(b)
+        across.setdefault(b, []).append(a)
+    seen = {pairs[0][0][0]}
+    stack = [pairs[0][0][0]]
     while stack:
         for i in across[stack.pop()]:
             if i not in seen:
                 seen.add(i)
                 stack.append(i)
-    degree = len(complex_.neighbors(v))
-    return len(seen) == len(triangles) and degree - len(sides) + len(triangles) == 2
+    return len(seen) == len(across) and degree - len(pairs) + len(across) == 2
 
 
 def is_closed_orientable_3manifold(complex_):
@@ -453,15 +447,18 @@ def is_closed_orientable_3manifold(complex_):
 
     Checks: pure of dimension 3 (errors otherwise), every triangle in
     exactly two tetrahedra, every vertex link a 2-sphere, and a consistent
-    facet orientation, found by one sign-propagating walk over the dual
-    graph.  The walk goes on past an orientation mismatch (recording the
-    first) and counts the facets it reaches.  The tetrahedra at a vertex
-    whose link is a 2-sphere are connected through triangles, so if it
-    misses some while every link is one, the complex is disconnected: an
-    error.  A connected complex whose dual graph is not, such as two
-    3-spheres wedged at a vertex or glued along a square, fails at a vertex
-    link instead.  The orientation is normalized so the lexicographically
-    least facet is positive.
+    facet orientation.  All three read one table, triangle -> the
+    tetrahedra through it, in one loop: a triangle with two tetrahedra is an
+    edge of the dual graph and of the link of each of its vertices, and a
+    vertex on any other triangle fails.  One sign-propagating walk over the
+    dual graph then orients the facets.  The walk goes on past an
+    orientation mismatch (recording the first) and counts the facets it
+    reaches.  The tetrahedra at a vertex whose link is a 2-sphere are
+    connected through triangles, so if it misses some while every link is
+    one, the complex is disconnected: an error.  A connected complex whose
+    dual graph is not, such as two 3-spheres wedged at a vertex or glued
+    along a square, fails at a vertex link instead.  The orientation is
+    normalized so the lexicographically least facet is positive.
     """
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")
@@ -474,15 +471,25 @@ def is_closed_orientable_3manifold(complex_):
             tri_to_facets.setdefault(t, []).append((idx, sign))
 
     pseudo = True
+    dual = [[] for _ in facets]
+    links = [[] for _ in range(complex_.vertex_count)]  # v -> its triangles' owners
+    bad = set()  # the vertices of triangles in other than two tetrahedra
     for t, owners in tri_to_facets.items():
         if len(owners) != 2:
-            pseudo = False
-            failures.append("triangle %r lies in %d tetrahedra" % (t, len(owners)))
-            break
+            if pseudo:
+                pseudo = False
+                failures.append("triangle %r lies in %d tetrahedra" % (t, len(owners)))
+            bad.update(t)
+            continue
+        (a, e_a), (b, e_b) = owners
+        dual[a].append((b, t, e_a * e_b))
+        dual[b].append((a, t, e_a * e_b))
+        for v in t:
+            links[v].append(owners)
 
     links_ok = True
-    for v in range(complex_.vertex_count):
-        if not _link_is_2sphere(complex_, v):
+    for v, pairs in enumerate(links):
+        if v in bad or not _link_is_2sphere(pairs, len(complex_.neighbors(v))):
             links_ok = False
             failures.append("link of vertex %d is not a 2-sphere" % v)
             break
@@ -490,11 +497,7 @@ def is_closed_orientable_3manifold(complex_):
     orientable = False
     orientation = None
     if pseudo:
-        dual = [[] for _ in facets]
-        for t, ((a, e_a), (b, e_b)) in tri_to_facets.items():
-            dual[a].append((b, t, e_a * e_b))
-            dual[b].append((a, t, e_a * e_b))
-        signs = {0: 1}
+        signs = {0: 1}  # facet 0, the lexicographically least, is positive
         stack = [0]
         consistent = True
         while stack:
@@ -513,8 +516,6 @@ def is_closed_orientable_3manifold(complex_):
                 raise ValueError("complex is not connected")
         elif consistent:
             orientable = True
-            if signs[0] < 0:  # lexicographically least facet positive
-                signs = {k: -v for k, v in signs.items()}
             orientation = {facets[i]: s for i, s in signs.items()}
 
     return Manifold3Report(pseudo, links_ok, orientable, orientation, tuple(failures))

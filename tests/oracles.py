@@ -11,9 +11,12 @@ chains of faces, Smith invariants from a Hermite basis by Bezout
 elimination with no pivot strategy, homology from one independent Smith
 form per boundary, without clearing, and the class map of a cokernel Z by
 rational Gauss-Jordan elimination; the homology of P_K with one Smith-form
-homology per vertex set.  Also the helpers and fixtures only the tests use:
-every face, the Euler characteristic, square validation, the eagerly built
-face tables, complexes with pinched vertex links, dense matrices, the
+homology per vertex set; the closed-3-manifold check with each vertex link
+read from its star, found by scanning the facets.  Also the helpers and
+fixtures only the tests use: every face, the Euler characteristic, square
+validation, the eagerly built face tables, the face map of the barycentric
+subdivision, complexes with pinched vertex links, the non-orientable
+S^2-bundle over S^1, random pure 3-complexes, dense matrices, the
 commutation test of two generators, the linking number of one pair of
 components, links carried into the barycentric subdivision and the named
 link diagrams.
@@ -28,9 +31,10 @@ from flatlink.complexes import (SimplicialComplex, Square, barycentric_subdivisi
                                 clique_complex, full_subcomplex, is_flag, maximal_faces,
                                 oriented_subdivision)
 from flatlink.cubes import _mask
-from flatlink.fixtures import fixture
-from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
-                               is_homology_3sphere, simplicial_chain_complex, smith_normal_form)
+from flatlink.fixtures import fixture, product_triangulation
+from flatlink.homology import (HomologyProfile, IntegerMatrix, Manifold3Report, _merged_torsion,
+                               homology, is_homology_3sphere, simplicial_chain_complex,
+                               smith_normal_form)
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram, _class_multiples,
                             _Complements, _cycle_chain, _edge_link_cycle, _skeleton,
                             diagram_linking_matrix)
@@ -98,6 +102,142 @@ def pinched_3_complexes():
             "sd(join-c10-c10) on two squares": glued(
                 barycentric_subdivision(fixture("join-c10-c10")),
                 (3, 212, 4, 213), (0, 140, 1, 141))}
+
+
+def twisted_s2_bundle():
+    """The non-orientable S^2-bundle over S^1 (12 vertices, 36 facets): the
+    staircase product of the boundary of the 3-simplex and a path of 3
+    edges, its end slices glued by the transposition (0 1).  Product vertex
+    (u, x), numbered 4u + x, becomes 3u + x for x < 3 and 3 sigma(u) for
+    x = 3, where sigma swaps 0 and 1."""
+    sphere = SimplicialComplex(4, list(combinations(range(4), 3)))
+    path = SimplicialComplex(4, [(0, 1), (1, 2), (2, 3)])
+    sigma = (1, 0, 2, 3)
+
+    def glued(w):
+        u, x = divmod(w, 4)
+        return 3 * u + x if x < 3 else 3 * sigma[u]
+    return SimplicialComplex(12, sorted(tuple(sorted(map(glued, f))) for f in
+                                        product_triangulation(sphere, path).facets))
+
+
+def random_pure_3_complex(rng):
+    """A pure 3-complex drawn by one random move, then relabelled at random:
+    random tetrahedra on 5-8 vertices, or a closed 3-manifold (the boundary
+    of the 4-simplex, of the 16-cell or of the 600-cell, S^2 x S^1, the
+    twisted bundle) with
+    two vertices identified, facets removed, facets added, another copy
+    beside it, or nothing changed.  Facets that a move makes degenerate are
+    dropped."""
+    move = rng.randrange(6)
+    if move == 0:
+        n = rng.randint(5, 8)
+        tetrahedra = list(combinations(range(n), 4))
+        facets = rng.sample(tetrahedra, rng.randint(1, min(12, len(tetrahedra))))
+    else:
+        base = rng.choice([fixture("boundary-4-simplex"), fixture("boundary-16-cell"),
+                           fixture("600-cell"), fixture("s2-x-s1"), twisted_s2_bundle()])
+        n, facets = base.vertex_count, list(base.facets)
+        if move == 1:
+            u, w = rng.sample(range(n), 2)
+            facets = [tuple(w if v == u else v for v in f) for f in facets]
+        elif move == 2:
+            for _ in range(rng.randint(1, 3)):
+                facets.remove(rng.choice(facets))
+        elif move == 3:
+            facets += [tuple(rng.sample(range(n), 4)) for _ in range(rng.randint(1, 2))]
+        elif move == 4:
+            facets += [tuple(v + n for v in f) for f in facets]
+            n *= 2
+    kept = sorted({tuple(sorted(f)) for f in facets if len(set(f)) == 4})
+    used = sorted(set().union(*kept))
+    label = dict(zip(used, rng.sample(range(len(used)), len(used))))
+    return SimplicialComplex(len(used), sorted(tuple(sorted(label[v] for v in f))
+                                               for f in kept))
+
+
+def link_is_2sphere_from_star(complex_, v):
+    """The link of v in a pure 3-complex, the triangles f - {v} of its star,
+    is a 2-sphere: every edge in two triangles, the triangles connected
+    through edges, and chi = 2."""
+    triangles = [tuple(u for u in f if u != v) for f in complex_.facets if v in f]
+    if not triangles:
+        return False
+    sides = {}  # edge -> the triangles through it
+    for i, t in enumerate(triangles):
+        for e in combinations(t, 2):
+            sides.setdefault(e, []).append(i)
+    if any(len(s) != 2 for s in sides.values()):
+        return False
+    across = [[] for _ in triangles]
+    for a, b in sides.values():
+        across[a].append(b)
+        across[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for i in across[stack.pop()]:
+            if i not in seen:
+                seen.add(i)
+                stack.append(i)
+    degree = len(complex_.neighbors(v))
+    return len(seen) == len(triangles) and degree - len(sides) + len(triangles) == 2
+
+
+def manifold_report_by_stars(complex_):
+    """The closed-orientable-3-manifold report in three passes: the first
+    triangle of the table in other than two tetrahedra, then the least
+    vertex whose star's link fails ``link_is_2sphere_from_star``, then the
+    orientation walk over a dual graph built from the table once it is
+    known to be a pseudomanifold.  Errors as the library does."""
+    if not complex_.facets or not complex_.is_pure(3):
+        raise ValueError("complex is not pure 3-dimensional")
+    failures = []
+    facets = complex_.facets
+    tri_to_facets = {}
+    for idx, f in enumerate(facets):
+        for t, sign in zip(combinations(f, 3), (-1, 1, -1, 1)):
+            tri_to_facets.setdefault(t, []).append((idx, sign))
+    bad = [(t, len(owners)) for t, owners in tri_to_facets.items() if len(owners) != 2]
+    if bad:
+        failures.append("triangle %r lies in %d tetrahedra" % bad[0])
+    failing = [v for v in range(complex_.vertex_count)
+               if not link_is_2sphere_from_star(complex_, v)]
+    if failing:
+        failures.append("link of vertex %d is not a 2-sphere" % failing[0])
+    orientable, orientation = False, None
+    if not bad:
+        dual = [[] for _ in facets]
+        for t, ((a, e_a), (b, e_b)) in tri_to_facets.items():
+            dual[a].append((b, t, e_a * e_b))
+            dual[b].append((a, t, e_a * e_b))
+        signs = {0: 1}
+        stack = [0]
+        mismatch = None
+        while stack:
+            cur = stack.pop()
+            for nb, tri, same in dual[cur]:
+                want = -signs[cur] * same
+                if nb not in signs:
+                    signs[nb] = want
+                    stack.append(nb)
+                elif signs[nb] != want and mismatch is None:
+                    mismatch = tri
+        if mismatch is not None:
+            failures.append("orientation mismatch across triangle %r" % (mismatch,))
+        if len(signs) != len(facets):
+            if not failing:
+                raise ValueError("complex is not connected")
+        elif mismatch is None:
+            orientable = True
+            orientation = {facets[i]: s * signs[0] for i, s in signs.items()}
+    return Manifold3Report(not bad, not failing, orientable, orientation, tuple(failures))
+
+
+def subdivision_face_map(k):
+    """The face -> new vertex map of ``barycentric_subdivision(k)``, as
+    ``oriented_subdivision`` returns it."""
+    return oriented_subdivision([(f, 1) for f in k.facets])[1]
 
 
 def validate_square(square, k):
@@ -388,7 +528,7 @@ def _carry_cycle(cycle, face_id):
 
 def subdivide_link(sigma, link):
     """Carry a link into the barycentric subdivision of its ambient complex."""
-    sd, face_map = barycentric_subdivision(sigma, return_face_map=True)
+    sd, face_map = barycentric_subdivision(sigma), subdivision_face_map(sigma)
     comps = [_carry_cycle(c, face_map) for c in link.components]
     return sd, EdgeCycleLink(sd, comps, link.orientations)
 

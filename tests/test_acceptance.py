@@ -76,7 +76,7 @@ def test_criterion_4_isolated_squares_imply_caprace():
     counterexamples = 0
     isolated_count = 0
     for k in complexes:
-        if has_isolated_squares(k).has_isolated_squares:
+        if has_isolated_squares(find_squares(k)).has_isolated_squares:
             isolated_count += 1
             if not caprace_criterion(k).passes:
                 counterexamples += 1
@@ -186,7 +186,7 @@ def test_criterion_10_negative_controls():
     assert is_homology_3sphere(c16).is_homology_sphere
     squares = find_squares(c16)
     assert len(squares) == 6
-    isolated = has_isolated_squares(c16, squares)
+    isolated = has_isolated_squares(squares)
     assert not isolated.has_isolated_squares
     assert isolated.offending_vertex is not None
 

@@ -19,7 +19,7 @@ from flatlink.fixtures import fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import EdgeCycleLink, LinkingMatrix
 
-from oracles import pinched_3_complexes, validate_square
+from oracles import pinched_3_complexes, twisted_s2_bundle, validate_square
 from test_fixtures import corpus_properties
 
 
@@ -423,7 +423,9 @@ _PINCHED = pinched_3_complexes()
     # pinched vertex links: connected, and the walk misses no facet
     *[(k, ["link of vertex 0 is not a 2-sphere"], None) for k in _PINCHED.values()],
     (disjoint_union(_B4, _B4), None, "complex is not connected"),
-], ids=["wedge", *_PINCHED, "disjoint union"])
+    # every link a 2-sphere, but the walk meets a mismatch: not orientable
+    (twisted_s2_bundle(), ["orientation mismatch across triangle (5, 8, 11)"], None),
+], ids=["wedge", *_PINCHED, "disjoint union", "twisted bundle"])
 def test_manifold_check_names_a_bad_link_before_disconnection(complex_, failures, error,
                                                               tmp_path):
     if error is None:

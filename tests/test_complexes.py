@@ -23,7 +23,8 @@ from flatlink.homology import is_closed_orientable_3manifold
 
 from oracles import (brute_force_caprace_witnesses, brute_force_flag_witness,
                      brute_force_is_flag, brute_force_squares, chain_subdivision, eager_tables,
-                     euler_characteristic, random_flag_complex, validate_square)
+                     euler_characteristic, random_flag_complex, subdivision_face_map,
+                     validate_square)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -86,7 +87,7 @@ def test_constructor_messages_are_pinned(vertex_count, facets, message):
 
 def _built(k):
     """The names of the lazy tables built so far on k."""
-    return [name for name in ("_small_table", "_adj_table", "_mask_table", "_stars")
+    return [name for name in ("_small_table", "_adj_table", "_mask_table")
             if getattr(k, name) is not None]
 
 
@@ -103,14 +104,6 @@ def _assert_tables_match_oracle(k):
     assert fresh._adj == adj
     assert fresh._masks == masks
     assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
-    # each star lists facets through v in facet order, and the stars hold
-    # every (vertex, facet) incidence: so each is all the facets through v
-    position = {f: i for i, f in enumerate(k.facets)}
-    for v in range(k.vertex_count):
-        star = fresh.star(v)
-        assert all(v in f for f in star)
-        assert [position[f] for f in star] == sorted(set(position[f] for f in star))
-    assert sum(len(fresh.star(v)) for v in range(k.vertex_count)) == sum(map(len, k.facets))
     # built once: later reads return the stored tables
     assert fresh._faces_small is fresh._faces_small and fresh._adj is fresh._adj
     assert fresh._masks is fresh._masks
@@ -161,7 +154,7 @@ def test_concurrent_first_reads_see_complete_tables():
         barrier.wait(timeout=10)
         # copies taken at once: a table published before it is full shows here
         seen.append((frozenset(k._faces_small), tuple(map(frozenset, k._adj)),
-                     tuple(k._masks), k.star(0)))
+                     tuple(k._masks)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -174,8 +167,7 @@ def test_concurrent_first_reads_see_complete_tables():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    star0 = tuple(f for f in base.facets if 0 in f)
-    assert seen == [(small, adj, masks, star0)] * 6
+    assert seen == [(small, adj, masks)] * 6
 
 
 def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
@@ -192,7 +184,7 @@ def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
         return property(wrapper) if isinstance(original, property) else wrapper
 
     for name, slot in (("_faces_small", "_small_table"), ("_adj", "_adj_table"),
-                       ("_masks", "_mask_table"), ("star", "_stars")):
+                       ("_masks", "_mask_table")):
         monkeypatch.setattr(SimplicialComplex, name, counting(name, slot))
     base = fixture("sd-boundary-4-simplex")
     k = SimplicialComplex(base.vertex_count, base.facets)
@@ -201,7 +193,7 @@ def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
     keys = [(slot, id(obj)) for slot, obj in builds]
     assert len(keys) == len(set(keys))
     assert sorted(slot for slot, obj in builds if obj is k) == [
-        "_adj_table", "_mask_table", "_small_table", "_stars"]
+        "_adj_table", "_mask_table", "_small_table"]
 
 
 # -- is_flag -----------------------------------------------------------------
@@ -471,14 +463,14 @@ def test_clique_complex_names_a_bad_edge(edges, message):
 # -- isolated squares ---------------------------------------------------------
 
 def test_isolated_c4_and_disjoint_union():
-    assert has_isolated_squares(fixture("c4")).has_isolated_squares
-    assert has_isolated_squares(fixture("two-squares-disjoint")).has_isolated_squares
+    assert has_isolated_squares(find_squares(fixture("c4"))).has_isolated_squares
+    assert has_isolated_squares(find_squares(fixture("two-squares-disjoint"))).has_isolated_squares
 
 
 def test_isolated_octahedron_fails_with_vertex():
-    report = has_isolated_squares(fixture("octahedron"))
-    assert not report.has_isolated_squares
     squares = find_squares(fixture("octahedron"))
+    report = has_isolated_squares(squares)
+    assert not report.has_isolated_squares
     hits = [s for s in squares if report.offending_vertex in s.cycle]
     assert len(hits) >= 2
 
@@ -488,7 +480,7 @@ def test_isolated_implies_pairwise_disjoint():
     for _ in range(40):
         k = random_flag_complex(rng, max_vertices=10)
         squares = find_squares(k)
-        if has_isolated_squares(k, squares).has_isolated_squares:
+        if has_isolated_squares(squares).has_isolated_squares:
             seen = set()
             for s in squares:
                 assert not (seen & set(s.cycle))
@@ -577,7 +569,7 @@ def test_subdivision_preserves_euler_characteristic(n):
 
 def test_subdivision_face_map_consistent():
     k = fixture("c4")
-    sd, face_map = barycentric_subdivision(k, return_face_map=True)
+    sd, face_map = barycentric_subdivision(k), subdivision_face_map(k)
     assert len(face_map) == sd.vertex_count
     for (u, v) in k.faces(1):
         assert sd.has_face(tuple(sorted((face_map[(u,)], face_map[(u, v)]))))
@@ -585,15 +577,15 @@ def test_subdivision_face_map_consistent():
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_subdivision_matches_chain_oracle_on_registry(name):
-    sd, face_map = barycentric_subdivision(fixture(name), return_face_map=True)
-    assert (sd, face_map) == chain_subdivision(fixture(name))
+    k = fixture(name)
+    assert (barycentric_subdivision(k), subdivision_face_map(k)) == chain_subdivision(k)
 
 
 def test_subdivision_matches_chain_oracle_on_random_flag_complexes():
     rng = random.Random(23)
     for _ in range(30):
         k = random_flag_complex(rng, max_vertices=9)
-        assert barycentric_subdivision(k, return_face_map=True) == chain_subdivision(k)
+        assert (barycentric_subdivision(k), subdivision_face_map(k)) == chain_subdivision(k)
 
 
 @pytest.mark.parametrize("name", ["join-c10-c10", "boundary-16-cell",
@@ -605,7 +597,7 @@ def test_carried_orientation_matches_certified_orientation_of_subdivision(name):
     orientation = is_closed_orientable_3manifold(k).orientation
     signed, face_map = oriented_subdivision(sorted(orientation.items()))
     sd = barycentric_subdivision(k)
-    assert face_map == barycentric_subdivision(k, return_face_map=True)[1]
+    assert face_map == subdivision_face_map(k)
     assert sorted(f for f, _ in signed) == list(sd.facets)
     certified = is_closed_orientable_3manifold(sd).orientation
     flip = certified[signed[0][0]] * signed[0][1]

@@ -24,8 +24,9 @@ from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
                                is_closed_orientable_3manifold, is_homology_3sphere,
                                simplicial_chain_complex, smith_normal_form)
 from oracles import (cokernel_functional, euler_characteristic, from_dense,
-                     independent_snf_homology, oracle_invariant_factors, pinched_3_complexes,
-                     random_flag_complex, to_dense)
+                     independent_snf_homology, link_is_2sphere_from_star,
+                     manifold_report_by_stars, oracle_invariant_factors, pinched_3_complexes,
+                     random_flag_complex, random_pure_3_complex, to_dense, twisted_s2_bundle)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -569,12 +570,65 @@ _LINK_CASES = {
 }
 
 
+def _link_checks(k):
+    """Per vertex, the link test as the manifold check runs it: a vertex on
+    a triangle in other than two tetrahedra fails, and any other is tested
+    on its triangles' pairs of (tetrahedron, sign) and its degree."""
+    owners = {}
+    for i, f in enumerate(k.facets):
+        for t, sign in zip(combinations(f, 3), (-1, 1, -1, 1)):
+            owners.setdefault(t, []).append((i, sign))
+    pairs = [[] for _ in range(k.vertex_count)]
+    bad = set()
+    for t, tetrahedra in owners.items():
+        for v in t:
+            if len(tetrahedra) == 2:
+                pairs[v].append(tetrahedra)
+            else:
+                bad.add(v)
+    return [v not in bad and _link_is_2sphere(pairs[v], len(k.neighbors(v)))
+            for v in range(k.vertex_count)]
+
+
 @pytest.mark.parametrize("name", sorted(_LINK_CASES))
 def test_link_check_from_the_star_matches_the_link_complex(name):
     k = _LINK_CASES[name]()
-    got = [_link_is_2sphere(k, v) for v in range(k.vertex_count)]
+    got = _link_checks(k)
     assert got == [_link_is_2sphere_oracle(k, v) for v in range(k.vertex_count)]
+    assert got == [link_is_2sphere_from_star(k, v) for v in range(k.vertex_count)]
     assert all(got) == (name in fixture_names())  # the registry cases are 3-manifolds
+
+
+def test_twisted_s2_bundle_is_a_non_orientable_closed_3_manifold():
+    k = twisted_s2_bundle()
+    assert (k.vertex_count, len(k.facets)) == (12, 36)
+    rep = is_closed_orientable_3manifold(k)
+    assert rep.pseudomanifold and rep.vertex_links_are_2spheres
+    assert not rep.orientable and rep.orientation is None and not rep.passed
+    assert rep.failures == ("orientation mismatch across triangle (5, 8, 11)",)
+    assert homology(simplicial_chain_complex(k)) == HomologyProfile(  # H(Z, Z, Z/2, 0)
+        [(1, ()), (1, ()), (0, (2,)), (0, ())])
+
+
+def _report_or_error(check, k):
+    try:
+        return check(k)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_manifold_report_matches_the_star_route_on_a_seeded_corpus():
+    rng = random.Random(25)
+    corpus = [twisted_s2_bundle()] + [random_pure_3_complex(rng) for _ in range(240)]
+    outcomes = []
+    for k in corpus:
+        got = _report_or_error(is_closed_orientable_3manifold, k)
+        assert got == _report_or_error(manifold_report_by_stars, k), k.facets
+        outcomes.append(got if isinstance(got, str) else
+                        (got.pseudomanifold, got.vertex_links_are_2spheres, got.orientable))
+    # the corpus reaches each outcome: a pass, each failure, and disconnection
+    assert {"ValueError: complex is not connected", (True, True, True), (True, True, False),
+            (True, False, True), (False, False, False)} <= set(outcomes)
 
 
 def test_pseudomanifold_failure_detected():

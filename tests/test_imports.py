@@ -165,6 +165,14 @@ def test_test_only_helpers_live_in_the_oracles(module, owner, name):
     assert callable(getattr(importlib.import_module("oracles"), name))
 
 
+def test_a_complex_holds_three_lazy_tables_and_no_vertex_stars():
+    # the manifold check reads its triangle table, and vertex_link scans the facets
+    from flatlink.complexes import SimplicialComplex
+    assert not hasattr(SimplicialComplex, "star")
+    assert SimplicialComplex.__slots__ == (
+        "vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
+
+
 def test_no_export_is_named_like_a_submodule():
     # the import system binds a loaded submodule over a package attribute
     assert set(flatlink.__all__).isdisjoint(flatlink._EXPORTS.values())

@@ -10,8 +10,8 @@ from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             obstruction_report)
 
 from oracles import (brunnian_diagram, hopf_diagram, simplicial_linking_number,
-                     solomon_diagram, subdivide_link, three_chain_133_diagram,
-                     whitehead_diagram, whitehead_double_diagram)
+                     solomon_diagram, subdivide_link, subdivision_face_map,
+                     three_chain_133_diagram, whitehead_diagram, whitehead_double_diagram)
 
 
 # -- edge cycle links ---------------------------------------------------------
@@ -287,7 +287,7 @@ def test_mixed_configuration_hopf_plus_bounding_triangle():
     from flatlink.complexes import barycentric_subdivision
     from flatlink.links import ObstructionVerdict, obstruction_report
     ambient, hopf = hopf_pair()
-    sd, face_map = barycentric_subdivision(ambient, return_face_map=True)
+    sd, face_map = barycentric_subdivision(ambient), subdivision_face_map(ambient)
     sd_hopf_comps = []
     for comp in hopf.components:
         carried = []
@@ -343,7 +343,7 @@ def test_full_complement_route_matches_second_subdivision_oracle():
     assert len(_Complements(*solomon).facets_signed) == 260
 
     ambient, hopf = hopf_pair()
-    sd, face_map = barycentric_subdivision(ambient, return_face_map=True)
+    sd, face_map = barycentric_subdivision(ambient), subdivision_face_map(ambient)
     _, sd_hopf = subdivide_link(ambient, hopf)
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
     assert starred(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == (triangle,)
