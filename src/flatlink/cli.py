@@ -123,7 +123,8 @@ def cmd_obstruct(opts):
 
 
 def cmd_pk(opts):
-    from .cubes import DEFAULT_MAX_GROUND, build_pk, check_ground, pk_f_vector, pk_homology
+    from .cubes import (DEFAULT_MAX_GROUND, build_pk, check_ground, piece_sizes, pk_f_vector,
+                        pk_homology, pk_pieces)
     complex_ = SimplicialComplex.load(opts.complex)
     bound = DEFAULT_MAX_GROUND
     env = os.environ.get("FLATLINK_MAX_GROUND")
@@ -133,14 +134,16 @@ def cmd_pk(opts):
         except ValueError:
             raise ValueError("FLATLINK_MAX_GROUND=%r is not an integer" % env)
     check_ground(complex_, bound)
-    f_vector = pk_f_vector(complex_)
+    pieces = pk_pieces(complex_)
+    f_vector = pk_f_vector(complex_, pieces)
     checks = {
         "ground": complex_.vertex_count,
         "f_vector": list(f_vector),
         "euler_characteristic": sum((-1) ** k * f for k, f in enumerate(f_vector)),
     }
     if opts.homology:
-        checks["homology"] = pk_homology(complex_).to_json()
+        checks["homology"] = pk_homology(complex_, pieces).to_json()
+        checks["homology_pieces"] = piece_sizes(pieces)
     extra = None
     if opts.cells_out:
         _put(json.dumps(build_pk(complex_, max_ground=bound).to_json(), sort_keys=True),

@@ -9,14 +9,19 @@ the top face.
 
 P_K is the real moment-angle complex of K, so its f-vector and homology
 come from K without building any cell: ``pk_f_vector`` and
-``pk_homology``.  The homology splits over the full subcomplexes K_J; in a
-flag K, each K_J is first dismantled to its core by strong collapses
-(deleting a vertex u when another vertex v of J is in every maximal face
-through u, Barmak-Minian 2012), the J are tallied per core, and each
-distinct core's homology is computed once.  ``build_pk`` builds the cells
-for ``pk --cells-out``.
+``pk_homology``.  ``pk_pieces`` first splits K into disjoint unions and
+joins; P of a join is the product of the factors' P, and P of a union is
+read from the parts' P, so only the pieces neither splits are summed
+over their vertex sets.  The homology of a piece splits over its full
+subcomplexes K_J; in a flag K, each K_J is first dismantled to its core
+by strong collapses (deleting a vertex u when another vertex v of J is
+in every maximal face through u, Barmak-Minian 2012), the J are tallied
+per core, and each distinct core that spans an edge has its homology
+computed once.  ``build_pk`` builds the cells for ``pk --cells-out``.
 """
 
+from collections import Counter
+from math import gcd, prod
 from typing import NamedTuple
 
 from .complexes import _bits, _mask, full_subcomplex, is_flag
@@ -110,14 +115,127 @@ def check_ground(complex_, max_ground=None):
             % (n, n, bound))
 
 
-def pk_f_vector(complex_):
+def _classes(V, related):
+    """The classes of the vertices of V, as bit masks, under the transitive
+    closure of u ~ v for v in related[u]."""
+    classes = []
+    while V:
+        part = todo = V & -V
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = related[low.bit_length() - 1] & V & ~part
+            part |= new
+            todo |= new
+        classes.append(part)
+        V ^= part
+    return classes
+
+
+def _split(masks, V, facets):
+    """Node (kind, V, facets, children) of the full subcomplex on V, whose
+    facets are given as bit masks.
+
+    A disconnected 1-skeleton makes a "union" of its components.  Else u
+    and v go in one class when they are not adjacent or when two facets
+    differ only by u for v.  Neither holds across the factors of a join, so
+    the classes are a "join" exactly when every facet meets each class in a
+    facet of that class (no trace inside another) and the classes' facet
+    counts multiply to the facet count; otherwise V is a "piece".
+    """
+    parts = _classes(V, masks)
+    if len(parts) != 1:
+        return "union", V, facets, [_split(masks, p, {f for f in facets if f & p}) for p in parts]
+    related = {v: V & ~masks[v] for v in _bits(V)}
+    swaps = {}
+    for f in facets:
+        for v in _bits(f):
+            swaps[f ^ 1 << v] = swaps.get(f ^ 1 << v, 0) | 1 << v
+    for group in swaps.values():
+        for v in _bits(group):
+            related[v] |= group
+    parts = _classes(V, related)
+    traces = [{f & p for f in facets} for p in parts]
+    if len(parts) > 1 and prod(map(len, traces)) == len(facets) and all(
+            s == t or s & ~t for ts in traces for s in ts for t in ts):
+        return "join", V, facets, [_split(masks, p, ts) for p, ts in zip(parts, traces)]
+    return "piece", V, facets, ()
+
+
+def pk_pieces(complex_):
+    """K as a tree of disjoint unions and joins of pieces that neither splits."""
+    return _split(complex_._masks, (1 << complex_.vertex_count) - 1,
+                  {_mask(f) for f in complex_.facets})
+
+
+def piece_sizes(node):
+    """Sorted vertex counts of the pieces of a ``pk_pieces`` tree."""
+    if node[0] == "piece":
+        return [node[1].bit_count()]
+    return sorted(n for child in node[3] for n in piece_sizes(child))
+
+
+def _fold(node, piece, connected):
+    """Per degree, a Counter of P of the node's full subcomplex: key 0 the
+    rank, key c > 1 the number of summands Z/c; ``piece(V, facets)`` gives
+    it for a piece.
+
+    P of a join is the product of the factors' P.  Kunneth gives
+    H_n(P_A x P_B) from H_i(P_A) (x) H_j(P_B) over i+j=n and
+    Tor(H_i(P_A), H_j(P_B)) over i+j=n-1, with Z/a (x) Z/b =
+    Tor(Z/a, Z/b) = Z/gcd(a, b), and gcd(0, b) = b gives Z (x) Z/b = Z/b;
+    on the K_J this is Milnor's join formula (Milnor, "Construction of
+    universal bundles II", Ann. Math. 1956).  Cell counts multiply the
+    same way.  P of a union A + B is P_A x 2^|B| points and 2^|A| points
+    x P_B, glued at their 2^(|A|+|B|) vertices: cells and homology add up
+    (Mayer-Vietoris), less the vertices in degree 0.  P is ``connected``
+    for homology: rank 1 in degree 0, and the Euler characteristic moves
+    the rest of degree 0 to degree 1, Z^((2^|A|-1)(2^|B|-1)).
+    """
+    kind, V, facets, children = node
+    if kind == "piece":
+        return piece(V, facets)
+    out, seen = [Counter({0: 1})], 0
+    for child in children:
+        g, n = _fold(child, piece, connected), child[1].bit_count()
+        if kind == "join":
+            new = [Counter() for _ in range(len(out) + len(g) - 1)]
+            for i, s in enumerate(out):
+                for j, t in enumerate(g):
+                    for a, m in s.items():
+                        for b, k in t.items():
+                            new[i + j][gcd(a, b)] += m * k
+                            if a and b:
+                                new[i + j + 1][gcd(a, b)] += m * k
+        else:
+            new = [Counter() for _ in range(max(len(out), len(g)))]
+            for h, scale in ((out, 1 << n), (g, 1 << seen)):
+                for t, o in zip(h, new):
+                    for c, m in t.items():
+                        o[c] += m * scale
+            new[0][0] -= 1 << seen + n
+            if connected:
+                new[1][0] += 1 - new[0][0]
+                new[0][0] = 1
+        out, seen = new, seen + n
+    return out
+
+
+def pk_f_vector(complex_, pieces=None):
     """f_k(P_K) = 2^(m-k) f_(k-1)(K), with f_(-1)(K) = 1 for the empty face.
 
     A (k-1)-simplex of K on m vertices types one k-cube per coset of
-    (C_2)^k in (C_2)^m.
+    (C_2)^k in (C_2)^m.  Only the ``pk_pieces`` of K list their faces.
     """
-    m = complex_.vertex_count
-    return tuple(f << (m - k) for k, f in enumerate((1,) + complex_.f_vector()))
+    def piece(V, facets):
+        if V & (V - 1) == 0:
+            f = (1, 1)  # a point
+        else:
+            whole = V == (1 << complex_.vertex_count) - 1
+            f = (1,) + (complex_ if whole else full_subcomplex(complex_, tuple(_bits(V)))).f_vector()
+        return [Counter({0: c << V.bit_count() - k}) for k, c in enumerate(f)]
+
+    return tuple(g[0] for g in _fold(pieces or pk_pieces(complex_), piece, False))
 
 
 def _dominated(J, closed):
@@ -137,25 +255,23 @@ def _dominated(J, closed):
     return 0
 
 
-def _core_tally(complex_):
+def _core_tally(closed):
     """How many vertex sets J of a flag complex dismantle to each core.
 
-    A vertex u of J is dominated by another vertex v of J when
-    closed[u] & J lies inside closed[v], closed[] the closed neighbourhoods
-    as bit masks.  K_J is flag, so this holds exactly when v lies in every
-    maximal face of K_J through u; deleting u is then a strong collapse
-    of K_J onto K_(J-u) (Barmak-Minian, "Strong homotopy types, nerves and
-    collapses", Discrete Comput. Geom. 2012), which keeps the homology.
-    The core of J deletes the lowest dominated vertex and takes the core
-    of what is left, read from a table indexed by J: J - u < J, so it is
-    already filled.  Cores of one vertex, which include every cone, are
-    left out.
+    closed[v] is the closed neighbourhood of vertex v as a bit mask.  A
+    vertex u of J is dominated by another vertex v of J when
+    closed[u] & J lies inside closed[v].  K_J is flag, so this holds
+    exactly when v lies in every maximal face of K_J through u; deleting u
+    is then a strong collapse of K_J onto K_(J-u) (Barmak-Minian, "Strong
+    homotopy types, nerves and collapses", Discrete Comput. Geom. 2012),
+    which keeps the homology.  The core of J deletes the lowest dominated
+    vertex and takes the core of what is left, read from a table indexed
+    by J: J - u < J, so it is already filled.  Cores of one vertex, which
+    include every cone, are left out.
     """
-    n = complex_.vertex_count
-    closed = [m | 1 << v for v, m in enumerate(complex_._masks)]
-    core = [0] * (1 << n)
+    core = [0] * (1 << len(closed))
     tally = {}
-    for J in range(1, 1 << n):
+    for J in range(1, len(core)):
         u = _dominated(J, closed)
         c = core[J] = core[J ^ u] if u else J
         if c & (c - 1):
@@ -163,33 +279,41 @@ def _core_tally(complex_):
     return tally
 
 
-def pk_homology(complex_):
+def pk_homology(complex_, pieces=None):
     """Integral homology of P_K by the polyhedral-product splitting.
 
     H~_i(P_K) is the direct sum of H~_(i-1)(K_J) over the nonempty vertex
     sets J, K_J the full subcomplex on J (Bahri-Bendersky-Cohen-Gitler,
     "The polyhedral product functor", Adv. Math. 2010), torsion included.
-    In a flag K each J is first shrunk to its core by strong collapses
-    (``_core_tally``); a J whose core is one vertex contributes nothing,
-    and the homology of each distinct core is computed once and counted
-    once per J that has it.  A K that is not flag visits every J.  Visits
-    up to 2^|I| subsets and checks no ground bound; callers run
-    ``check_ground`` first.
+    ``_fold`` combines the ``pk_pieces`` of K, so J runs over the vertex
+    sets of each piece: sum 2^|piece| of them, not 2^|I|.  In a flag K each
+    J is first shrunk to its core by strong collapses (``_core_tally``); a
+    J whose core is one vertex contributes nothing, a core spanning no edge
+    is |J| points with H~_0 = Z^(|J|-1), and the homology of each other
+    distinct core is computed once and counted once per J that has it.  A
+    K that is not flag visits every J of every piece.  Checks no ground
+    bound; callers run ``check_ground`` first.
     """
-    n = complex_.vertex_count
-    size = complex_.dim() + 2
-    ranks = [1] + [0] * (size - 1)
-    torsion = [[] for _ in range(size)]
-    if is_flag(complex_).is_flag:
-        tally = _core_tally(complex_).items()
-    else:
-        tally = ((J, 1) for J in range(1, 1 << n))
-    for J, count in tally:
-        sub = full_subcomplex(complex_, tuple(_bits(J)))
-        for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
-            ranks[d + 1] += count * (rank - (d == 0))
-            torsion[d + 1].extend(tors * count)
-    return HomologyProfile((r, _merged_torsion(t)) for r, t in zip(ranks, torsion))
+    flag = is_flag(complex_).is_flag
+
+    def piece(V, facets):
+        vs = list(_bits(V))
+        ranks = [1] + [0] * max(map(int.bit_count, facets))
+        torsion = [[] for _ in ranks]
+        closed = [_mask(map(vs.index, _bits(complex_._masks[v] & V | 1 << v))) for v in vs]
+        tally = _core_tally(closed).items() if flag else ((J, 1) for J in range(1, 1 << len(vs)))
+        for J, count in tally:
+            if flag and all(closed[i] & J == 1 << i for i in _bits(J)):
+                ranks[1] += count * (J.bit_count() - 1)
+                continue
+            sub = full_subcomplex(complex_, [vs[i] for i in _bits(J)])
+            for d, (rank, tors) in enumerate(homology(simplicial_chain_complex(sub)).groups):
+                ranks[d + 1] += count * (rank - (d == 0))
+                torsion[d + 1].extend(tors * count)
+        return [Counter(t) + Counter({0: r}) for r, t in zip(ranks, torsion)]
+
+    groups = _fold(pieces or pk_pieces(complex_), piece, True)
+    return HomologyProfile((g.pop(0, 0), _merged_torsion(list(g.elements()))) for g in groups)
 
 
 def build_pk(complex_, max_ground=None):

@@ -381,6 +381,17 @@ def random_flag_complex(rng, max_vertices=12):
     return clique_complex(n, edges)
 
 
+def random_complex(rng, max_vertices):
+    """A flag complex of a random graph, or the maximal faces of random
+    vertex sets (mostly not flag), on at least one vertex."""
+    if rng.random() < 0.5:
+        return random_flag_complex(rng, max_vertices)
+    n = rng.randint(1, max_vertices)
+    faces = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 4)))))
+             for _ in range(rng.randint(1, 2 * n))]
+    return SimplicialComplex(n, maximal_faces(faces + [(v,) for v in range(n)]))
+
+
 def commutes(group, a, b):
     return b in group.commuting[a]
 

@@ -13,9 +13,9 @@ import pytest
 from flatlink import cli
 from flatlink.cli import _parser, main
 from flatlink.complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union,
-                                find_squares)
+                                find_squares, join)
 from flatlink.coxeter import Racg
-from flatlink.fixtures import fixture, fixture_names, verify_type_l
+from flatlink.fixtures import _cycle, fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import EdgeCycleLink, LinkingMatrix
 
@@ -100,6 +100,18 @@ def test_pk_c4_f_vector(write_fixture, tmp_path):
     assert report["checks"]["f_vector"] == [16, 32, 16]
     assert report["checks"]["euler_characteristic"] == 0
     assert report["checks"]["homology"]["H"][1] == {"rank": 2, "torsion": []}
+
+
+def test_pk_reports_its_pieces_under_homology(tmp_path):
+    path = str(tmp_path / "c4c6.json")
+    join(_cycle(4), _cycle(6)).dump(path)
+    rc, report = run_json(["pk", path, "--homology"], tmp_path)
+    assert rc == 0
+    assert report["checks"]["homology_pieces"] == [1, 1, 1, 1, 6]
+    assert report["checks"]["homology"]["H"][2] == {"rank": 70, "torsion": []}
+    rc, report = run_json(["pk", path], tmp_path)
+    assert rc == 0
+    assert "homology_pieces" not in report["checks"]
 
 
 def test_pk_homology_of_one_facet_of_18_vertices(tmp_path):

@@ -23,8 +23,8 @@ from flatlink.homology import is_closed_orientable_3manifold
 
 from oracles import (brute_force_caprace_witnesses, brute_force_flag_witness,
                      brute_force_is_flag, brute_force_squares, chain_subdivision, eager_tables,
-                     euler_characteristic, random_flag_complex, subdivision_face_map,
-                     validate_square)
+                     euler_characteristic, random_complex, random_flag_complex,
+                     subdivision_face_map, validate_square)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -356,17 +356,6 @@ def test_square_canonical_form_is_dihedral_least():
 
 # -- the bit-mask kernels against the oracles ------------------------------------
 
-def _random_complex(rng, max_vertices):
-    """A flag complex of a random graph, or the maximal faces of random
-    vertex sets (mostly not flag), on at least one vertex."""
-    if rng.random() < 0.5:
-        return random_flag_complex(rng, max_vertices)
-    n = rng.randint(1, max_vertices)
-    faces = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 4)))))
-             for _ in range(rng.randint(1, 2 * n))]
-    return SimplicialComplex(n, maximal_faces(faces + [(v,) for v in range(n)]))
-
-
 def _spread(k, targets):
     """k with vertex v renamed targets[v], increasing, on targets[-1] + 1
     vertices; the vertices no target names are isolated points."""
@@ -394,9 +383,9 @@ def test_mask_kernels_match_oracles_on_random_and_disconnected_complexes():
     rng = random.Random(24)
     kinds = Counter()
     for trial in range(60):
-        k = _random_complex(rng, 10)
+        k = random_complex(rng, 10)
         if trial % 3 == 0:
-            k = disjoint_union(k, _random_complex(rng, 6))
+            k = disjoint_union(k, random_complex(rng, 6))
         witness, squares, _, _ = found = _library_kernels(k)
         assert found == _oracle_kernels(k, kinds)
         kinds.update(["non-flag"] * (witness is not None) + ["squares"] * bool(squares))
@@ -411,7 +400,7 @@ def test_mask_kernels_match_oracles_past_one_machine_word(size):
     rng = random.Random(size)
     counts = []
     for _ in range(16):
-        k = _random_complex(rng, 12)
+        k = random_complex(rng, 12)
         targets = sorted(rng.sample(range(size - 1), k.vertex_count - 1)) + [size - 1]
 
         def spread(face):
