@@ -5,23 +5,25 @@ of [-1,1]^J for J a simplex vertex set of K.  Cells are stored as
 (J, coset) pairs: J a bit mask over the ground set I, and the coset a
 canonical sign-vector representative with the bits in J forced to zero.
 Bit b = 0 means coordinate +1, so the face with bit 0 in a direction is
-the top face.
+the top face.  ``build_pk`` lists one cell per face J of K and coset, for
+``pk --cells-out``.
 
 P_K is the real moment-angle complex of K, so its f-vector and homology
 come from K without building any cell: ``pk_f_vector`` and
 ``pk_homology``.  ``pk_pieces`` first splits K into disjoint unions and
-joins; P of a join is the product of the factors' P, and P of a union is
-read from the parts' P, so only the pieces neither splits are summed
+joins, one join factor per class of vertices that K is the join of with
+the rest; P of a join is the product of the factors' P, and P of a union
+is read from the parts' P, so only the pieces neither splits are summed
 over their vertex sets.  The homology of a piece splits over its full
 subcomplexes K_J; in a flag K, each K_J is first dismantled to its core
 by strong collapses (deleting a vertex u when another vertex v of J is
 in every maximal face through u, Barmak-Minian 2012), the J are tallied
 per core, and each distinct core that spans an edge has its homology
-computed once.  ``build_pk`` builds the cells for ``pk --cells-out``.
+computed once.
 """
 
 from collections import Counter
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
 from .complexes import _bits, _mask, full_subcomplex, is_flag
@@ -40,69 +42,22 @@ class CubicalCell(NamedTuple):
     J: int      # face type, bit mask over the ground set
     coset: int  # canonical representative, bits in J forced to zero
 
-    def dim(self):
-        return self.J.bit_count()
 
+class CubicalComplex(NamedTuple):
+    """P_K as ``cells[d]``, the sorted (J, coset) cells of dimension d."""
 
-class CubicalComplex:
-    """Cells per dimension, each a canonical (J, coset) pair, face-closed."""
-
-    def __init__(self, ground, cells):
-        self.ground = int(ground)
-        per_dim = {}
-        for cell in cells:
-            cell = CubicalCell(*cell)
-            if cell.coset & cell.J:
-                raise ValueError("coset %x not canonical for type %x" % (cell.coset, cell.J))
-            if cell.coset >> self.ground or cell.J >> self.ground:
-                raise ValueError("cell outside the ground set")
-            per_dim.setdefault(cell.dim(), set()).add(cell)
-        # closure under faces, descending through dimensions created on the way
-        d = max(per_dim, default=0)
-        while d > 0:
-            for cell in list(per_dim.get(d, ())):
-                for b in _bits(cell.J):
-                    sub = cell.J & ~(1 << b)
-                    for bit in (0, 1 << b):
-                        face = CubicalCell(sub, cell.coset | bit)
-                        per_dim.setdefault(d - 1, set()).add(face)
-            d -= 1
-        self.cells = {d: sorted(per_dim[d]) for d in sorted(per_dim)}
-
-    def dim(self):
-        return max(self.cells) if self.cells else -1
-
-    def f_vector(self):
-        return tuple(len(self.cells[d]) for d in sorted(self.cells))
-
-    def euler_characteristic(self):
-        return sum((-1) ** d * len(cs) for d, cs in self.cells.items())
-
-    def top_cells(self):
-        """Cells that are faces of no other cell.
-
-        Marking codimension-1 faces of every cell suffices: closure makes
-        deeper faces codimension-1 faces of some stored cell.
-        """
-        covered = set()
-        for d, cells in self.cells.items():
-            if d == 0:
-                continue
-            for cell in cells:
-                for b in _bits(cell.J):
-                    sub = cell.J & ~(1 << b)
-                    covered.add(CubicalCell(sub, cell.coset))
-                    covered.add(CubicalCell(sub, cell.coset | (1 << b)))
-        return [c for d in sorted(self.cells) for c in self.cells[d] if c not in covered]
-
-    def __eq__(self, other):
-        return (isinstance(other, CubicalComplex) and self.ground == other.ground
-                and self.cells == other.cells)
+    ground: int
+    cells: dict
 
     def to_json(self):
+        """The cells whose type is a facet of K, the types no other type
+        contains; they close to all of P_K.  With no facet, the lone vertex."""
+        types = {c.J for cells in self.cells.values() for c in cells}
+        top = {J for J in types
+               if not any(J | 1 << b in types for b in range(self.ground) if not J >> b & 1)}
         return {"ground": self.ground,
                 "cells": [{"J": list(_bits(c.J)), "coset": "%x" % c.coset}
-                          for c in self.top_cells()]}
+                          for cells in self.cells.values() for c in cells if c.J in top]}
 
 
 def check_ground(complex_, max_ground=None):
@@ -139,9 +94,11 @@ def _split(masks, V, facets):
     A disconnected 1-skeleton makes a "union" of its components.  Else u
     and v go in one class when they are not adjacent or when two facets
     differ only by u for v.  Neither holds across the factors of a join, so
-    the classes are a "join" exactly when every facet meets each class in a
-    facet of that class (no trace inside another) and the classes' facet
-    counts multiply to the facet count; otherwise V is a "piece".
+    every join factor is a union of classes.  A class C with
+    |{f & C}| * |{f - C}| = |facets| is one: the facets are then every
+    union of a facet of K[C] and one of K[V - C], so K = K[C] * K[V - C].
+    Such classes split off one after another, so they and the union of the
+    other classes make a "join"; if no class splits off, V is a "piece".
     """
     parts = _classes(V, masks)
     if len(parts) != 1:
@@ -154,11 +111,12 @@ def _split(masks, V, facets):
     for group in swaps.values():
         for v in _bits(group):
             related[v] |= group
-    parts = _classes(V, related)
-    traces = [{f & p for f in facets} for p in parts]
-    if len(parts) > 1 and prod(map(len, traces)) == len(facets) and all(
-            s == t or s & ~t for ts in traces for s in ts for t in ts):
-        return "join", V, facets, [_split(masks, p, ts) for p, ts in zip(parts, traces)]
+    parts = [C for C in _classes(V, related)
+             if len({f & C for f in facets}) * len({f & ~C for f in facets}) == len(facets)]
+    rest = V & ~sum(parts)
+    parts += [rest] if rest else []
+    if len(parts) > 1:
+        return "join", V, facets, [_split(masks, p, {f & p for f in facets}) for p in parts]
     return "piece", V, facets, ()
 
 
@@ -313,29 +271,35 @@ def pk_homology(complex_, pieces=None):
         return [Counter(t) + Counter({0: r}) for r, t in zip(ranks, torsion)]
 
     groups = _fold(pieces or pk_pieces(complex_), piece, True)
-    return HomologyProfile((g.pop(0, 0), _merged_torsion(list(g.elements()))) for g in groups)
+    return HomologyProfile((g.pop(0, 0), _merged_torsion(g)) for g in groups)
+
+
+def _submasks(m):
+    """The submasks of m, ascending."""
+    s = 0
+    while True:
+        yield s
+        if s == m:
+            return
+        s = (s - m) & m
 
 
 def build_pk(complex_, max_ground=None):
     """Build P_K from a simplicial complex K on ground set I.
 
-    The vertex set is all of (C_2)^I; a face of type J exists for every
-    simplex vertex set J of K, one per coset of (C_2)^J.  Only the vertices
-    and the cells of facet type are listed; ``CubicalComplex`` closes them.
+    The vertex set is all of (C_2)^I; a cell (J, coset) exists for every
+    face J of K, the empty face included, and every coset, a submask of
+    I - J.  Both are listed in ascending order, so each dimension comes out
+    sorted.
     """
     check_ground(complex_, max_ground)
     n = complex_.vertex_count
-    cells = [CubicalCell(0, c) for c in range(1 << n)]
-    for face in complex_.facets:
-        jm = _mask(face)
-        free = ~jm & ((1 << n) - 1)
-        sub = free
-        while True:  # iterate all submasks of the complement
-            cells.append(CubicalCell(jm, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return CubicalComplex(n, cells)
+    faces = {J for f in complex_.facets for J in _submasks(_mask(f))} | {0}
+    cells = {}
+    for J in sorted(faces):
+        cells.setdefault(J.bit_count(), []).extend(
+            CubicalCell(J, c) for c in _submasks((1 << n) - 1 ^ J))
+    return CubicalComplex(n, dict(sorted(cells.items())))
 
 
 # no command calls this: it is the test oracle of ``pk_homology`` and a perfbench tracer target
@@ -345,15 +309,12 @@ def cubical_chain_complex(cubical):
     The coefficient of the faces in direction j of a cell of type J is
     (-1)^(rank of j within sorted J), with the top face positive.
     """
-    dims = sorted(cubical.cells)
-    if not dims or dims[0] != 0 or dims != list(range(len(dims))):
-        raise ValueError("cell dimensions must start at 0 with no gaps")
-    index = {d: {c: i for i, c in enumerate(cubical.cells[d])} for d in dims}
+    cells = cubical.cells  # dimensions 0, 1, ..., as ``build_pk`` lists them
     boundaries = {}
-    for d in dims[1:]:
-        mat = IntegerMatrix(len(cubical.cells[d - 1]), len(cubical.cells[d]))
-        lower = index[d - 1]
-        for col, cell in enumerate(cubical.cells[d]):
+    for d in range(1, len(cells)):
+        lower = {c: i for i, c in enumerate(cells[d - 1])}
+        mat = boundaries[d] = IntegerMatrix(len(lower), len(cells[d]))
+        for col, cell in enumerate(cells[d]):
             column = mat.columns[col] = {}
             for rank, b in enumerate(_bits(cell.J)):
                 sub = cell.J & ~(1 << b)
@@ -363,6 +324,4 @@ def cubical_chain_complex(cubical):
                 # written once: faces differ in type across b, in bit b within
                 column[lower[top]] = sign
                 column[lower[bottom]] = -sign
-        boundaries[d] = mat
-    counts = [len(cubical.cells[d]) for d in dims]
-    return ChainComplex(counts, boundaries)
+    return ChainComplex([len(cs) for cs in cells.values()], boundaries)

@@ -23,7 +23,7 @@ the column lattice of d_d, its rank and its invariant factors stay.
 """
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from math import gcd
 from types import MappingProxyType
@@ -243,16 +243,21 @@ def eliminate_unit_pivots(rows, cols, carried=()):
 def _merged_torsion(coefficients):
     """Invariant factors of the direct sum of the groups Z/c, c > 1.
 
-    Z/a + Z/b = Z/gcd + Z/lcm, applied to every pair i < j in order, leaves
-    each factor dividing the next.
+    The summands are counted per value, ``Counter(coefficients)``, so a
+    Counter may be passed as it is.  While two values a, b exist where
+    neither divides the other, Z/a + Z/b = Z/gcd + Z/lcm moves min(count)
+    copies of each to gcd and lcm; the values left divide one another, and
+    sorted they are the invariant factors.
     """
-    factors = [c for c in coefficients if c > 1]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            g = gcd(a, b)
-            factors[i], factors[j] = g, a // g * b
-    return tuple(f for f in factors if f > 1)
+    counts = Counter(coefficients)
+    while True:
+        counts = Counter({c: m for c, m in counts.items() if c > 1 and m > 0})
+        pair = next(((a, b) for a in counts for b in counts if a < b and b % a), None)
+        if pair is None:
+            return tuple(sorted(counts.elements()))
+        a, b = pair
+        k, g = min(counts[a], counts[b]), gcd(a, b)
+        counts.update({a: -k, b: -k, g: k, a // g * b: k})
 
 
 def smith_normal_form(matrix, *, carried=()):

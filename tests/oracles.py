@@ -5,15 +5,17 @@ the library: clique growth for flagness, 4-tuple scans for squares,
 5-subset scans against the two forbidden suspensions for the Caprace
 criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, cube-vertex
-links of P_K read off its cell lists, linking numbers in the second
-barycentric subdivision, the subdivision itself from recursively enumerated
-chains of faces, Smith invariants from a Hermite basis by Bezout
+links of P_K read off its cell lists, the closure of cubical top cells
+under faces, linking numbers in the second barycentric subdivision, the
+subdivision itself from recursively enumerated chains of faces, Smith
+invariants from a Hermite basis by Bezout
 elimination with no pivot strategy, homology from one independent Smith
 form per boundary, without clearing, and the class map of a cokernel Z by
 rational Gauss-Jordan elimination; the homology of P_K with one Smith-form
 homology per vertex set; the closed-3-manifold check with each vertex link
 read from its star, found by scanning the facets.  Also the helpers and
-fixtures only the tests use: every face, the Euler characteristic, square
+fixtures only the tests use: every face, the Euler characteristic, the
+f-vector and Euler characteristic of a dict of cubical cells, square
 validation, the eagerly built face tables, the face map of the barycentric
 subdivision, complexes with pinched vertex links, the non-orientable
 S^2-bundle over S^1, random pure 3-complexes, dense matrices, the
@@ -30,7 +32,7 @@ from typing import NamedTuple
 from flatlink.complexes import (SimplicialComplex, Square, barycentric_subdivision,
                                 clique_complex, full_subcomplex, is_flag, maximal_faces,
                                 oriented_subdivision)
-from flatlink.cubes import _mask
+from flatlink.cubes import CubicalCell, _mask
 from flatlink.fixtures import fixture, product_triangulation
 from flatlink.homology import (HomologyProfile, IntegerMatrix, Manifold3Report, _merged_torsion,
                                homology, is_homology_3sphere, simplicial_chain_complex,
@@ -486,6 +488,35 @@ def brute_force_davis_ball(group, complex_, radius):
         spanned = [J for J in simplices if (group.min_coset_rep(g, J), J) in cell_set]
         links[g] = sorted(J for J in spanned if not any(set(J) < set(o) for o in spanned))
     return BruteForceDavisBall(vertices, cells, interior, links)
+
+
+def cubical_closure(ground, top_cells):
+    """{d: sorted cells} of the closure of (J, coset) cells under faces,
+    each face of a cell found by dropping one direction of J, coset bit
+    0 or 1 in it, down to the vertices."""
+    per_dim = {}
+    todo = {CubicalCell(*cell) for cell in top_cells}
+    while todo:
+        cell = todo.pop()
+        cells = per_dim.setdefault(cell.J.bit_count(), set())
+        if cell in cells:
+            continue
+        cells.add(cell)
+        for b in _unmask(cell.J):
+            todo.update((CubicalCell(cell.J ^ 1 << b, cell.coset),
+                         CubicalCell(cell.J ^ 1 << b, cell.coset | 1 << b)))
+    assert all(c.coset & c.J == 0 and (c.J | c.coset) >> ground == 0
+               for cells in per_dim.values() for c in cells)
+    return {d: sorted(per_dim[d]) for d in sorted(per_dim)}
+
+
+def cubical_f_vector(cells):
+    """Cell counts of a {d: cells} dict, by dimension."""
+    return tuple(len(cells[d]) for d in sorted(cells))
+
+
+def cubical_euler_characteristic(cells):
+    return sum((-1) ** d * len(cs) for d, cs in cells.items())
 
 
 def pk_vertex_link(cubical, vertex):

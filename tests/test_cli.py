@@ -388,6 +388,8 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
     (["davis", "{c4}", "-n", "-1"], None, "radius must be non-negative"),
     (["davis", "{point}", "-n", "200000"], None,
      "radius 200000 is not below the bound of 200000 vertices"),
+    (["davis", "{points450}", "-n", "2"], None,
+     "ball of radius 2 exceeds the bound of 200000 vertices"),
     (["fixture", "klein-bottle"], None,
      "unknown fixture 'klein-bottle'; known: %s" % ", ".join(fixture_names())),
     (["lk", "simplicial", "{c4}", "{missing}"], None, "bad link: " + _MISSING),
@@ -397,7 +399,7 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
     (["obstruct", "{simplex25}"], None,
      "complex has dimension 25; the hypothesis checks need dimension at most 3"),
 ], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x", "ground bound",
-        "davis -n -1", "davis -n 200000", "unknown fixture", "missing link",
+        "davis -n -1", "davis -n 200000", "davis ball bound", "unknown fixture", "missing link",
         "missing diagram", "verify dimension 4", "obstruct dimension 25"])
 def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixture,
                                                    tmp_path, capsys, monkeypatch):
@@ -405,9 +407,12 @@ def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixtur
     truncated.write_text('{"vertices": 3, "facets": [[0')
     point = tmp_path / "point.json"
     point.write_text('{"vertices": 1, "facets": [[0]]}')
+    # 450 generators: 1 + 450 + 450 * 449 = 202,501 words of length at most 2
+    points = tmp_path / "points450.json"
+    points.write_text(json.dumps({"vertices": 450, "facets": [[v] for v in range(450)]}))
     paths = {"c4": write_fixture("c4"), "oct": write_fixture("octahedron"),
              "missing": str(tmp_path / "missing.json"), "truncated": str(truncated),
-             "point": str(point)}
+             "point": str(point), "points450": str(points)}
     for n in (5, 26):
         simplex = tmp_path / ("simplex%d.json" % (n - 1))
         simplex.write_text(json.dumps({"vertices": n, "facets": [list(range(n))]}))

@@ -2,52 +2,59 @@
 homology.
 
 The splitting route (``pk_homology``, ``pk_f_vector``) is checked against
-the cells: ``homology(cubical_chain_complex(build_pk(K)))`` and
-``build_pk(K).f_vector()``; its union and join pieces and its strong
+the cells: ``homology(cubical_chain_complex(build_pk(K)))`` and the
+cell counts of ``build_pk(K)``; its union and join pieces and its strong
 collapses are checked against one homology per vertex set,
 ``pk_homology_by_subsets``.
 """
 
+import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from flatlink.complexes import SimplicialComplex, _bits, disjoint_union, full_subcomplex, join
-from flatlink.cubes import (CubicalCell, CubicalComplex, GroundSetTooLarge, _core_tally, _mask,
-                            build_pk, check_ground, cubical_chain_complex, piece_sizes,
-                            pk_f_vector, pk_homology, pk_pieces)
+from flatlink.cubes import (CubicalCell, GroundSetTooLarge, _core_tally, _mask, build_pk,
+                            check_ground, cubical_chain_complex, piece_sizes, pk_f_vector,
+                            pk_homology, pk_pieces)
 from flatlink.fixtures import _cycle, fixture, fixture_names
 from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
                                smith_normal_form)
 
-from oracles import (all_faces, from_dense, oracle_invariant_factors, pk_homology_by_subsets,
+from oracles import (all_faces, cubical_closure, cubical_euler_characteristic, cubical_f_vector,
+                     from_dense, oracle_invariant_factors, pk_homology_by_subsets,
                      pk_vertex_link, random_complex, random_flag_complex, to_dense)
+
+
+# three relation classes, {0}, {1} and {2, 3}, but no join
+NO_JOIN = SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (2, 3)])
 
 
 def test_pk_point_is_segment():
     p = build_pk(SimplicialComplex(1, [(0,)]))
-    assert p.f_vector() == (2, 1)
+    assert cubical_f_vector(p.cells) == (2, 1)
 
 
 def test_pk_edge_is_solid_square():
     p = build_pk(SimplicialComplex(2, [(0, 1)]))
-    assert p.f_vector() == (4, 4, 1)
+    assert cubical_f_vector(p.cells) == (4, 4, 1)
 
 
 def test_pk_c4_is_torus():
     p = build_pk(fixture("c4"))
-    assert p.f_vector() == (16, 32, 16)
-    assert p.euler_characteristic() == 0
+    assert cubical_f_vector(p.cells) == (16, 32, 16)
+    assert cubical_euler_characteristic(p.cells) == 0
     assert homology(cubical_chain_complex(p)) == HomologyProfile(
         [(1, ()), (2, ()), (1, ())])
 
 
 def test_pk_octahedron_is_3_torus():
     p = build_pk(fixture("octahedron"))
-    assert p.f_vector() == (64, 192, 192, 64)
-    assert p.euler_characteristic() == 0
+    assert cubical_f_vector(p.cells) == (64, 192, 192, 64)
+    assert cubical_euler_characteristic(p.cells) == 0
     assert homology(cubical_chain_complex(p)) == HomologyProfile(
         [(1, ()), (3, ()), (3, ()), (1, ())])
 
@@ -63,7 +70,7 @@ def test_pk_f_vector_formula():
             by_size[len(f)] = by_size.get(len(f), 0) + 1
         for d in sorted(by_size):
             expected.append(by_size[d] * 2 ** (n - d))
-        assert list(p.f_vector()) == expected
+        assert list(cubical_f_vector(p.cells)) == expected
 
 
 def test_pk_euler_characteristic_consistency():
@@ -73,7 +80,7 @@ def test_pk_euler_characteristic_consistency():
         k = fixture(name)
         p = build_pk(k)
         v, q = k.vertex_count, len(k.facets)
-        assert p.euler_characteristic() == expected
+        assert cubical_euler_characteristic(p.cells) == expected
         assert expected == 2 ** (v - 4) * (16 - 4 * v + q)
 
 
@@ -87,7 +94,7 @@ def test_segment_boundary_matrix():
 def _accumulated_boundaries(cubical):
     """Boundary matrices summed face by face onto whatever entry is there."""
     out = {}
-    for d in range(1, cubical.dim() + 1):
+    for d in range(1, max(cubical.cells) + 1):
         lower = {c: i for i, c in enumerate(cubical.cells[d - 1])}
         mat = IntegerMatrix(len(cubical.cells[d - 1]), len(cubical.cells[d]))
         for col, cell in enumerate(cubical.cells[d]):
@@ -131,18 +138,18 @@ def test_ground_bound_error():
         build_pk(fixture("octahedron"), max_ground=4)
 
 
-def test_cell_canonical_representative_enforced():
-    with pytest.raises(ValueError, match="canonical"):
-        CubicalComplex(2, [CubicalCell(0b01, 0b01)])
-
-
 def test_closure_reconstruction_and_json_roundtrip():
-    p = build_pk(fixture("c4"))
-    data = p.to_json()
-    # top cells only: the 2-cells of the torus
-    assert len(data["cells"]) == 16
-    cells = [CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)) for rec in data["cells"]]
-    assert CubicalComplex(data["ground"], cells) == p
+    # --cells-out writes the cells whose type is a facet, and they close to
+    # the whole of P_K
+    for k, top in ((fixture("c4"), 16),  # the 2-cells of the torus
+                   (NO_JOIN, 2 + 2 + 4),  # facets of two dimensions
+                   (SimplicialComplex(1, [(0,)]), 1),
+                   (SimplicialComplex(0, []), 1)):  # no facet: the lone vertex
+        p = build_pk(k)
+        data = json.loads(json.dumps(p.to_json()))
+        cells = [CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)) for rec in data["cells"]]
+        assert len(cells) == top
+        assert cubical_closure(data["ground"], cells) == p.cells
 
 
 def _splitting_cases():
@@ -160,7 +167,8 @@ def _splitting_cases():
               ("torus-7 * s0", join(fixture("torus-7"), s0)),
               ("c4 + c4 + triangle", disjoint_union(disjoint_union(c4, c4),
                                                     SimplicialComplex(3, [(0, 1, 2)]))),
-              ("no join", SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (2, 3)]))]
+              ("no join", NO_JOIN),
+              ("no join * point", join(NO_JOIN, SimplicialComplex(1, [(0,)])))]
     return cases
 
 
@@ -174,8 +182,8 @@ def test_pk_homology_matches_cubical_homology(name, k):
     assert profile == homology(cubical_chain_complex(cells))
     assert profile == pk_homology_by_subsets(k)
     f = pk_f_vector(k)
-    assert f == cells.f_vector()
-    assert sum((-1) ** d * c for d, c in enumerate(f)) == cells.euler_characteristic()
+    assert f == cubical_f_vector(cells.cells)
+    assert sum((-1) ** d * c for d, c in enumerate(f)) == cubical_euler_characteristic(cells.cells)
 
 
 def test_pk_homology_pinned_values():
@@ -191,6 +199,15 @@ def test_pk_homology_pinned_values():
     empty = SimplicialComplex(0, [])
     assert pk_f_vector(empty) == (1,)
     assert pk_homology(empty) == HomologyProfile([(1, ())])
+
+
+def test_pk_homology_merges_torsion_by_counts():
+    # 24 vertices, at the ground bound: the union formula copies the Z/2 of
+    # RP^2_6 once per vertex set of the 18 points, 2^18 summands in one degree
+    k = disjoint_union(fixture("projective-plane-6"),
+                       SimplicialComplex(18, [(i,) for i in range(18)]))
+    assert pk_homology(k) == HomologyProfile(
+        [(1, ()), (150732801, ()), (8126464, (2,) * (1 << 18)), (0, ())])
 
 
 def test_pk_homology_of_join_c6_c6_without_cells():
@@ -279,6 +296,7 @@ def test_pk_pieces_of_unions_and_joins():
                      (rp2, [6]),
                      (disjoint_union(fixture("torus-7"), _cycle(4)), [1, 1, 1, 1, 7]),
                      (SimplicialComplex(1, [(0,)]), [1]),
+                     (join(NO_JOIN, SimplicialComplex(1, [(0,)])), [1, 4]),
                      (SimplicialComplex(0, []), [])):
         assert piece_sizes(pk_pieces(k)) == sizes
 
@@ -298,6 +316,39 @@ def test_pk_pieces_refuse_classes_that_are_no_join(monkeypatch):
     assert pk_pieces(k) == ("piece", 0b1111, {0b0111, 0b1011, 0b1100}, ())
     assert classes == [[0b1111], [0b0001, 0b0010, 0b1100]]
     assert pk_homology(k) == pk_homology_by_subsets(k)
+
+
+def _relation_classes(k):
+    """How many classes u ~ v has, for u and v not adjacent or a facet f
+    with f - u + v a facet, read pair by pair."""
+    facets = set(map(frozenset, k.facets))
+    root = list(range(k.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in combinations(range(k.vertex_count), 2):
+        if not k.has_face((u, v)) or any(u in f and v not in f and f - {u} | {v} in facets
+                                         for f in facets):
+            root[find(u)] = find(v)
+    return len({find(v) for v in range(k.vertex_count)})
+
+
+def test_pk_pieces_split_joins_whose_classes_are_finer_than_the_factors():
+    # X is one piece with more than one class, so taking every class of
+    # X * Y * point as a factor fails; the point still splits off
+    rng = random.Random(53)
+    point, found = SimplicialComplex(1, [(0,)]), 0
+    while found < 8:
+        x = random_complex(rng, 5)
+        if pk_pieces(x)[0] != "piece" or _relation_classes(x) == 1:
+            continue
+        k = join(join(x, random_complex(rng, 3)), point)
+        assert pk_pieces(k)[0] == "join"
+        assert pk_homology(k) == pk_homology_by_subsets(k)
+        found += 1
 
 
 def test_pk_homology_of_joins_and_unions_pinned():
@@ -357,9 +408,11 @@ def test_pk_f_vector_from_the_pieces_matches_the_whole_f_vector():
 
 @pytest.mark.parametrize("coefficients,expected", [
     ((2, 3), (6,)), ((2, 4, 2), (2, 2, 4)), ((6, 10), (2, 30)), ((), ()), ((5,), (5,)),
-    ((2,) * 511 + (3,), (2,) * 510 + (6,))])
+    ((2,) * 511 + (3,), (2,) * 510 + (6,)),
+    (Counter({4: 2, 6: 3, 1: 5}), (2, 2, 6, 12, 12)),  # a Counter, with a Z/1 to drop
+    ((2,) * (1 << 16) + (3,), (2,) * ((1 << 16) - 1) + (6,))])
 def test_torsion_merge_gives_invariant_factors(coefficients, expected):
-    assert _merged_torsion(list(coefficients)) == expected
+    assert _merged_torsion(coefficients) == expected
 
 
 def test_torsion_merge_matches_smith_form_of_the_diagonal():
