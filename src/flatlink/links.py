@@ -4,8 +4,10 @@ the obstruction classification over the linking matrix.
 
 The simplicial method is purely homological: Lk(i, j) is the class of
 component i, as a multiple of the meridian of j, in the first homology of
-the complement of j, which is infinite cyclic.  If j is a full subcomplex,
-its complement deformation-retracts onto the full subcomplex spanned by the
+the complement of j, which is infinite cyclic.  The meridian circles the
+first edge of j, one step per signed tetrahedron through it, and is
+refused unless the steps close up.  If j is a full subcomplex, its
+complement deformation-retracts onto the full subcomplex spanned by the
 other vertices (Rourke-Sanderson, Introduction to Piecewise-Linear
 Topology, on derived neighbourhoods).  Squares of a flag complex are full;
 a component that is not is made full by starring the faces its vertices
@@ -271,47 +273,30 @@ def obstruction_report(matrix, nontrivial_certificate=None):
 # -- simplicial linking numbers --------------------------------------------
 
 def _cycle_chain(cycle, factor=1):
+    """The 1-chain of a cycle of distinct vertices, as {sorted edge: +-factor}."""
+    return {(u, v) if u < v else (v, u): factor if u < v else -factor
+            for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+
+
+def _meridian(facets_signed, a, b):
+    """The link circle of the edge (a, b), oriented by the right-hand rule:
+    each tetrahedron (a, b, w, x) of sign s adds the step w -> x with
+    coefficient s times the parity of (a, b, w, x).  The steps of a
+    consistent orientation close up; an empty chain or one with a boundary
+    is refused."""
     chain = {}
-    r = len(cycle)
-    for k in range(r):
-        u, v = cycle[k], cycle[(k + 1) % r]
-        key = (u, v) if u < v else (v, u)
-        sign = factor if u < v else -factor
-        chain[key] = chain.get(key, 0) + sign
-    return {e: c for e, c in chain.items() if c}
-
-
-def _edge_link_cycle(facets_signed, a, b):
-    """The link circle of the edge (a,b), oriented by the right-hand rule.
-
-    Walk direction is fixed at the lexicographically least tetrahedron T
-    around the edge: the ordered tuple (a, b, w0, w1) is positively
-    oriented in T, where w0 -> w1 is the first meridian step.
-    """
-    around = [(f, s) for f, s in facets_signed if a in f and b in f]
-    if not around:
+    boundary = {}
+    for f, s in facets_signed:
+        if a in f and b in f:
+            w, x = (v for v in f if v != a and v != b)
+            chain[(w, x)] = c = s * _parity((a, b, w, x))
+            boundary[x] = boundary.get(x, 0) + c
+            boundary[w] = boundary.get(w, 0) - c
+    if not chain:
         raise ValueError("(%d,%d) is not an edge of the ambient complex" % (a, b))
-    adj = {}
-    for f, _ in around:
-        w1, w2 = (x for x in f if x != a and x != b)
-        adj.setdefault(w1, []).append(w2)
-        adj.setdefault(w2, []).append(w1)
-    if any(len(v) != 2 for v in adj.values()):
-        raise ValueError("edge link of (%d,%d) is not a circle" % (a, b))
-    t0, s0 = min(around)
-    w0, w1 = (x for x in t0 if x != a and x != b)
-    if _parity((a, b, w0, w1)) * s0 < 0:
-        w0, w1 = w1, w0
-    cycle = [w0, w1]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == w0:
-            break
-        cycle.append(nxt)
-    if len(cycle) != len(adj):
-        raise ValueError("edge link of (%d,%d) is not a single circle" % (a, b))
-    return tuple(cycle)
+    if any(boundary.values()):
+        raise ValueError("meridian of (%d,%d) is not a cycle: inconsistent orientation" % (a, b))
+    return chain
 
 
 class LinkingInternalError(RuntimeError):
@@ -433,27 +418,22 @@ class _Complements:
 
     def column(self, j, others):
         """{i: Lk(i, j)} for each i in ``others``, from one elimination over
-        the complement of j, the full subcomplex on the other vertices."""
+        the complement of j, the full subcomplex on the other vertices.  The
+        meridian circles the first edge of j (reversed with j); a cycle with an
+        edge outside the complement, such as a meridian touching j, is refused."""
         removed = set(self.components[j])
         edges = [e for e in self.edges if e[0] not in removed and e[1] not in removed]
         triangles = [t for t in self.triangles if t[0] not in removed
                      and t[1] not in removed and t[2] not in removed]
 
-        # meridian: the link circle of the first edge of component j
         a, b = self.components[j][0], self.components[j][1]
         if self.orientations[j] < 0:
             a, b = b, a
-        mu_cycle = _edge_link_cycle(self.facets_signed, a, b)
-        if set(mu_cycle) & removed:
-            raise LinkingInternalError("meridian touches the removed component")
-
-        meridian = _cycle_chain(mu_cycle)
+        meridian = _meridian(self.facets_signed, a, b)
         targets = [_cycle_chain(self.components[i], self.orientations[i])
                    for i in others]
-        edge_ok = set(edges)
-        for chain in [meridian] + targets:
-            if any(e not in edge_ok for e in chain):
-                raise LinkingInternalError("cycle leaves the complement subcomplex")
+        if not set(edges).issuperset(e for chain in [meridian] + targets for e in chain):
+            raise LinkingInternalError("cycle leaves the complement subcomplex")
         return dict(zip(others, _class_multiples(edges, triangles, meridian, targets)))
 
 

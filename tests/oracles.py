@@ -6,7 +6,8 @@ the library: clique growth for flagness, 4-tuple scans for squares,
 criterion, Tits-style commutation-class reduction for Coxeter words, coset
 representatives and explicit cell vertices for Davis balls, cube-vertex
 links of P_K read off its cell lists, the closure of cubical top cells
-under faces, linking numbers in the second barycentric subdivision, the
+under faces, linking numbers in the second barycentric subdivision with
+each meridian walked around its edge link, the
 subdivision itself from recursively enumerated chains of faces, Smith
 invariants from a Hermite basis by Bezout
 elimination with no pivot strategy, homology from one independent Smith
@@ -29,7 +30,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from flatlink.complexes import (SimplicialComplex, Square, barycentric_subdivision,
+from flatlink.complexes import (SimplicialComplex, Square, _parity, barycentric_subdivision,
                                 clique_complex, full_subcomplex, is_flag, maximal_faces,
                                 oriented_subdivision)
 from flatlink.cubes import CubicalCell, _mask
@@ -38,7 +39,7 @@ from flatlink.homology import (HomologyProfile, IntegerMatrix, Manifold3Report, 
                                homology, is_homology_3sphere, simplicial_chain_complex,
                                smith_normal_form)
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, PlanarDiagram, _class_multiples,
-                            _Complements, _cycle_chain, _edge_link_cycle, _skeleton,
+                            _Complements, _cycle_chain, _skeleton,
                             diagram_linking_matrix)
 
 
@@ -588,13 +589,48 @@ def simplicial_linking_number(sigma, link, i, j, orientation=None):
     return _Complements(sigma, link, orientation).column(j, [i])[i]
 
 
+def _edge_link_cycle(facets_signed, a, b):
+    """The link circle of the edge (a,b), oriented by the right-hand rule.
+
+    Walk direction is fixed at the lexicographically least tetrahedron T
+    around the edge: the ordered tuple (a, b, w0, w1) is positively
+    oriented in T, where w0 -> w1 is the first meridian step.
+    """
+    around = [(f, s) for f, s in facets_signed if a in f and b in f]
+    if not around:
+        raise ValueError("(%d,%d) is not an edge of the ambient complex" % (a, b))
+    adj = {}
+    for f, _ in around:
+        w1, w2 = (x for x in f if x != a and x != b)
+        adj.setdefault(w1, []).append(w2)
+        adj.setdefault(w2, []).append(w1)
+    if any(len(v) != 2 for v in adj.values()):
+        raise ValueError("edge link of (%d,%d) is not a circle" % (a, b))
+    t0, s0 = min(around)
+    w0, w1 = (x for x in t0 if x != a and x != b)
+    if _parity((a, b, w0, w1)) * s0 < 0:
+        w0, w1 = w1, w0
+    cycle = [w0, w1]
+    while True:
+        prev, cur = cycle[-2], cycle[-1]
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        if nxt == w0:
+            break
+        cycle.append(nxt)
+    if len(cycle) != len(adj):
+        raise ValueError("edge link of (%d,%d) is not a single circle" % (a, b))
+    return tuple(cycle)
+
+
 def second_subdivision_linking_matrix(sigma, link, orientation=None):
     """Linking matrix with every complement taken in the second subdivision.
 
     Whatever the components, two barycentric subdivisions make each one the
     core of its own regular neighbourhood; Lk(i, j) is solved separately
     for each pair i < j, removing component j and every simplex touching
-    it, regardless of fullness.
+    it, regardless of fullness.  Each meridian is walked around its edge
+    link from the least tetrahedron's step, not summed over the
+    tetrahedra as the solver's is.
     """
     if orientation is None:
         orientation = is_homology_3sphere(sigma).manifold.orientation

@@ -156,9 +156,11 @@ def test_unknown_export_is_an_attribute_error():
 @pytest.mark.parametrize("module, owner, name", [
     ("homology", "IntegerMatrix", "from_dense"), ("homology", "IntegerMatrix", "to_dense"),
     ("coxeter", "Racg", "commutes"), ("links", None, "simplicial_linking_number"),
+    ("links", None, "_edge_link_cycle"),
 ])
 def test_test_only_helpers_live_in_the_oracles(module, owner, name):
-    # only the tests used them: they are in tests/oracles.py, not exported
+    # only the tests use them: they are in tests/oracles.py, not exported; the
+    # edge-link walk is the second-subdivision oracle's own meridian
     holder = importlib.import_module("flatlink." + module)
     assert not hasattr(getattr(holder, owner) if owner else holder, name)
     assert name not in flatlink.__all__

@@ -347,3 +347,43 @@ def test_full_complement_route_matches_second_subdivision_oracle():
     _, sd_hopf = subdivide_link(ambient, hopf)
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
     assert starred(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == (triangle,)
+
+
+def test_meridian_matches_the_edge_link_walk():
+    # the solver adds one step per tetrahedron through the edge; the oracle
+    # walks the edge link from the least tetrahedron's step
+    from flatlink.fixtures import solomon_pair
+    from flatlink.homology import is_homology_3sphere
+    from flatlink.links import _Complements, _cycle_chain, _meridian, _skeleton
+    from oracles import _edge_link_cycle
+
+    ambients = [sorted(is_homology_3sphere(fixture(name)).manifold.orientation.items())
+                for name in ("boundary-16-cell", "600-cell", "join-c6-c6", "join-c10-c10",
+                             "sd-boundary-4-simplex")]
+    ambients += [_Complements(*pair).facets_signed
+                 for pair in (solomon_pair(), hopf_pair(), split_pair())]
+    count = 0
+    for facets_signed in ambients:
+        for a, b in sorted(_skeleton(facets_signed)[0]):
+            for edge in ((a, b), (b, a)):
+                walked = _cycle_chain(_edge_link_cycle(facets_signed, *edge))
+                assert _meridian(facets_signed, *edge) == walked, edge
+                count += 1
+    assert count == 2860
+
+
+def test_an_inconsistent_orientation_is_refused():
+    # every tetrahedron through (0, 2) is read: a walk that reads only the
+    # least one's sign returns [[0, 1], [1, 0]] with the largest one flipped
+    from flatlink.homology import is_homology_3sphere
+    from flatlink.links import _meridian
+    ambient, link = hopf_pair()
+    orientation = is_homology_3sphere(ambient).manifold.orientation
+    with pytest.raises(ValueError, match=r"^\(0,1\) is not an edge of the ambient complex$"):
+        _meridian(sorted(orientation.items()), 0, 1)
+    largest = max(f for f in orientation if 0 in f and 2 in f)
+    flipped = dict(orientation)
+    flipped[largest] = -flipped[largest]
+    with pytest.raises(ValueError, match=r"^meridian of \(0,2\) is not a cycle: "
+                       r"inconsistent orientation$"):
+        linking_matrix(ambient, link, orientation=flipped)
