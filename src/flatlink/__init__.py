@@ -22,12 +22,11 @@ _EXPORTS = {name: module for module, names in (
                 "davis_ball racg_from_skeleton"),
     ("cubes", "CubicalCell CubicalComplex GroundSetTooLarge build_pk cubical_chain_complex "
               "pk_f_vector pk_homology"),
-    ("fixtures", "HypothesisReport TypeLReport check_hypotheses fixture fixture_names "
-                 "hopf_pair product_triangulation solomon_pair split_pair verify_type_l "
-                 "zigzag_cycle"),
-    ("homology", "ChainComplex HomologyProfile IntegerMatrix Manifold3Report SmithNormalForm "
-                 "SphereReport is_closed_orientable_3manifold is_homology_3sphere "
-                 "simplicial_chain_complex smith_normal_form"),
+    ("fixtures", "TypeLReport fixture fixture_names hopf_pair product_triangulation "
+                 "solomon_pair split_pair verify_type_l zigzag_cycle"),
+    ("homology", "ChainComplex HomologyProfile HypothesisReport IntegerMatrix Manifold3Report "
+                 "SmithNormalForm SphereReport check_hypotheses is_closed_orientable_3manifold "
+                 "is_homology_3sphere simplicial_chain_complex smith_normal_form"),
     ("links", "EdgeCycleLink LinkingInternalError LinkingMatrix ObstructionReport "
               "ObstructionVerdict PlanarDiagram diagram_linking_matrix linking_matrix "
               "obstruction_report"),

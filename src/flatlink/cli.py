@@ -7,7 +7,9 @@ stdout or --out, or with --human, the only output switch, a line-per-check
 summary.  Exit codes: 0 success, 1 failed checks, 2 usage or input errors
 (``main`` prints ``error: ...`` for every ValueError, KeyError or OSError,
 never a traceback).  Verdicts are report data, not errors: an obstruction
-found is a successful analysis.
+found is a successful analysis.  This module imports no flatlink submodule
+at load time: each command imports what it runs, and the ``fixture``
+help reads the registry only when it is printed.
 """
 
 import argparse
@@ -18,8 +20,6 @@ import sys
 import time
 
 from . import __version__
-from .complexes import SimplicialComplex
-from .fixtures import fixture_names
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,18 +92,21 @@ def _obstruction(matrix, opts):
 # Each command returns (command, inputs, checks, verdicts, exit code, extra);
 # main times it, builds and emits the report.  ``fixture NAME`` returns the
 # complex's JSON text instead, which main writes as it is.  Each command
-# imports the modules it runs, so a call loads only those, ``complexes``
-# and the fixture registry the parser's help reads.
+# imports the modules it runs, so a call loads only those: ``--version`` and
+# a usage error load nothing past this module, and only ``fixture`` and its
+# help load the registry.
 
 def cmd_verify(opts):
-    from .fixtures import check_hypotheses
+    from .complexes import SimplicialComplex
+    from .homology import check_hypotheses
     report = check_hypotheses(SimplicialComplex.load(opts.complex))
     return ("verify", [opts.complex], report.checks, {"all_checks_pass": report.passed},
             EXIT_OK if report.passed else EXIT_CHECK_FAILED, None)
 
 
 def cmd_obstruct(opts):
-    from .fixtures import check_hypotheses
+    from .complexes import SimplicialComplex
+    from .homology import check_hypotheses
     from .links import EdgeCycleLink, linking_matrix
     complex_ = SimplicialComplex.load(opts.complex)
     report = check_hypotheses(complex_)
@@ -123,6 +126,7 @@ def cmd_obstruct(opts):
 
 
 def cmd_pk(opts):
+    from .complexes import SimplicialComplex
     from .cubes import (DEFAULT_MAX_GROUND, build_pk, check_ground, piece_sizes, pk_f_vector,
                         pk_homology, pk_pieces)
     complex_ = SimplicialComplex.load(opts.complex)
@@ -153,6 +157,7 @@ def cmd_pk(opts):
 
 
 def cmd_davis(opts):
+    from .complexes import SimplicialComplex
     from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
     complex_ = SimplicialComplex.load(opts.complex)
     ball = davis_ball(racg_from_skeleton(complex_), complex_, opts.radius)
@@ -179,6 +184,7 @@ def cmd_lk_diagram(opts):
 
 
 def cmd_lk_simplicial(opts):
+    from .complexes import SimplicialComplex
     from .links import EdgeCycleLink, linking_matrix
     complex_ = SimplicialComplex.load(opts.complex)
     link = _read_json(opts.link, "link",
@@ -200,6 +206,16 @@ def cmd_fixture(opts):
         return json.dumps(complex_.to_json(), sort_keys=True)
     complex_.dump(opts.target)
     return ("fixture", [], {"name": opts.name, "written": opts.target}, {}, EXIT_OK, None)
+
+
+class _FixtureNames(str):
+    """A help string that ``%`` fills with the registry's names.  argparse
+    expands a help string with ``%`` only when it formats the help, so the
+    registry is loaded then and not by every call that builds the parser."""
+
+    def __mod__(self, params):
+        from .fixtures import fixture_names
+        return str.__mod__(self, ", ".join(fixture_names()))
 
 
 def _parser():
@@ -256,7 +272,7 @@ def _parser():
     pd.set_defaults(func=cmd_lk_diagram)
 
     p = sub.add_parser("fixture", help="emit a registry complex as JSON")
-    p.add_argument("name", help="one of: " + ", ".join(fixture_names()))
+    p.add_argument("name", help=_FixtureNames("one of: %s"))
     p.add_argument("target", nargs="?", default=None,
                    help="write the complex here instead of stdout")
     common(p)

@@ -1,24 +1,22 @@
-"""Canonical fixture complexes, the hypothesis-check pipeline and the
-type-L verifier.
+"""Canonical fixture complexes, the named links in them and the type-L
+verifier.
 
-The registry is generated by code (see fixtures.md for the catalogue).
-``check_hypotheses`` runs the hypothesis chain once and returns one report;
-``verify``, ``obstruct`` and the type verifier all read it.  The type
-verifier adds the square-link's component count and linking matrix against
-the expectation.  Matching linking data is necessary but not sufficient for
-matching the link type up to isotopy.
-No complex here carries a nonempty isolated square-link, and nothing
-constructs one; ``verify_type_l`` is the gate such a construction must pass.
-``homology`` and ``links`` are imported by the functions that use them, so
-the registry alone (all the CLI parser reads) loads only ``complexes``.
+The registry is generated by code (see fixtures.md for the catalogue).  The
+type verifier reads ``homology.check_hypotheses`` and adds the square-link's
+component count and linking matrix against the expectation.  Matching
+linking data is necessary but not sufficient for matching the link type up
+to isotopy.  No complex here carries a nonempty isolated square-link, and
+nothing constructs one; ``verify_type_l`` is the gate such a construction
+must pass.  ``homology`` and ``links`` are imported by the functions that
+use them, so building a fixture loads only ``complexes``; the CLI loads
+this module only for its ``fixture`` command and help.
 """
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .complexes import (SimplicialComplex, _parity, barycentric_subdivision, clique_complex,
-                        disjoint_union, has_isolated_squares, is_flag, join,
-                        scan_nonadjacent_pairs)
+                        disjoint_union, join)
 
 
 def _points(k):
@@ -222,65 +220,6 @@ def solomon_pair():
     return ambient, EdgeCycleLink(ambient, [a, b])
 
 
-class HypothesisReport(NamedTuple):
-    checks: dict      # results and failure witnesses, in the order --human prints them
-    passed: bool
-    orientation: Optional[dict]  # facet -> +-1 when the manifold check passes
-    squares: list     # sorted canonical Squares
-
-
-def check_hypotheses(complex_):
-    """The hypothesis chain of the obstruction, each check run once.
-
-    In order: flag, isolated squares, closed orientable 3-manifold,
-    homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
-    pairs yields both the squares and the Caprace witnesses; a failed
-    criterion reports the least witness and their count.  The manifold is
-    certified once.  Simple connectivity is NOT checked.  A complex above
-    dimension 3 is refused with ValueError before any check: the paper's K
-    is 3-dimensional.
-    """
-    from .homology import is_homology_3sphere
-    if complex_.dim() > 3:
-        raise ValueError("complex has dimension %d; the hypothesis checks need "
-                         "dimension at most 3" % complex_.dim())
-    checks = {}
-    flag = is_flag(complex_)
-    checks["is_flag"] = flag.is_flag
-    if not flag.is_flag:
-        checks["flag_witness"] = list(flag.witness)
-    scan = scan_nonadjacent_pairs(complex_)
-    checks["square_count"] = len(scan.squares)
-    isolated = has_isolated_squares(scan.squares)
-    checks["has_isolated_squares"] = isolated.has_isolated_squares
-    if not isolated.has_isolated_squares:
-        checks["isolated_offending_vertex"] = isolated.offending_vertex
-    manifold_ok = sphere_ok = False
-    orientation = None
-    try:
-        sphere = is_homology_3sphere(complex_)
-        manifold_ok = sphere.manifold.passed
-        if not manifold_ok:
-            checks["manifold_failures"] = list(sphere.manifold.failures)
-        else:
-            sphere_ok = sphere.is_homology_sphere
-            orientation = sphere.manifold.orientation
-            checks["homology_profile"] = sphere.profile.to_json()
-            checks["simple_connectivity"] = "not checked (homology sphere only)"
-    except ValueError as exc:
-        checks["manifold_error"] = str(exc)
-    checks["is_closed_orientable_3manifold"] = manifold_ok
-    checks["is_homology_3sphere"] = sphere_ok
-    checks["caprace_criterion"] = not scan.caprace_witness_count
-    if scan.caprace_witness_count:
-        vertices, kind = scan.caprace_witness
-        checks["caprace_witness"] = {"vertices": list(vertices), "type": kind}
-        checks["caprace_witness_count"] = scan.caprace_witness_count
-    passed = (flag.is_flag and isolated.has_isolated_squares and sphere_ok
-              and not scan.caprace_witness_count)
-    return HypothesisReport(checks, passed, orientation, scan.squares)
-
-
 class TypeLReport(NamedTuple):
     flags: dict
     square_link: "Optional[EdgeCycleLink]"
@@ -309,6 +248,7 @@ def verify_type_l(sigma, expected):
     verdict certifies matching linking data, which is NECESSARY but not
     sufficient for carrying the link type up to isotopy.
     """
+    from .homology import check_hypotheses
     from .links import EdgeCycleLink, LinkingMatrix, linking_matrix
     target = _expected_matrix(expected)
     report = check_hypotheses(sigma)

@@ -1,4 +1,5 @@
-"""Exact integer chain complexes, Smith normal form and 3-manifold checks.
+"""Exact integer chain complexes, Smith normal form, 3-manifold checks and
+the hypothesis chain of the obstruction.
 
 Everything here is over the integers with unbounded precision; no floating
 point.  Matrices are stored by columns, one {row: value} dict per cell,
@@ -20,6 +21,11 @@ Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
 rows P of the d_{d+1} elimination.  Unit pivots give det d_{d+1}[P,Q] = +-1,
 so d_d d_{d+1} = 0 puts those columns in the integer span of the others:
 the column lattice of d_d, its rank and its invariant factors stay.
+
+``check_hypotheses`` runs the whole chain once, next to the homology-sphere
+check it ends in: flag, isolated squares, closed orientable 3-manifold,
+homology 3-sphere, Caprace criterion.  ``verify``, ``obstruct`` and the
+type verifier all read its one report.
 """
 
 import heapq
@@ -28,6 +34,8 @@ from itertools import combinations
 from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple, Optional
+
+from .complexes import has_isolated_squares, is_flag, scan_nonadjacent_pairs
 
 
 class IntegerMatrix:
@@ -556,3 +564,61 @@ def is_homology_3sphere(complex_):
         ok, profile, manifold,
         "homology matches S^3; simple connectivity is NOT checked" if ok
         else "homology differs from S^3")
+
+
+class HypothesisReport(NamedTuple):
+    checks: dict      # results and failure witnesses, in the order --human prints them
+    passed: bool
+    orientation: Optional[dict]  # facet -> +-1 when the manifold check passes
+    squares: list     # sorted canonical Squares
+
+
+def check_hypotheses(complex_):
+    """The hypothesis chain of the obstruction, each check run once.
+
+    In order: flag, isolated squares, closed orientable 3-manifold,
+    homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
+    pairs yields both the squares and the Caprace witnesses; a failed
+    criterion reports the least witness and their count.  The manifold is
+    certified once.  Simple connectivity is NOT checked.  A complex above
+    dimension 3 is refused with ValueError before any check: the paper's K
+    is 3-dimensional.
+    """
+    if complex_.dim() > 3:
+        raise ValueError("complex has dimension %d; the hypothesis checks need "
+                         "dimension at most 3" % complex_.dim())
+    checks = {}
+    flag = is_flag(complex_)
+    checks["is_flag"] = flag.is_flag
+    if not flag.is_flag:
+        checks["flag_witness"] = list(flag.witness)
+    scan = scan_nonadjacent_pairs(complex_)
+    checks["square_count"] = len(scan.squares)
+    isolated = has_isolated_squares(scan.squares)
+    checks["has_isolated_squares"] = isolated.has_isolated_squares
+    if not isolated.has_isolated_squares:
+        checks["isolated_offending_vertex"] = isolated.offending_vertex
+    manifold_ok = sphere_ok = False
+    orientation = None
+    try:
+        sphere = is_homology_3sphere(complex_)
+        manifold_ok = sphere.manifold.passed
+        if not manifold_ok:
+            checks["manifold_failures"] = list(sphere.manifold.failures)
+        else:
+            sphere_ok = sphere.is_homology_sphere
+            orientation = sphere.manifold.orientation
+            checks["homology_profile"] = sphere.profile.to_json()
+            checks["simple_connectivity"] = "not checked (homology sphere only)"
+    except ValueError as exc:
+        checks["manifold_error"] = str(exc)
+    checks["is_closed_orientable_3manifold"] = manifold_ok
+    checks["is_homology_3sphere"] = sphere_ok
+    checks["caprace_criterion"] = not scan.caprace_witness_count
+    if scan.caprace_witness_count:
+        vertices, kind = scan.caprace_witness
+        checks["caprace_witness"] = {"vertices": list(vertices), "type": kind}
+        checks["caprace_witness_count"] = scan.caprace_witness_count
+    passed = (flag.is_flag and isolated.has_isolated_squares and sphere_ok
+              and not scan.caprace_witness_count)
+    return HypothesisReport(checks, passed, orientation, scan.squares)

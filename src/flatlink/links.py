@@ -282,20 +282,32 @@ def _meridian(facets_signed, a, b):
     """The link circle of the edge (a, b), oriented by the right-hand rule:
     each tetrahedron (a, b, w, x) of sign s adds the step w -> x with
     coefficient s times the parity of (a, b, w, x).  The steps of a
-    consistent orientation close up; an empty chain or one with a boundary
-    is refused."""
+    consistent orientation close up; an empty chain, one with a boundary,
+    and one that closes up into more than one circle are refused."""
     chain = {}
     boundary = {}
+    succ = {}  # tail -> head of each step, read in its direction
     for f, s in facets_signed:
         if a in f and b in f:
             w, x = (v for v in f if v != a and v != b)
             chain[(w, x)] = c = s * _parity((a, b, w, x))
             boundary[x] = boundary.get(x, 0) + c
             boundary[w] = boundary.get(w, 0) - c
+            tail, head = (w, x) if c > 0 else (x, w)
+            succ[tail] = head if tail not in succ else None
     if not chain:
         raise ValueError("(%d,%d) is not an edge of the ambient complex" % (a, b))
     if any(boundary.values()):
         raise ValueError("meridian of (%d,%d) is not a cycle: inconsistent orientation" % (a, b))
+    # a cycle is one circle when a walk from any vertex, one step leaving
+    # each, takes every step before it returns
+    start = cur = next(iter(succ))
+    for steps in range(1, len(chain) + 1):
+        cur = succ[cur]
+        if cur is None or cur == start:
+            break
+    if cur != start or steps != len(chain):
+        raise ValueError("edge link of (%d,%d) is not a single circle" % (a, b))
     return chain
 
 

@@ -19,12 +19,14 @@ fixtures only the tests use: every face, the Euler characteristic, the
 f-vector and Euler characteristic of a dict of cubical cells, square
 validation, the eagerly built face tables, the face map of the barycentric
 subdivision, complexes with pinched vertex links, the non-orientable
-S^2-bundle over S^1, random pure 3-complexes, dense matrices, the
+S^2-bundle over S^1, random pure 3-complexes, seeded random flag 3-spheres
+by edge subdivisions, dense matrices, the
 commutation test of two generators, the linking number of one pair of
 components, links carried into the barycentric subdivision and the named
 link diagrams.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -375,6 +377,28 @@ def brute_force_caprace_witnesses(k):
                    for p in _degree_preserving_maps(degrees, target_degrees)):
                 out.append((five, kind))
     return tuple(out)
+
+
+def random_flag_sphere(seed, moves, start):
+    """A flag PL 3-sphere drawn from the flag 3-sphere ``start`` by ``moves``
+    edge subdivisions at edges chosen by ``seed``.
+
+    Subdividing the edge ab at a new vertex c replaces each facet through ab
+    by its two halves, one with c for a and one with c for b; the PL type
+    stays.  K stays flag: a clique through c holds a or b, not both, and with
+    ab it spans a face of the old K.  Since a and b are no longer adjacent,
+    every non-adjacent pair x, y of the edge link gives the square a x b y.
+    """
+    rng = random.Random(seed)
+    n, facets = start.vertex_count, set(start.facets)
+    for _ in range(moves):
+        a, b = rng.choice(sorted({e for f in facets for e in combinations(f, 2)}))
+        through = [f for f in facets if a in f and b in f]
+        facets.difference_update(through)
+        facets.update(tuple(sorted(n if v == old else v for v in f))
+                      for f in through for old in (a, b))
+        n += 1
+    return SimplicialComplex(n, sorted(facets))
 
 
 def random_flag_complex(rng, max_vertices=12):

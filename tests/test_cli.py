@@ -418,7 +418,7 @@ def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixtur
         simplex.write_text(json.dumps({"vertices": n, "facets": [list(range(n))]}))
         paths[simplex.stem] = str(simplex)
     # every refusal comes before any check: the flag check must not start
-    monkeypatch.setattr(importlib.import_module("flatlink.fixtures"), "is_flag",
+    monkeypatch.setattr(importlib.import_module("flatlink.homology"), "is_flag",
                         lambda complex_: pytest.fail("the flag check ran"))
     if env is not None:
         monkeypatch.setenv("FLATLINK_MAX_GROUND", env)

@@ -15,8 +15,8 @@ from flatlink.complexes import (InvalidComplexError, SimplicialComplex, Square,
                                 disjoint_union, find_squares, full_subcomplex,
                                 has_isolated_squares, is_flag, join, maximal_faces,
                                 oriented_subdivision, scan_nonadjacent_pairs, vertex_link)
-from flatlink.fixtures import check_hypotheses, fixture, fixture_names
-from flatlink.homology import is_closed_orientable_3manifold
+from flatlink.fixtures import fixture, fixture_names
+from flatlink.homology import check_hypotheses, is_closed_orientable_3manifold
 
 
 # -- independent oracles ----------------------------------------------------

@@ -3,9 +3,8 @@
 import pytest
 
 from flatlink.complexes import SimplicialComplex, barycentric_subdivision, is_flag
-from flatlink.fixtures import (check_hypotheses, fixture, fixture_names,
-                               product_triangulation, verify_type_l)
-from flatlink.homology import homology, simplicial_chain_complex
+from flatlink.fixtures import fixture, fixture_names, product_triangulation, verify_type_l
+from flatlink.homology import check_hypotheses, homology, simplicial_chain_complex
 from flatlink.links import LinkingMatrix
 
 from oracles import hopf_diagram

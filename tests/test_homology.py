@@ -1,8 +1,11 @@
-"""Exact integer linear algebra and 3-manifold verification.
+"""Exact integer linear algebra, 3-manifold verification and the
+hypothesis chain.
 
 The Smith form is cross-checked against the deliberately naive Hermite
 basis and Bezout elimination of ``oracles.oracle_invariant_factors``, and
-homology examples against independently built boundary matrices.
+homology examples against independently built boundary matrices.  The
+hypothesis chain is checked link by link against the brute-force oracles
+on seeded random flag 3-spheres.
 """
 
 import heapq
@@ -20,13 +23,15 @@ from flatlink.complexes import SimplicialComplex, barycentric_subdivision, join,
 from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
-                               S3_PROFILE, _link_is_2sphere, eliminate_unit_pivots, homology,
-                               is_closed_orientable_3manifold, is_homology_3sphere,
-                               simplicial_chain_complex, smith_normal_form)
-from oracles import (cokernel_functional, euler_characteristic, from_dense,
+                               S3_PROFILE, _link_is_2sphere, check_hypotheses,
+                               eliminate_unit_pivots, homology, is_closed_orientable_3manifold,
+                               is_homology_3sphere, simplicial_chain_complex, smith_normal_form)
+from oracles import (brute_force_caprace_witnesses, brute_force_is_flag, brute_force_squares,
+                     cokernel_functional, euler_characteristic, from_dense,
                      independent_snf_homology, link_is_2sphere_from_star,
                      manifold_report_by_stars, oracle_invariant_factors, pinched_3_complexes,
-                     random_flag_complex, random_pure_3_complex, to_dense, twisted_s2_bundle)
+                     random_flag_complex, random_flag_sphere, random_pure_3_complex, to_dense,
+                     twisted_s2_bundle)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -654,3 +659,30 @@ def test_orientation_found_iff_top_homology_is_z():
         prof = homology(simplicial_chain_complex(k))
         assert rep.orientable and rep.orientation is not None
         assert prof.betti(3) == 1 and prof.torsion(3) == ()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hypothesis_chain_matches_the_oracles_on_random_flag_spheres(seed):
+    # 16 edge subdivisions of the 16-cell: 24 vertices, 89 facets and a
+    # hundred or more squares, so the isolated-squares and Caprace links fail
+    k = random_flag_sphere(seed, 16, fixture("boundary-16-cell"))
+    report = check_hypotheses(k)
+    checks = report.checks
+    assert checks["is_flag"] is brute_force_is_flag(k) is True
+    squares = brute_force_squares(k)
+    assert report.squares == squares and checks["square_count"] == len(squares) > 100
+    shared = {v for s in squares for v in s.cycle
+              if sum(v in t.cycle for t in squares) > 1}
+    assert checks["has_isolated_squares"] is (not shared) is False
+    assert checks["isolated_offending_vertex"] in shared
+    witnesses = brute_force_caprace_witnesses(k)
+    assert checks["caprace_criterion"] is (not witnesses) is False
+    assert checks["caprace_witness_count"] == len(witnesses)
+    vertices, kind = witnesses[0]
+    assert checks["caprace_witness"] == {"vertices": list(vertices), "type": kind}
+    manifold = manifold_report_by_stars(k)
+    assert checks["is_closed_orientable_3manifold"] is manifold.passed is True
+    assert report.orientation == manifold.orientation
+    assert checks["is_homology_3sphere"] is True
+    assert checks["homology_profile"] == S3_PROFILE.to_json()
+    assert report.passed is False

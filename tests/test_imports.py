@@ -109,18 +109,17 @@ def test_bare_import_loads_no_submodule():
 
 @pytest.mark.parametrize("argv, code, loaded", [
     (["--version"], 0, []),
-    (["davis", "{c4}", "-n", "1"], 0, ["coxeter"]),
-    (["pk", "{c4}", "--homology"], 0, ["cubes", "homology"]),
-    (["verify", "{c4}"], 1, ["homology"]),
-    (["obstruct", "{c4}"], 1, ["homology", "links"]),
-    (["lk", "simplicial", "{c4}", "{link}"], 1, ["homology", "links"]),
-    (["lk", "diagram", "{diagram}"], 0, ["homology", "links"]),
-    (["fixture", "c4"], 0, []),
-], ids=["--version", "davis", "pk --homology", "verify", "obstruct", "lk simplicial",
+    (["verify"], 2, []),
+    (["davis", "{c4}", "-n", "1"], 0, ["complexes", "coxeter"]),
+    (["pk", "{c4}", "--homology"], 0, ["complexes", "cubes", "homology"]),
+    (["verify", "{c4}"], 1, ["complexes", "homology"]),
+    (["obstruct", "{c4}"], 1, ["complexes", "homology", "links"]),
+    (["lk", "simplicial", "{c4}", "{link}"], 1, ["complexes", "homology", "links"]),
+    (["lk", "diagram", "{diagram}"], 0, ["complexes", "homology", "links"]),
+    (["fixture", "c4"], 0, ["complexes", "fixtures"]),
+], ids=["--version", "usage error", "davis", "pk --homology", "verify", "obstruct", "lk simplicial",
         "lk diagram", "fixture"])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path):
-    # the parser's ``fixture`` help reads the registry: cli, complexes and
-    # fixtures are loaded by every call
     files = {"c4": {"vertices": 4, "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
              "link": {"components": [[0, 1, 2, 3]], "orientations": [1]},
              "diagram": {"m": 2, "crossings": [{"over": 0, "under": 1, "sign": 1},
@@ -136,8 +135,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_pat
               "    code = cli.main(sys.argv[1:])\n"
               "assert code == %d, code" % code)
     modules = _loaded_modules(runner, *[a.format(**paths) for a in argv])
-    assert modules == sorted(["flatlink"] + ["flatlink." + m for m in
-                                             ["cli", "complexes", "fixtures"] + loaded])
+    assert modules == sorted(["flatlink"] + ["flatlink." + m for m in ["cli"] + loaded])
 
 
 def test_every_export_is_its_module_object():

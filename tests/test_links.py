@@ -4,7 +4,8 @@ obstruction decision table."""
 import pytest
 
 from flatlink.complexes import SimplicialComplex
-from flatlink.fixtures import check_hypotheses, fixture, hopf_pair, split_pair, verify_type_l
+from flatlink.fixtures import fixture, hopf_pair, split_pair, verify_type_l
+from flatlink.homology import check_hypotheses
 from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             PlanarDiagram, diagram_linking_matrix, linking_matrix,
                             obstruction_report)
@@ -387,3 +388,25 @@ def test_an_inconsistent_orientation_is_refused():
     with pytest.raises(ValueError, match=r"^meridian of \(0,2\) is not a cycle: "
                        r"inconsistent orientation$"):
         linking_matrix(ambient, link, orientation=flipped)
+
+
+def test_an_edge_link_of_two_circles_is_refused():
+    # two boundary-16-cells glued along the edge (0, 2): its link is two
+    # circles, one in each copy, and the steps of both close up.  The copies
+    # share no triangle, so the manifold check orients neither of them; each
+    # copy takes the 16-cell's certified orientation through its relabelling
+    from flatlink.complexes import _parity
+    from flatlink.homology import is_closed_orientable_3manifold
+    ambient, _ = hopf_pair()
+    copy = {v: 8 + i for i, v in enumerate(v for v in range(8) if v not in (0, 2))}
+    copy.update({0: 0, 2: 2})
+    certified = is_closed_orientable_3manifold(ambient).orientation
+    orientation = dict(certified)
+    for f, s in certified.items():
+        image = tuple(copy[v] for v in f)
+        orientation[tuple(sorted(image))] = s * _parity(image)
+    glued = SimplicialComplex(14, sorted(orientation))
+    assert is_closed_orientable_3manifold(glued).orientation is None
+    link = EdgeCycleLink(glued, [(0, 2, 1, 3), (4, 6, 5, 7)])
+    with pytest.raises(ValueError, match=r"^edge link of \(0,2\) is not a single circle$"):
+        linking_matrix(glued, link, orientation=orientation)
