@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in (
     ("coxeter", "CapraceReport DavisBall Racg ResourceLimitError caprace_criterion "
                 "davis_ball racg_from_skeleton"),
     ("cubes", "CubicalCell CubicalComplex GroundSetTooLarge build_pk cubical_chain_complex "
-              "pk_f_vector pk_homology"),
+              "facet_cells pk_f_vector pk_homology"),
     ("fixtures", "TypeLReport fixture fixture_names hopf_pair product_triangulation "
                  "solomon_pair split_pair verify_type_l zigzag_cycle"),
     ("homology", "ChainComplex HomologyProfile HypothesisReport IntegerMatrix Manifold3Report "

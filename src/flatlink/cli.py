@@ -115,7 +115,7 @@ def cmd_obstruct(opts):
         return ("obstruct", [opts.complex], checks, {"prerequisites": "failed"},
                 EXIT_CHECK_FAILED, None)
     link = EdgeCycleLink(complex_, [s.cycle for s in report.squares])
-    matrix = linking_matrix(complex_, link, orientation=report.orientation)
+    matrix = linking_matrix(link, orientation=report.orientation)
     checks["component_count"] = len(link)
     checks["linking_matrix"] = matrix.to_json()
     verdicts = _obstruction(matrix, opts)
@@ -127,7 +127,7 @@ def cmd_obstruct(opts):
 
 def cmd_pk(opts):
     from .complexes import SimplicialComplex
-    from .cubes import (DEFAULT_MAX_GROUND, build_pk, check_ground, piece_sizes, pk_f_vector,
+    from .cubes import (DEFAULT_MAX_GROUND, check_ground, facet_cells, piece_sizes, pk_f_vector,
                         pk_homology, pk_pieces)
     complex_ = SimplicialComplex.load(opts.complex)
     bound = DEFAULT_MAX_GROUND
@@ -137,6 +137,8 @@ def cmd_pk(opts):
             bound = int(env)
         except ValueError:
             raise ValueError("FLATLINK_MAX_GROUND=%r is not an integer" % env)
+        if bound < 0:
+            raise ValueError("FLATLINK_MAX_GROUND=%r is negative" % env)
     check_ground(complex_, bound)
     pieces = pk_pieces(complex_)
     f_vector = pk_f_vector(complex_, pieces)
@@ -150,17 +152,16 @@ def cmd_pk(opts):
         checks["homology_pieces"] = piece_sizes(pieces)
     extra = None
     if opts.cells_out:
-        _put(json.dumps(build_pk(complex_, max_ground=bound).to_json(), sort_keys=True),
-             opts.cells_out)
+        _put(json.dumps(facet_cells(complex_), sort_keys=True), opts.cells_out)
         extra = {"cells_out": opts.cells_out}
     return ("pk", [opts.complex], checks, {}, EXIT_OK, extra)
 
 
 def cmd_davis(opts):
     from .complexes import SimplicialComplex
-    from .coxeter import davis_ball, racg_from_skeleton, sphere_sizes
+    from .coxeter import davis_ball, sphere_sizes
     complex_ = SimplicialComplex.load(opts.complex)
-    ball = davis_ball(racg_from_skeleton(complex_), complex_, opts.radius)
+    ball = davis_ball(complex_, opts.radius)
     checks = {
         "radius": opts.radius,
         "sphere_sizes": sphere_sizes(ball.vertices, opts.radius),
@@ -191,7 +192,7 @@ def cmd_lk_simplicial(opts):
                       lambda data: EdgeCycleLink.from_json(complex_, data))
     inputs = [opts.complex, opts.link]
     try:
-        matrix = linking_matrix(complex_, link)
+        matrix = linking_matrix(link)
     except ValueError as exc:
         return ("lk simplicial", inputs, {"error": str(exc)}, {"prerequisites": "failed"},
                 EXIT_CHECK_FAILED, None)

@@ -4,7 +4,8 @@ Generators are the vertices of a complex's 1-skeleton, one involution per
 vertex, with commuting relations along edges.  Words are tuples of
 generator indices; the normal form is the ShortLex least word for the
 element, built one letter at a time.  The breadth-first search over the
-group records each element's right descents as it meets them.
+group, which ``davis_ball`` builds from K, records each element's right
+descents as it meets them.
 """
 
 from collections import Counter
@@ -121,7 +122,8 @@ class Racg:
 
 def racg_from_skeleton(complex_):
     """RACG with one generator per vertex and commuting pairs per edge."""
-    return Racg(complex_.vertex_count, complex_.faces(1))
+    n = complex_.vertex_count
+    return Racg(n, [(u, v) for u in range(n) for v in complex_.neighbors(u) if u < v])
 
 
 def sphere_sizes(words, radius):
@@ -133,7 +135,7 @@ def sphere_sizes(words, radius):
 
 
 class DavisBall:
-    """Finite ball in the Davis complex of a RACG over a complex K.
+    """Finite ball in the Davis complex of K, for the RACG of K's 1-skeleton.
 
     Cells are the cosets wW_J, J a simplex of K (Davis 2008), stored as
     (w, J) with w the shortest element, so J misses the right descents
@@ -142,11 +144,10 @@ class DavisBall:
     len(g) + |J - D_R(g)| <= r for every J.
     """
 
-    def __init__(self, group, complex_, radius, max_vertices):
-        self.group = group
+    def __init__(self, complex_, radius, max_vertices):
         self.base = complex_
         self.radius = int(radius)
-        self._descents = group.ball(self.radius, max_vertices=max_vertices)
+        self._descents = racg_from_skeleton(complex_).ball(self.radius, max_vertices)
         self.vertices = frozenset(self._descents)
         faces_by_dim = [complex_.faces(d)
                         for d in range(min(complex_.dim() + 1, self.radius))]
@@ -175,16 +176,16 @@ class DavisBall:
         }
 
 
-def davis_ball(group, complex_, radius, max_vertices=200000):
-    """The Davis ball of the given radius, refused before any work when the
-    radius is negative or not below ``max_vertices`` (an infinite group has
+def davis_ball(complex_, radius, max_vertices=200000):
+    """The Davis ball of K of the given radius, refused before any work when
+    the radius is negative or not below ``max_vertices`` (an infinite group has
     more than ``radius`` vertices in that ball)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if radius >= max_vertices:
         raise ResourceLimitError("radius %d is not below the bound of %d vertices"
                                  % (radius, max_vertices))
-    return DavisBall(group, complex_, radius, max_vertices=max_vertices)
+    return DavisBall(complex_, radius, max_vertices)
 
 
 class CapraceReport(NamedTuple):

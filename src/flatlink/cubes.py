@@ -5,8 +5,8 @@ of [-1,1]^J for J a simplex vertex set of K.  Cells are stored as
 (J, coset) pairs: J a bit mask over the ground set I, and the coset a
 canonical sign-vector representative with the bits in J forced to zero.
 Bit b = 0 means coordinate +1, so the face with bit 0 in a direction is
-the top face.  ``build_pk`` lists one cell per face J of K and coset, for
-``pk --cells-out``.
+the top face.  ``build_pk`` lists one cell per face J of K and coset;
+``facet_cells`` lists those of facet type, for ``pk --cells-out``.
 
 P_K is the real moment-angle complex of K, so its f-vector and homology
 come from K without building any cell: ``pk_f_vector`` and
@@ -48,16 +48,6 @@ class CubicalComplex(NamedTuple):
 
     ground: int
     cells: dict
-
-    def to_json(self):
-        """The cells whose type is a facet of K, the types no other type
-        contains; they close to all of P_K.  With no facet, the lone vertex."""
-        types = {c.J for cells in self.cells.values() for c in cells}
-        top = {J for J in types
-               if not any(J | 1 << b in types for b in range(self.ground) if not J >> b & 1)}
-        return {"ground": self.ground,
-                "cells": [{"J": list(_bits(c.J)), "coset": "%x" % c.coset}
-                          for cells in self.cells.values() for c in cells if c.J in top]}
 
 
 def check_ground(complex_, max_ground=None):
@@ -284,15 +274,27 @@ def _submasks(m):
         s = (s - m) & m
 
 
-def build_pk(complex_, max_ground=None):
+def facet_cells(complex_):
+    """As JSON, the cells of P_K whose type J is a facet of K, which close
+    to all of P_K, by (dimension, J, coset); with no facet, the lone vertex.
+    Checks no ground bound; callers run ``check_ground`` first."""
+    n = complex_.vertex_count
+    facets = sorted((f.bit_count(), f) for f in map(_mask, complex_.facets)) or [(0, 0)]
+    return {"ground": n,
+            "cells": [{"J": list(_bits(J)), "coset": "%x" % c}
+                      for _, J in facets for c in _submasks((1 << n) - 1 ^ J)]}
+
+
+# no command calls this: it is the test oracle of ``pk_homology`` and a perfbench tracer target
+def build_pk(complex_):
     """Build P_K from a simplicial complex K on ground set I.
 
-    The vertex set is all of (C_2)^I; a cell (J, coset) exists for every
-    face J of K, the empty face included, and every coset, a submask of
-    I - J.  Both are listed in ascending order, so each dimension comes out
-    sorted.
+    Refused past the default ground bound.  The vertex set is all of
+    (C_2)^I; a cell (J, coset) exists for every face J of K, the empty face
+    included, and every coset, a submask of I - J.  Both are listed in
+    ascending order, so each dimension comes out sorted.
     """
-    check_ground(complex_, max_ground)
+    check_ground(complex_)
     n = complex_.vertex_count
     faces = {J for f in complex_.facets for J in _submasks(_mask(f))} | {0}
     cells = {}

@@ -344,7 +344,7 @@ class HomologyProfile:
 class ChainComplex:
     """Integer chain complex on bases of the given sizes.
 
-    boundaries[d] maps dimension-d chains to dimension-(d-1) chains;
+    boundaries[d] maps d-chains to (d-1)-chains, for every d in 1..dim;
     d_(d-1) d_d is checked to vanish, one column of d_d at a time.
     """
 
@@ -358,19 +358,14 @@ class ChainComplex:
             if mat.rows != self.cell_counts[d - 1] or mat.cols != self.cell_counts[d]:
                 raise ValueError("boundary %d has shape %dx%d, expected %dx%d" % (
                     d, mat.rows, mat.cols, self.cell_counts[d - 1], self.cell_counts[d]))
-        for d in range(2, self.dim + 1):
-            lower = self.boundaries.get(d - 1)
-            upper = self.boundaries.get(d)
-            if lower is not None and upper is not None and (lower @ upper).columns:
+        for d in range(1, self.dim + 1):
+            if d not in self.boundaries:
+                raise ValueError("boundary map in dimension %d is missing" % d)
+            if d > 1 and (self.boundaries[d - 1] @ self.boundaries[d]).columns:
                 raise ValueError("boundary of boundary is nonzero in dim %d" % d)
 
     def boundary(self, d):
-        mat = self.boundaries.get(d)
-        if mat is None:
-            rows = self.cell_counts[d - 1] if d - 1 >= 0 and d - 1 <= self.dim else 0
-            cols = self.cell_counts[d] if 0 <= d <= self.dim else 0
-            return IntegerMatrix(max(rows, 0), max(cols, 0))
-        return mat
+        return self.boundaries[d]
 
 
 def homology(chain_complex):

@@ -397,17 +397,16 @@ def _spanned_faces(cycle, edges, triangles):
 
 
 class _Complements:
-    """Complements of the components of a link, each made full by starring
-    the faces in ``starred``: every chord of a component and the triangle a
+    """Complements of the components of a link in ``link.ambient``,
+    oriented as ``linking_matrix`` takes it, each made full by starring the
+    faces in ``starred``: every chord of a component and the triangle a
     3-cycle spans.  Starring a face keeps every face that does not contain
     it, and no listed face contains a cycle edge or another listed face, so
     the components stay as they are."""
 
-    def __init__(self, sigma, link, orientation=None):
-        if link.ambient is not sigma and link.ambient != sigma:
-            raise ValueError("link does not reference this ambient complex")
+    def __init__(self, link, orientation=None):
         if orientation is None:
-            report = is_homology_3sphere(sigma)
+            report = is_homology_3sphere(link.ambient)
             if not report.is_homology_sphere:
                 raise ValueError(
                     "ambient is not a verified homology 3-sphere: %s" % report.note)
@@ -420,7 +419,7 @@ class _Complements:
                              for face in _spanned_faces(c, edges, triangles))
         if self.starred:
             facets_signed = _stellar_subdivision(facets_signed, self.starred,
-                                                 sigma.vertex_count)
+                                                 link.ambient.vertex_count)
             edges, triangles = _skeleton(facets_signed)
             if any(_spanned_faces(c, edges, triangles) for c in self.components):
                 raise LinkingInternalError("a component is not full after starring")
@@ -449,13 +448,14 @@ class _Complements:
         return dict(zip(others, _class_multiples(edges, triangles, meridian, targets)))
 
 
-def linking_matrix(sigma, link, orientation=None):
-    """All pairwise linking numbers of an edge-cycle link.
-
-    Lk(i, j) and Lk(j, i) come from different eliminations, so every entry
-    is checked for symmetry.
+def linking_matrix(link, orientation=None):
+    """All pairwise linking numbers of an edge-cycle link in
+    ``link.ambient``, verified as a homology 3-sphere unless ``orientation``
+    is passed: that must be the certified orientation of ``link.ambient``,
+    and one built by hand is not checked.  Lk(i, j) and Lk(j, i) come from
+    different eliminations, so every entry is checked for symmetry.
     """
-    complements = _Complements(sigma, link, orientation)
+    complements = _Complements(link, orientation)
     m = len(link)
     columns = [complements.column(j, [i for i in range(m) if i != j])
                for j in range(m)]

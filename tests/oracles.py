@@ -8,7 +8,8 @@ representatives and explicit cell vertices for Davis balls, cube-vertex
 links of P_K read off its cell lists, the closure of cubical top cells
 under faces, linking numbers in the second barycentric subdivision with
 each meridian walked around its edge link, the
-subdivision itself from recursively enumerated chains of faces, Smith
+subdivision itself from recursively enumerated chains of faces and from
+starring every face, top dimension first, Smith
 invariants from a Hermite basis by Bezout
 elimination with no pivot strategy, homology from one independent Smith
 form per boundary, without clearing, and the class map of a cokernel Z by
@@ -32,9 +33,10 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from flatlink.complexes import (SimplicialComplex, Square, _parity, barycentric_subdivision,
-                                clique_complex, full_subcomplex, is_flag, maximal_faces,
-                                oriented_subdivision)
+from flatlink.complexes import (SimplicialComplex, Square, _parity, _stellar_subdivision,
+                                barycentric_subdivision, clique_complex, full_subcomplex,
+                                is_flag, maximal_faces, oriented_subdivision)
+from flatlink.coxeter import racg_from_skeleton
 from flatlink.cubes import CubicalCell, _mask
 from flatlink.fixtures import fixture, product_triangulation
 from flatlink.homology import (HomologyProfile, IntegerMatrix, Manifold3Report, _merged_torsion,
@@ -477,7 +479,7 @@ class BruteForceDavisBall(NamedTuple):
     links: dict      # vertex -> maximal simplices J of the ball's cells at it
 
 
-def brute_force_davis_ball(group, complex_, radius):
+def brute_force_davis_ball(complex_, radius):
     """Davis ball by coset-representative search and explicit cell vertices.
 
     Each (word, simplex J) pair gets the ShortLex least representative of
@@ -486,6 +488,7 @@ def brute_force_davis_ball(group, complex_, radius):
     the whole Davis complex does.  The link at g is spanned by the J whose
     cell at g, (min_coset_rep(g, J), J), is a cell of the ball.
     """
+    group = racg_from_skeleton(complex_)
     vertices = frozenset(group.ball(radius))
     simplices = all_faces(complex_)
 
@@ -582,6 +585,29 @@ def chain_subdivision(k):
     return SimplicialComplex(len(face_id), facets), face_id
 
 
+def stellar_oriented_subdivision(facets_signed):
+    """``oriented_subdivision`` by starring every face of dimension >= 1,
+    the top dimension first, each dimension in lex order.
+
+    The k-th starred face gets a new vertex, k past the largest one; then every
+    vertex is renumbered to its face's (dimension, lex) id, and each facet
+    is re-sorted with its sign times the parity of the renumbered tuple.
+    Returns the signed facets, sorted, and the face -> id map.
+    """
+    faces = sorted({g for f, _ in facets_signed for size in range(1, len(f) + 1)
+                    for g in combinations(f, size)}, key=lambda t: (len(t), t))
+    face_id = {f: i for i, f in enumerate(faces)}
+    starred = sorted((f for f in faces if len(f) > 1), key=lambda t: (-len(t), t))
+    count = max(v for f, _ in facets_signed for v in f) + 1
+    label = {f[0]: i for f, i in face_id.items() if len(f) == 1}
+    label.update((count + k, face_id[f]) for k, f in enumerate(starred))
+    out = []
+    for f, sign in _stellar_subdivision(facets_signed, starred, count):
+        renumbered = tuple(map(label.__getitem__, f))
+        out.append((tuple(sorted(renumbered)), sign * _parity(renumbered)))
+    return sorted(out), face_id
+
+
 def _carry_cycle(cycle, face_id):
     """Push an edge cycle through one subdivision: vertex, midpoint, vertex."""
     out = []
@@ -593,14 +619,16 @@ def _carry_cycle(cycle, face_id):
     return tuple(out)
 
 
-def subdivide_link(sigma, link):
-    """Carry a link into the barycentric subdivision of its ambient complex."""
+def subdivide_link(link):
+    """Carry a link into the barycentric subdivision of its ambient complex:
+    the subdivision and the carried link."""
+    sigma = link.ambient
     sd, face_map = barycentric_subdivision(sigma), subdivision_face_map(sigma)
     comps = [_carry_cycle(c, face_map) for c in link.components]
     return sd, EdgeCycleLink(sd, comps, link.orientations)
 
 
-def simplicial_linking_number(sigma, link, i, j, orientation=None):
+def simplicial_linking_number(link, i, j, orientation=None):
     """Exact linking number of two components of an edge-cycle link, from
     the one elimination over the complement of component j.
 
@@ -610,7 +638,7 @@ def simplicial_linking_number(sigma, link, i, j, orientation=None):
     """
     if i == j:
         raise ValueError("need two distinct components")
-    return _Complements(sigma, link, orientation).column(j, [i])[i]
+    return _Complements(link, orientation).column(j, [i])[i]
 
 
 def _edge_link_cycle(facets_signed, a, b):
@@ -646,7 +674,7 @@ def _edge_link_cycle(facets_signed, a, b):
     return tuple(cycle)
 
 
-def second_subdivision_linking_matrix(sigma, link, orientation=None):
+def second_subdivision_linking_matrix(link, orientation=None):
     """Linking matrix with every complement taken in the second subdivision.
 
     Whatever the components, two barycentric subdivisions make each one the
@@ -657,7 +685,7 @@ def second_subdivision_linking_matrix(sigma, link, orientation=None):
     tetrahedra as the solver's is.
     """
     if orientation is None:
-        orientation = is_homology_3sphere(sigma).manifold.orientation
+        orientation = is_homology_3sphere(link.ambient).manifold.orientation
     facets, face_id = oriented_subdivision(sorted(orientation.items()))
     components = [_carry_cycle(c, face_id) for c in link.components]
     facets, face_id = oriented_subdivision(facets)

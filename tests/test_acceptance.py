@@ -88,20 +88,20 @@ def test_criterion_4_isolated_squares_imply_caprace():
 
 
 def test_criterion_5_oracle_equivalence_hopf_and_split():
-    ambient, hopf = hopf_pair()
-    simp = simplicial_linking_number(ambient, hopf, 0, 1)
+    _, hopf = hopf_pair()
+    simp = simplicial_linking_number(hopf, 0, 1)
     diag = diagram_linking_matrix(hopf_diagram()).entries[0][1]
     assert abs(simp) == 1 and abs(diag) == 1  # equal up to the global sign
-    ambient2, split = split_pair()
-    assert simplicial_linking_number(ambient2, split, 0, 1) == 0
+    _, split = split_pair()
+    assert simplicial_linking_number(split, 0, 1) == 0
     _passed(5, "complement-class and half-sum methods agree on Hopf (1) and split (0)")
 
 
 def test_criterion_6_subdivision_invariance():
-    ambient, hopf = hopf_pair()
-    base = linking_matrix(ambient, hopf)
-    sd_ambient, sd_hopf = subdivide_link(ambient, hopf)
-    carried = linking_matrix(sd_ambient, sd_hopf)
+    _, hopf = hopf_pair()
+    base = linking_matrix(hopf)
+    _, sd_hopf = subdivide_link(hopf)
+    carried = linking_matrix(sd_hopf)
     assert carried == base
     _passed(6, "Hopf linking matrix unchanged under barycentric subdivision")
 

@@ -135,20 +135,23 @@ def test_pk_ground_bound_env_override(write_fixture, tmp_path):
     assert main(["pk", path, "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_pk_builds_cells_only_for_cells_out(write_fixture, tmp_path, monkeypatch):
+def test_pk_builds_no_cells(write_fixture, tmp_path, monkeypatch):
+    # --cells-out writes the facet cells read off K; the ground bound is
+    # checked once, whatever the mode
     cubes_module = importlib.import_module("flatlink.cubes")
     calls = (_count_calls(monkeypatch, cubes_module, "build_pk"),
-             _count_calls(monkeypatch, cubes_module, "cubical_chain_complex"))
+             _count_calls(monkeypatch, cubes_module, "cubical_chain_complex"),
+             _count_calls(monkeypatch, cubes_module, "check_ground"))
     path = write_fixture("octahedron")
-    cells = str(tmp_path / "cells.json")
-    for extra, expected in (([], [0, 0]), (["--homology"], [0, 0]),
-                            (["--homology", "--cells-out", cells], [1, 0])):
+    cells = tmp_path / "cells.json"
+    for extra in ([], ["--homology"], ["--homology", "--cells-out", str(cells)]):
         for c in calls:
             c.clear()
         rc, report = run_json(["pk", path] + extra, tmp_path)
         assert rc == 0
         assert report["checks"]["f_vector"] == [64, 192, 192, 64]
-        assert [len(c) for c in calls] == expected, extra
+        assert [len(c) for c in calls] == [0, 0, 1], extra
+    assert json.loads(cells.read_text()) == cubes_module.facet_cells(fixture("octahedron"))
 
 
 def test_davis_radius_zero(write_fixture, tmp_path):
@@ -383,6 +386,7 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
     (["verify", "{truncated}"], None,
      "malformed complex JSON: Expecting ',' delimiter: line 1 column 30 (char 29)"),
     (["pk", "{oct}"], "x", "FLATLINK_MAX_GROUND='x' is not an integer"),
+    (["pk", "{oct}"], "-5", "FLATLINK_MAX_GROUND='-5' is negative"),
     (["pk", "{oct}", "--homology"], "4",
      "ground set has 6 vertices; 2^6 cube vertices exceeds the bound 4"),
     (["davis", "{c4}", "-n", "-1"], None, "radius must be non-negative"),
@@ -398,7 +402,8 @@ _MISSING = "[Errno 2] No such file or directory: '{missing}'"
      "complex has dimension 4; the hypothesis checks need dimension at most 3"),
     (["obstruct", "{simplex25}"], None,
      "complex has dimension 25; the hypothesis checks need dimension at most 3"),
-], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x", "ground bound",
+], ids=["missing complex", "truncated complex", "FLATLINK_MAX_GROUND=x",
+        "FLATLINK_MAX_GROUND=-5", "ground bound",
         "davis -n -1", "davis -n 200000", "davis ball bound", "unknown fixture", "missing link",
         "missing diagram", "verify dimension 4", "obstruct dimension 25"])
 def test_input_error_is_one_stderr_line_and_exit_2(argv, env, line, write_fixture,
@@ -517,11 +522,11 @@ def test_usage_error_exit_code(capsys):
 def test_davis_resource_bound_is_input_error(write_fixture, tmp_path):
     # the RACG over the 16-cell skeleton grows fast: a tight internal bound
     # must surface as a diagnosed input error, not a traceback
-    from flatlink.coxeter import ResourceLimitError, davis_ball, racg_from_skeleton
+    from flatlink.coxeter import ResourceLimitError, davis_ball
     from flatlink.fixtures import fixture
     k = fixture("boundary-16-cell")
     with pytest.raises(ResourceLimitError, match="bound"):
-        davis_ball(racg_from_skeleton(k), k, 3, max_vertices=10)
+        davis_ball(k, 3, max_vertices=10)
 
 
 # -- the report writer --------------------------------------------------------

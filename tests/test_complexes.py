@@ -24,7 +24,7 @@ from flatlink.homology import check_hypotheses, is_closed_orientable_3manifold
 from oracles import (brute_force_caprace_witnesses, brute_force_flag_witness,
                      brute_force_is_flag, brute_force_squares, chain_subdivision, eager_tables,
                      euler_characteristic, random_complex, random_flag_complex,
-                     subdivision_face_map, validate_square)
+                     stellar_oriented_subdivision, subdivision_face_map, validate_square)
 
 
 # -- construction and JSON ---------------------------------------------------
@@ -611,6 +611,16 @@ def test_carried_orientation_matches_certified_orientation_of_starring(name):
     certified = is_closed_orientable_3manifold(starred).orientation
     flip = certified[signed[0][0]] * signed[0][1]
     assert all(certified[f] == flip * s for f, s in signed)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_oriented_subdivision_is_starring_every_face_top_dimension_first(name):
+    # the starring signs on every face of every dimension, not one edge and
+    # one triangle; facets signed alternately, so each sign is carried on
+    k = fixture(name)
+    facets_signed = [(f, (-1) ** i) for i, f in enumerate(k.facets)]
+    signed, face_map = oriented_subdivision(facets_signed)
+    assert (sorted(signed), face_map) == stellar_oriented_subdivision(facets_signed)
 
 
 def test_oriented_subdivision_of_a_triangle_and_mixed_sizes():

@@ -113,29 +113,28 @@ def test_ball_sizes_against_brute_force_closure():
 
 def test_davis_ball_radius_zero():
     k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 0)
+    b = davis_ball(k, 0)
     assert b.f_vector() == (1,)
     assert len(b.cells) == 0
 
 
 def test_davis_ball_edge_group_is_single_square():
     k = SimplicialComplex(2, [(0, 1)])
-    b = davis_ball(racg_from_skeleton(k), k, 2)
+    b = davis_ball(k, 2)
     assert b.f_vector() == (4, 4, 1)
 
 
 def test_davis_ball_c4_radius_2_grid():
     k = fixture("c4")
-    b = davis_ball(racg_from_skeleton(k), k, 2)
-    assert len(b.vertices) == 13
+    b = davis_ball(k, 2)
+    assert len(b.vertices) == 13 and b.f_vector() == (13, 16, 4)
     assert b.interior_vertices() == [()]
 
 
 def test_davis_ball_interior_links_radius_3():
     # an interior vertex's cells span a link equal to K itself
     k = fixture("c4")
-    group = racg_from_skeleton(k)
-    ball, ref = davis_ball(group, k, 3), brute_force_davis_ball(group, k, 3)
+    ball, ref = davis_ball(k, 3), brute_force_davis_ball(k, 3)
     assert ball.cells == ref.cells
     interior = ball.interior_vertices()
     assert () in interior and len(interior) == 5
@@ -144,9 +143,9 @@ def test_davis_ball_interior_links_radius_3():
 
 
 def _assert_davis_ball_matches_oracle(k, radius):
+    ball = davis_ball(k, radius)
+    ref = brute_force_davis_ball(k, radius)
     group = racg_from_skeleton(k)
-    ball = davis_ball(group, k, radius)
-    ref = brute_force_davis_ball(group, k, radius)
     assert ball.cells == ref.cells
     assert ball.vertices == ref.vertices
     assert ball.interior_vertices() == ref.interior
@@ -180,7 +179,6 @@ def test_davis_ball_matches_brute_force_oracle_random_flag_complexes():
 
 def test_davis_ball_bound_stops_the_search_early(monkeypatch):
     k = fixture("boundary-16-cell")
-    group = racg_from_skeleton(k)
     calls = []
     original = Racg.normal_form
 
@@ -190,14 +188,14 @@ def test_davis_ball_bound_stops_the_search_early(monkeypatch):
 
     monkeypatch.setattr(Racg, "normal_form", counting)
     with pytest.raises(ResourceLimitError, match="bound"):
-        davis_ball(group, k, 6, max_vertices=10)
+        davis_ball(k, 6, max_vertices=10)
     assert len(calls) <= 300
 
 
 def test_davis_ball_rejects_negative_radius():
     k = fixture("c4")
     with pytest.raises(ValueError):
-        davis_ball(racg_from_skeleton(k), k, -1)
+        davis_ball(k, -1)
 
 
 def test_finite_group_ball_stops_at_the_first_empty_sphere():
@@ -205,26 +203,24 @@ def test_finite_group_ball_stops_at_the_first_empty_sphere():
     k = SimplicialComplex(3, [(0, 1, 2)])
     group = racg_from_skeleton(k)
     assert group.ball(100000) == group.ball(3) and len(group.ball(3)) == 8
-    ball = davis_ball(group, k, 100000, max_vertices=100001)
+    ball = davis_ball(k, 100000, max_vertices=100001)
     assert ball.f_vector() == (8, 12, 6, 1)
 
 
 def test_davis_ball_refuses_a_radius_not_below_the_bound(monkeypatch):
     # refused for every group: an infinite one has more than r vertices within radius r
     k = SimplicialComplex(1, [(0,)])
-    group = racg_from_skeleton(k)
-    assert len(davis_ball(group, k, 9, max_vertices=10).vertices) == 2
+    assert len(davis_ball(k, 9, max_vertices=10).vertices) == 2
     monkeypatch.setattr(Racg, "ball", lambda *args, **kwargs: pytest.fail("BFS ran"))
     with pytest.raises(ResourceLimitError,
                        match="^radius 10 is not below the bound of 10 vertices$"):
-        davis_ball(group, k, 10, max_vertices=10)
+        davis_ball(k, 10, max_vertices=10)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 3])
 def test_davis_ball_lists_faces_only_below_the_radius(radius, monkeypatch):
     # a simplex on 26 vertices, whose faces of every dimension are too many to list
     k = SimplicialComplex(26, [tuple(range(26))])
-    group = racg_from_skeleton(k)
     faces = SimplicialComplex.faces
 
     def bounded(self, d):
@@ -232,7 +228,7 @@ def test_davis_ball_lists_faces_only_below_the_radius(radius, monkeypatch):
         return faces(self, d)
 
     monkeypatch.setattr(SimplicialComplex, "faces", bounded)
-    ball = davis_ball(group, k, radius)
+    ball = davis_ball(k, radius)
     # (Z/2)^26: a cell is a pair of disjoint sets, w and a face J, with |w| + |J| <= r
     assert ball.f_vector() == tuple(
         comb(26, d) * sum(comb(26 - d, j) for j in range(radius - d + 1))

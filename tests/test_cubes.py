@@ -18,8 +18,8 @@ import pytest
 
 from flatlink.complexes import SimplicialComplex, _bits, disjoint_union, full_subcomplex, join
 from flatlink.cubes import (CubicalCell, GroundSetTooLarge, _core_tally, _mask, build_pk,
-                            check_ground, cubical_chain_complex, piece_sizes, pk_f_vector,
-                            pk_homology, pk_pieces)
+                            check_ground, cubical_chain_complex, facet_cells, piece_sizes,
+                            pk_f_vector, pk_homology, pk_pieces)
 from flatlink.fixtures import _cycle, fixture, fixture_names
 from flatlink.homology import (HomologyProfile, IntegerMatrix, _merged_torsion, homology,
                                smith_normal_form)
@@ -135,20 +135,21 @@ def test_ground_bound_error():
     with pytest.raises(GroundSetTooLarge, match="bound 24"):
         build_pk(k)
     with pytest.raises(GroundSetTooLarge, match="bound 4"):
-        build_pk(fixture("octahedron"), max_ground=4)
+        check_ground(fixture("octahedron"), 4)
 
 
 def test_closure_reconstruction_and_json_roundtrip():
-    # --cells-out writes the cells whose type is a facet, and they close to
-    # the whole of P_K
+    # --cells-out writes the cells whose type is a facet, read off K, in the
+    # order build_pk lists them, and they close to the whole of P_K
     for k, top in ((fixture("c4"), 16),  # the 2-cells of the torus
                    (NO_JOIN, 2 + 2 + 4),  # facets of two dimensions
                    (SimplicialComplex(1, [(0,)]), 1),
                    (SimplicialComplex(0, []), 1)):  # no facet: the lone vertex
         p = build_pk(k)
-        data = json.loads(json.dumps(p.to_json()))
+        data = json.loads(json.dumps(facet_cells(k)))
         cells = [CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)) for rec in data["cells"]]
         assert len(cells) == top
+        assert cells == [c for cs in p.cells.values() for c in cs if c in cells]
         assert cubical_closure(data["ground"], cells) == p.cells
 
 

@@ -123,7 +123,7 @@ def test_exact_solver_matches_gauss_integral_up_to_one_global_sign():
     values = []
     for ambient, ca, cb, coords in collect_cases():
         link = EdgeCycleLink(ambient, [ca, cb])
-        exact = simplicial_linking_number(ambient, link, 0, 1)
+        exact = simplicial_linking_number(link, 0, 1)
         numeric = gauss_value(ca, cb, coords)
         assert abs(exact) == abs(numeric)
         if exact:
@@ -135,8 +135,8 @@ def test_exact_solver_matches_gauss_integral_up_to_one_global_sign():
 
 
 def test_solomon_pair_links_twice_and_obstructs():
-    ambient, link = solomon_pair()
-    matrix = linking_matrix(ambient, link)
+    _, link = solomon_pair()
+    matrix = linking_matrix(link)
     assert abs(matrix.entries[0][1]) == 2
     numeric = gauss_value(link.components[0], link.components[1],
                           join_coords(10, 10))
@@ -149,7 +149,7 @@ def test_triple_fiber_matrix_is_unobstructed():
     c66 = fixture("join-c6-c6")
     fibers = [(k, 6 + k, k + 3, 6 + k + 3) for k in range(3)]
     link = EdgeCycleLink(c66, fibers)
-    matrix = linking_matrix(c66, link)
+    matrix = linking_matrix(link)
     assert all(abs(x) == 1 for x in matrix.off_diagonal())
     report = obstruction_report(matrix)
     assert report.verdict == ObstructionVerdict.NO_OBSTRUCTION_DETECTED

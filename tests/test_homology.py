@@ -306,6 +306,13 @@ def test_chain_complex_rejects_nonzero_boundary_square():
         ChainComplex([1, 2, 1], {1: d1, 2: d2})
 
 
+def test_chain_complex_refuses_a_missing_boundary_map():
+    with pytest.raises(ValueError, match="^boundary map in dimension 2 is missing$"):
+        ChainComplex([1, 2, 1], {1: from_dense([[1, 1]])})
+    with pytest.raises(ValueError, match="^boundary map in dimension 1 is missing$"):
+        ChainComplex([2, 1], {})
+
+
 def test_simplicial_chain_complex_edge_and_triangle():
     edge = simplicial_chain_complex(SimplicialComplex(2, [(0, 1)]))
     assert to_dense(edge.boundary(1)) == [[-1], [1]]

@@ -1,7 +1,7 @@
 """Every name a ``flatlink`` module or a test module imports is used in it,
 every module-level private function or class of ``flatlink`` is used
 somewhere in ``flatlink``, each command loads only the modules it runs,
-and every lazy package export resolves.
+every lazy package export resolves, and the README's library tour runs.
 
 No linter ships with the toolchain, so the checks read the source with
 ``ast``.  ``__init__`` imports no export, so the import check covers it
@@ -171,6 +171,15 @@ def test_a_complex_holds_three_lazy_tables_and_no_vertex_stars():
     assert not hasattr(SimplicialComplex, "star")
     assert SimplicialComplex.__slots__ == (
         "vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
+
+
+def test_readme_library_tour_runs():
+    # executed as written, so a changed signature cannot leave the tour stale
+    with open(os.path.join(TESTS, os.pardir, "README.md"), "r", encoding="utf-8") as fh:
+        readme = fh.read()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "fl.davis_ball(" in tour and "fl.linking_matrix(" in tour
+    exec(compile(tour, "README.md library tour", "exec"), {})
 
 
 def test_no_export_is_named_like_a_submodule():

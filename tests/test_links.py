@@ -175,38 +175,38 @@ def test_obstruction_rejects_asymmetric_input():
 # -- simplicial linking numbers ---------------------------------------------------
 
 def test_hopf_pair_links_once():
-    ambient, link = hopf_pair()
-    value = simplicial_linking_number(ambient, link, 0, 1)
+    _, link = hopf_pair()
+    value = simplicial_linking_number(link, 0, 1)
     assert abs(value) == 1
     # matches the diagram method up to the documented global sign
     assert abs(value) == abs(diagram_linking_matrix(hopf_diagram()).entries[0][1])
 
 
 def test_split_pair_links_zero():
-    ambient, link = split_pair()
-    assert simplicial_linking_number(ambient, link, 0, 1) == 0
-    assert simplicial_linking_number(ambient, link, 1, 0) == 0
+    _, link = split_pair()
+    assert simplicial_linking_number(link, 0, 1) == 0
+    assert simplicial_linking_number(link, 1, 0) == 0
 
 
 def test_linking_symmetric_under_argument_swap():
-    ambient, link = hopf_pair()
-    assert (simplicial_linking_number(ambient, link, 0, 1)
-            == simplicial_linking_number(ambient, link, 1, 0))
+    _, link = hopf_pair()
+    assert (simplicial_linking_number(link, 0, 1)
+            == simplicial_linking_number(link, 1, 0))
 
 
 def test_linking_matrix_hopf_with_symmetry_check():
-    ambient, link = hopf_pair()
-    matrix = linking_matrix(ambient, link)
+    _, link = hopf_pair()
+    matrix = linking_matrix(link)
     assert matrix.entries[0][1] in (1, -1)
     assert matrix.entries[0][0] == matrix.entries[1][1] == 0
 
 
 def test_component_orientation_reversal_negates():
     ambient, link = hopf_pair()
-    base = simplicial_linking_number(ambient, link, 0, 1)
+    base = simplicial_linking_number(link, 0, 1)
     for orientations in ((-1, 1), (1, -1)):
         flipped = EdgeCycleLink(ambient, link.components, orientations)
-        assert simplicial_linking_number(ambient, flipped, 0, 1) == -base
+        assert simplicial_linking_number(flipped, 0, 1) == -base
 
 
 def test_ambient_orientation_reversal_negates():
@@ -214,48 +214,48 @@ def test_ambient_orientation_reversal_negates():
     from flatlink.homology import is_homology_3sphere
     orientation = is_homology_3sphere(ambient).manifold.orientation
     flipped = {f: -s for f, s in orientation.items()}
-    base = linking_matrix(ambient, link, orientation=orientation)
-    neg = linking_matrix(ambient, link, orientation=flipped)
+    base = linking_matrix(link, orientation=orientation)
+    neg = linking_matrix(link, orientation=flipped)
     assert neg == base.negated()
 
 
 def test_single_component_matrix_is_zero():
     c16 = fixture("boundary-16-cell")
     link = EdgeCycleLink(c16, [(0, 2, 1, 3)])
-    assert linking_matrix(c16, link) == LinkingMatrix([[0]])
+    assert linking_matrix(link) == LinkingMatrix([[0]])
 
 
 def test_linking_requires_homology_sphere():
     t7 = fixture("torus-7")  # a 2-complex: manifold check raises
     link = EdgeCycleLink(t7, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        simplicial_linking_number(t7, link, 0, 0)
+        simplicial_linking_number(link, 0, 0)
     s2s1 = fixture("s2-x-s1")
     comps = [(0, 1, 2)]
     link2 = EdgeCycleLink(s2s1, comps)
     with pytest.raises(ValueError, match="homology 3-sphere"):
-        linking_matrix(s2s1, link2)
+        linking_matrix(link2)
 
 
 def test_linking_rejects_equal_indices():
-    ambient, link = hopf_pair()
+    _, link = hopf_pair()
     with pytest.raises(ValueError):
-        simplicial_linking_number(ambient, link, 1, 1)
+        simplicial_linking_number(link, 1, 1)
 
 
 def test_subdivision_invariance_of_hopf_matrix():
-    ambient, link = hopf_pair()
-    base = linking_matrix(ambient, link)
-    sd_ambient, sd_link = subdivide_link(ambient, link)
+    _, link = hopf_pair()
+    base = linking_matrix(link)
+    sd_ambient, sd_link = subdivide_link(link)
     assert sd_ambient.vertex_count == 8 + 24 + 32 + 16
-    carried = linking_matrix(sd_ambient, sd_link)
+    carried = linking_matrix(sd_link)
     assert carried == base
 
 
 def test_split_pair_subdivision_invariance():
-    ambient, link = split_pair()
-    sd_ambient, sd_link = subdivide_link(ambient, link)
-    assert linking_matrix(sd_ambient, sd_link) == LinkingMatrix([[0, 0], [0, 0]])
+    _, link = split_pair()
+    _, sd_link = subdivide_link(link)
+    assert linking_matrix(sd_link) == LinkingMatrix([[0, 0], [0, 0]])
 
 
 def test_hopf_in_join_of_triangles():
@@ -264,7 +264,7 @@ def test_hopf_in_join_of_triangles():
     from flatlink.complexes import join
     ambient = join(tri, tri)
     link = EdgeCycleLink(ambient, [(0, 1, 2), (3, 4, 5)])
-    assert abs(simplicial_linking_number(ambient, link, 0, 1)) == 1
+    assert abs(simplicial_linking_number(link, 0, 1)) == 1
 
 
 def test_solver_aborts_loudly_when_ambient_is_not_a_sphere():
@@ -277,7 +277,7 @@ def test_solver_aborts_loudly_when_ambient_is_not_a_sphere():
     orientation = is_closed_orientable_3manifold(s2s1).orientation
     link = EdgeCycleLink(s2s1, [(0, 1, 2), (9, 10, 11)])
     with pytest.raises(LinkingInternalError):
-        linking_matrix(s2s1, link, orientation=orientation)
+        linking_matrix(link, orientation=orientation)
 
 
 def test_mixed_configuration_hopf_plus_bounding_triangle():
@@ -299,7 +299,7 @@ def test_mixed_configuration_hopf_plus_bounding_triangle():
         sd_hopf_comps.append(tuple(carried))
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
     link = EdgeCycleLink(sd, sd_hopf_comps + [triangle])
-    matrix = linking_matrix(sd, link)
+    matrix = linking_matrix(link)
     off = {(i, j): matrix.entries[i][j] for i in range(3) for j in range(i + 1, 3)}
     assert abs(off[(0, 1)]) == 1
     assert off[(0, 2)] == 0 and off[(1, 2)] == 0
@@ -319,9 +319,6 @@ def test_full_complement_route_matches_second_subdivision_oracle():
     from flatlink.links import _Complements
     from oracles import second_subdivision_linking_matrix
 
-    def starred(ambient, link):
-        return _Complements(ambient, link).starred
-
     def join_chords(cycle):
         # each Solomon zigzag visits every other vertex of both 10-gons, so
         # it spans no edge inside a factor: its chords are its cross pairs
@@ -337,17 +334,17 @@ def test_full_complement_route_matches_second_subdivision_oracle():
     assert len(solomon_chords) == 30
     cases = [(hopf_pair(), ()), (fibers, ()), (split_pair(), ((0, 2, 4), (1, 3, 7))),
              (solomon, solomon_chords)]
-    for (ambient, link), expected in cases:
-        assert starred(ambient, link) == expected
-        assert (linking_matrix(ambient, link)
-                == second_subdivision_linking_matrix(ambient, link))
-    assert len(_Complements(*solomon).facets_signed) == 260
+    for (_, link), expected in cases:
+        assert _Complements(link).starred == expected
+        assert linking_matrix(link) == second_subdivision_linking_matrix(link)
+    assert len(_Complements(solomon[1]).facets_signed) == 260
 
     ambient, hopf = hopf_pair()
     sd, face_map = barycentric_subdivision(ambient), subdivision_face_map(ambient)
-    _, sd_hopf = subdivide_link(ambient, hopf)
+    _, sd_hopf = subdivide_link(hopf)
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
-    assert starred(sd, EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])) == (triangle,)
+    link = EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])
+    assert _Complements(link).starred == (triangle,)
 
 
 def test_meridian_matches_the_edge_link_walk():
@@ -361,7 +358,7 @@ def test_meridian_matches_the_edge_link_walk():
     ambients = [sorted(is_homology_3sphere(fixture(name)).manifold.orientation.items())
                 for name in ("boundary-16-cell", "600-cell", "join-c6-c6", "join-c10-c10",
                              "sd-boundary-4-simplex")]
-    ambients += [_Complements(*pair).facets_signed
+    ambients += [_Complements(pair[1]).facets_signed
                  for pair in (solomon_pair(), hopf_pair(), split_pair())]
     count = 0
     for facets_signed in ambients:
@@ -387,7 +384,7 @@ def test_an_inconsistent_orientation_is_refused():
     flipped[largest] = -flipped[largest]
     with pytest.raises(ValueError, match=r"^meridian of \(0,2\) is not a cycle: "
                        r"inconsistent orientation$"):
-        linking_matrix(ambient, link, orientation=flipped)
+        linking_matrix(link, orientation=flipped)
 
 
 def test_an_edge_link_of_two_circles_is_refused():
@@ -409,4 +406,4 @@ def test_an_edge_link_of_two_circles_is_refused():
     assert is_closed_orientable_3manifold(glued).orientation is None
     link = EdgeCycleLink(glued, [(0, 2, 1, 3), (4, 6, 5, 7)])
     with pytest.raises(ValueError, match=r"^edge link of \(0,2\) is not a single circle$"):
-        linking_matrix(glued, link, orientation=orientation)
+        linking_matrix(link, orientation=orientation)

@@ -66,15 +66,14 @@ def test_every_tracer_counter_reads_a_real_result_of_its_target():
     c4 = flatlink.fixture("c4")
     chains = importlib.import_module("flatlink.homology").simplicial_chain_complex(
         flatlink.fixture("boundary-16-cell"))
-    ambient, link = flatlink.hopf_pair()
-    group = flatlink.racg_from_skeleton(c4)
-    ball = flatlink.davis_ball(group, c4, 2)
+    _, link = flatlink.hopf_pair()
+    ball = flatlink.davis_ball(c4, 2)
     calls = {
         "cubes.build_pk": ((c4,), {}, flatlink.build_pk(c4)),
         "homology.smith_normal_form": ((chains.boundary(1),), {},
                                        flatlink.smith_normal_form(chains.boundary(1))),
-        "links.linking_matrix": ((ambient, link), {}, flatlink.linking_matrix(ambient, link)),
-        "coxeter.DavisBall.init": ((ball, group, c4, 2, 200000), {}, None),
+        "links.linking_matrix": ((link,), {}, flatlink.linking_matrix(link)),
+        "coxeter.DavisBall.init": ((ball, c4, 2, 200000), {}, None),
     }
     assert sorted(calls) == sorted(namespace["COUNTERS"])
     counters = dict.fromkeys(namespace["COUNTER_NAMES"], 0)
