@@ -152,7 +152,12 @@ def cmd_pk(opts):
         checks["homology_pieces"] = piece_sizes(pieces)
     extra = None
     if opts.cells_out:
-        _put(json.dumps(facet_cells(complex_), sort_keys=True), opts.cells_out)
+        # json.dumps of {"cells": [...], "ground": n}, sorted keys, a cell at a time
+        cells = map(json.JSONEncoder(sort_keys=True).encode, facet_cells(complex_))
+        with open(opts.cells_out, "w", encoding="utf-8") as fh:
+            fh.write('{"cells": [' + next(cells))
+            fh.writelines(map(", ".__add__, cells))
+            fh.write('], "ground": %d}\n' % complex_.vertex_count)
         extra = {"cells_out": opts.cells_out}
     return ("pk", [opts.complex], checks, {}, EXIT_OK, extra)
 

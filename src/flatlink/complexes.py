@@ -1,16 +1,17 @@
 """Abstract simplicial complexes and their combinatorial predicates.
 
 Complexes live on vertex set {0..n-1} and are described by their maximal
-faces (facets).  The predicates are flagness, empty squares and isolated
-squares; the constructions are vertex links, full subcomplexes, disjoint
-unions, joins, clique complexes, the (oriented) barycentric subdivision and
-the oriented starring of a list of faces.
+faces (facets); their faces up to dimension 3 sit in one face table, each
+numbered by its position in lex order.  The predicates are flagness, empty
+squares and isolated squares; the constructions are vertex links, full
+subcomplexes, disjoint unions, joins, clique complexes, the (oriented)
+barycentric subdivision and the oriented starring of a list of faces.
 """
 
 import json
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations, groupby, permutations
+from itertools import chain, combinations, groupby, permutations, repeat
 from typing import NamedTuple, Optional
 
 
@@ -24,9 +25,12 @@ class SimplicialComplex:
     Vertices are the ints 0..vertex_count-1, every vertex appears in some
     facet, and no facet contains another; construction checks this and
     builds nothing else.  The first query that needs one builds each of
-    three tables: the faces up to dimension 3, hashed; the neighbours of
-    each vertex as a frozenset and as the set bits of an int.  ``faces(d)``
-    reads the hash once it is built, else scans the facets.
+    three tables: the face table, per dimension 0..3 a dict from each face
+    to its position in lex order, read off the facets; the
+    neighbours of each vertex as a frozenset and as the set bits of an int.
+    ``faces(d)``, ``has_face``, the pair scan, the manifold check and the
+    chain complex read the face table; ``faces(d)`` above dimension 3 scans
+    the facets.
     """
 
     __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
@@ -84,13 +88,15 @@ class SimplicialComplex:
 
     @property
     def _faces_small(self):
-        """Every face of dimension <= 3 (size <= 4), hashed."""
+        """Per dimension 0..3, each face -> its position in lex order: the
+        one face table, and the chain complex's bases."""
         if self._small_table is None:
-            small = set()
-            for f in self.facets:
-                for size in range(1, min(len(f), 4) + 1):
-                    small.update(combinations(f, size))
-            self._small_table = frozenset(small)
+            table = [{(v,): v for v in range(self.vertex_count)}]  # all vertices are covered
+            for size in (2, 3, 4):
+                faces = sorted(set(chain.from_iterable(map(combinations, self.facets,
+                                                           repeat(size)))))
+                table.append(dict(zip(faces, range(len(faces)))))
+            self._small_table = tuple(table)
         return self._small_table
 
     @property
@@ -122,19 +128,16 @@ class SimplicialComplex:
 
     def has_face(self, face):
         t = tuple(sorted(face))
-        if len(t) != len(set(t)):
-            return False
         if len(t) <= 4:
-            return t in self._faces_small
-        fs = set(t)
-        return any(fs <= set(f) for f in self.facets if len(f) >= len(t))
+            return bool(t) and t in self._faces_small[len(t) - 1]
+        return len(t) == len(set(t)) and any(set(t) <= set(f) for f in self.facets)
 
     def faces(self, dim):
-        """Sorted list of all faces of the given dimension."""
+        """Sorted list of all faces of the given dimension: read off the
+        face table up to dimension 3, scanned from the facets above it."""
         size = dim + 1
-        small = self._small_table
-        if small is not None and 1 <= size <= 4:
-            return sorted([f for f in small if len(f) == size])
+        if 1 <= size <= 4:
+            return list(self._faces_small[dim])
         out = set()
         for f in self.facets:
             if len(f) >= size:
@@ -154,9 +157,7 @@ class SimplicialComplex:
 
     def is_pure(self, dim=None):
         sizes = {len(f) for f in self.facets}
-        if len(sizes) != 1:
-            return False
-        return True if dim is None else sizes == {dim + 1}
+        return len(sizes) == 1 and (dim is None or sizes == {dim + 1})
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -283,7 +284,7 @@ def scan_nonadjacent_pairs(complex_):
     """
     adj = complex_._adj
     masks = complex_._masks
-    small = complex_._faces_small
+    small = complex_._faces_small[2]
     squares = []
     least, count = None, 0
     for p in range(complex_.vertex_count):
@@ -375,12 +376,7 @@ def full_subcomplex(complex_, vertices):
 
 def _parity(seq):
     """Sign of the permutation that sorts ``seq``."""
-    par = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                par = -par
-    return par
+    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
 def _subfaces(facet):

@@ -275,14 +275,14 @@ def _submasks(m):
 
 
 def facet_cells(complex_):
-    """As JSON, the cells of P_K whose type J is a facet of K, which close
-    to all of P_K, by (dimension, J, coset); with no facet, the lone vertex.
-    Checks no ground bound; callers run ``check_ground`` first."""
+    """The cells of P_K whose type J is a facet of K, which close to all of
+    P_K, generated one JSON object at a time by (dimension, J, coset); with
+    no facet, the lone vertex.  Checks no ground bound; callers run
+    ``check_ground`` first."""
     n = complex_.vertex_count
     facets = sorted((f.bit_count(), f) for f in map(_mask, complex_.facets)) or [(0, 0)]
-    return {"ground": n,
-            "cells": [{"J": list(_bits(J)), "coset": "%x" % c}
-                      for _, J in facets for c in _submasks((1 << n) - 1 ^ J)]}
+    return ({"J": list(_bits(J)), "coset": "%x" % c}
+            for _, J in facets for c in _submasks((1 << n) - 1 ^ J))
 
 
 # no command calls this: it is the test oracle of ``pk_homology`` and a perfbench tracer target

@@ -66,25 +66,15 @@ def product_triangulation(k1, k2):
     order.
     """
     n2 = k2.vertex_count
-
-    def vid(u, x):
-        return u * n2 + x
-
     facets = set()
     for f in k1.facets:
         for g in k2.facets:
             p, q = len(f) - 1, len(g) - 1
-            # lattice paths from (0,0) to (p,q): choose the step positions
+            # lattice paths from (0,0) to (p,q): choose the steps that rise;
+            # the s-th point has risen once per rise before step s
             for rises in itertools.combinations(range(p + q), q):
-                path = [(0, 0)]
-                i = j = 0
-                for step in range(p + q):
-                    if step in rises:
-                        j += 1
-                    else:
-                        i += 1
-                    path.append((i, j))
-                facets.add(tuple(sorted(vid(f[i], g[j]) for i, j in path)))
+                js = [sum(r < s for r in rises) for s in range(p + q + 1)]
+                facets.add(tuple(sorted(f[s - j] * n2 + g[j] for s, j in enumerate(js))))
     return SimplicialComplex(k1.vertex_count * n2, sorted(facets))
 
 
@@ -117,15 +107,12 @@ def _six_hundred_cell():
     for p in itertools.permutations(range(4)):
         if _parity(p) < 0:
             continue
-        for s0 in (1, -1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    signs = (s0, s1, s2, 1)
-                    v = [None] * 4
-                    for pos in range(4):
-                        a, b = base[pos]
-                        v[p[pos]] = (signs[pos] * a, signs[pos] * b)
-                    verts.add(tuple(v))
+        for signs in itertools.product((1, -1), (1, -1), (1, -1), (1,)):
+            v = [None] * 4
+            for pos in range(4):
+                a, b = base[pos]
+                v[p[pos]] = (signs[pos] * a, signs[pos] * b)
+            verts.add(tuple(v))
     verts = sorted(verts)
     edges = []
     for i, vi in enumerate(verts):

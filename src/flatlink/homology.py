@@ -20,7 +20,11 @@ cokernel; no transform matrices are built.
 Kerber-Reininghaus 2014): before d_d it zeroes the columns that are pivot
 rows P of the d_{d+1} elimination.  Unit pivots give det d_{d+1}[P,Q] = +-1,
 so d_d d_{d+1} = 0 puts those columns in the integer span of the others:
-the column lattice of d_d, its rank and its invariant factors stay.
+the column lattice of d_d, its rank and its invariant factors stay.  A
+certified 3-manifold's d_3 is not eliminated: the face-table triangles its
+orientation walk crossed, in the order found, make d_3 on them and the
+facets after the first triangular with a +-1 diagonal, and the orientation
+spans ker d_3, so rank d_3 = T - 1 and every invariant factor is 1.
 
 ``check_hypotheses`` runs the whole chain once, next to the homology-sphere
 check it ends in: flag, isolated squares, closed orientable 3-manifold,
@@ -331,13 +335,9 @@ class HomologyProfile:
         return isinstance(other, HomologyProfile) and self.groups == other.groups
 
     def __repr__(self):
-        parts = []
-        for rank, torsion in self.groups:
-            bits = []
-            if rank:
-                bits.append("Z^%d" % rank if rank > 1 else "Z")
-            bits.extend("Z/%d" % t for t in torsion)
-            parts.append("+".join(bits) if bits else "0")
+        parts = ["+".join(["Z^%d" % rank if rank > 1 else "Z"] * bool(rank)
+                          + ["Z/%d" % t for t in torsion]) or "0"
+                 for rank, torsion in self.groups]
         return "H(" + ", ".join(parts) + ")"
 
 
@@ -368,16 +368,19 @@ class ChainComplex:
         return self.boundaries[d]
 
 
-def homology(chain_complex):
+def homology(chain_complex, top_pivots=None):
     """Integral homology H_d = ker d_d / im d_{d+1}, exactly.
 
     Top-down with clearing, see above; relies on d_d d_{d+1} = 0, which
     ``ChainComplex`` always checks.  The cleared copy shares the boundary's columns.
+    ``top_pivots``, rows of the top boundary with a +-1 minor and rank their
+    count, such as a manifold's ``tree``, skip its elimination; not checked.
     """
-    ranks = {}
+    top = chain_complex.dim - (top_pivots is not None)
+    ranks = {top + 1: len(top_pivots or ())}
     torsions = {}
-    cleared = frozenset()
-    for d in range(chain_complex.dim, 0, -1):
+    cleared = frozenset(top_pivots or ())
+    for d in range(top, 0, -1):
         mat = chain_complex.boundary(d)
         kept = IntegerMatrix(mat.rows, mat.cols)
         kept.columns = {j: col for j, col in mat.columns.items() if j not in cleared}
@@ -394,31 +397,34 @@ def homology(chain_complex):
 
 
 def simplicial_chain_complex(complex_):
-    """Chain complex of a simplicial complex, faces ordered lexicographically.
+    """Chain complex of a simplicial complex, faces ordered lexicographically:
+    up to dimension 3 the bases are the face table's, face -> position.
 
     Boundary signs follow the position parity of the omitted vertex.
     """
-    dim = complex_.dim()
-    faces = {d: complex_.faces(d) for d in range(dim + 1)}
-    index = {d: {f: i for i, f in enumerate(faces[d])} for d in range(dim + 1)}
+    index = [complex_._faces_small[d] if d <= 3 else
+             {f: i for i, f in enumerate(complex_.faces(d))} for d in range(complex_.dim() + 1)]
     boundaries = {}
-    for d in range(1, dim + 1):
-        mat = IntegerMatrix(len(faces[d - 1]), len(faces[d]))
+    for d in range(1, len(index)):
+        mat = IntegerMatrix(len(index[d - 1]), len(index[d]))
         lower = index[d - 1].__getitem__
         signs = [(-1) ** (d - k) for k in range(d + 1)]  # k-th omits position d - k
         mat.columns = {j: dict(zip(map(lower, combinations(f, d)), signs))
-                       for j, f in enumerate(faces[d])}
+                       for j, f in enumerate(index[d])}
         boundaries[d] = mat
-    counts = [len(faces[d]) for d in range(dim + 1)]
-    return ChainComplex(counts, boundaries)
+    return ChainComplex(list(map(len, index)), boundaries)
 
 
 class Manifold3Report(NamedTuple):
+    """With the orientation comes ``tree``, the positions of the T - 1
+    triangles the orientation walk crossed to reach each facet after the
+    first: the pivots of d_3 that ``homology`` clears with (see above)."""
     pseudomanifold: bool
     vertex_links_are_2spheres: bool
     orientable: bool
     orientation: Optional[dict]  # facet -> +-1, lexicographically least facet positive
     failures: tuple
+    tree: Optional[tuple]  # triangle positions, in the order the walk crossed them
 
     @property
     def passed(self):
@@ -455,44 +461,47 @@ def is_closed_orientable_3manifold(complex_):
 
     Checks: pure of dimension 3 (errors otherwise), every triangle in
     exactly two tetrahedra, every vertex link a 2-sphere, and a consistent
-    facet orientation.  All three read one table, triangle -> the
-    tetrahedra through it, in one loop: a triangle with two tetrahedra is an
-    edge of the dual graph and of the link of each of its vertices, and a
-    vertex on any other triangle fails.  One sign-propagating walk over the
-    dual graph then orients the facets.  The walk goes on past an
-    orientation mismatch (recording the first) and counts the facets it
-    reaches.  The tetrahedra at a vertex whose link is a 2-sphere are
-    connected through triangles, so if it misses some while every link is
-    one, the complex is disconnected: an error.  A connected complex whose
-    dual graph is not, such as two 3-spheres wedged at a vertex or glued
-    along a square, fails at a vertex link instead.  The orientation is
-    normalized so the lexicographically least facet is positive.
+    facet orientation.  All three read one table, triangle position in the
+    face table -> the tetrahedra through it, in one loop: a triangle with
+    two tetrahedra is an edge of the dual graph and of the link of each of
+    its vertices, and a vertex on any other triangle fails.  One
+    sign-propagating walk over the dual graph then orients the facets and
+    records the ``tree``.  The walk goes on past an orientation mismatch
+    (recording the first) and counts the facets it reaches.  The tetrahedra
+    at a vertex whose link is a 2-sphere are connected through triangles,
+    so if it misses some while every link is one, the complex is
+    disconnected: an error.  A connected complex whose dual graph is not,
+    such as two 3-spheres wedged at a vertex or glued along a square, fails
+    at a vertex link instead.  The orientation is normalized so the
+    lexicographically least facet is positive.
     """
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")
 
     failures = []
     facets = complex_.facets
-    tri_to_facets = {}  # triangle -> [(facet index, sign of the triangle in its boundary)]
+    triangles = complex_._faces_small[2]
+    tri_to_facets = {}  # triangle position -> [(facet index, sign of the triangle in it)]
     for idx, f in enumerate(facets):
         for t, sign in zip(combinations(f, 3), (-1, 1, -1, 1)):
-            tri_to_facets.setdefault(t, []).append((idx, sign))
+            tri_to_facets.setdefault(triangles[t], []).append((idx, sign))
 
+    tris = list(triangles)
     pseudo = True
     dual = [[] for _ in facets]
     links = [[] for _ in range(complex_.vertex_count)]  # v -> its triangles' owners
     bad = set()  # the vertices of triangles in other than two tetrahedra
-    for t, owners in tri_to_facets.items():
+    for p, owners in tri_to_facets.items():
         if len(owners) != 2:
             if pseudo:
                 pseudo = False
-                failures.append("triangle %r lies in %d tetrahedra" % (t, len(owners)))
-            bad.update(t)
+                failures.append("triangle %r lies in %d tetrahedra" % (tris[p], len(owners)))
+            bad.update(tris[p])
             continue
         (a, e_a), (b, e_b) = owners
-        dual[a].append((b, t, e_a * e_b))
-        dual[b].append((a, t, e_a * e_b))
-        for v in t:
+        dual[a].append((b, p, e_a * e_b))
+        dual[b].append((a, p, e_a * e_b))
+        for v in tris[p]:
             links[v].append(owners)
 
     links_ok = True
@@ -503,9 +512,10 @@ def is_closed_orientable_3manifold(complex_):
             break
 
     orientable = False
-    orientation = None
+    orientation = tree = None
     if pseudo:
         signs = {0: 1}  # facet 0, the lexicographically least, is positive
+        crossed = []  # the triangle crossed to reach each facet after facet 0
         stack = [0]
         consistent = True
         while stack:
@@ -515,18 +525,19 @@ def is_closed_orientable_3manifold(complex_):
                 want = -signs[cur] * same
                 if nb not in signs:
                     signs[nb] = want
+                    crossed.append(tri)
                     stack.append(nb)
                 elif signs[nb] != want and consistent:
                     consistent = False
-                    failures.append("orientation mismatch across triangle %r" % (tri,))
+                    failures.append("orientation mismatch across triangle %r" % (tris[tri],))
         if len(signs) != len(facets):
             if links_ok:
                 raise ValueError("complex is not connected")
         elif consistent:
             orientable = True
-            orientation = {facets[i]: s for i, s in signs.items()}
+            orientation, tree = {facets[i]: s for i, s in signs.items()}, tuple(crossed)
 
-    return Manifold3Report(pseudo, links_ok, orientable, orientation, tuple(failures))
+    return Manifold3Report(pseudo, links_ok, orientable, orientation, tuple(failures), tree)
 
 
 class SphereReport(NamedTuple):
@@ -544,7 +555,8 @@ def is_homology_3sphere(complex_):
 
     Runs the closed-orientable-3-manifold check once and returns its
     report as ``manifold``; when it fails, the answer is no and the
-    homology is not computed (``profile`` is None).  Non-pure input, and
+    homology is not computed (``profile`` is None), else its ``tree`` gives
+    ``homology`` the pivots of d_3.  Non-pure input, and
     disconnected input whose vertex links are all 2-spheres, raise
     ValueError.  Simple connectivity is NOT checked; a true result
     certifies a homology 3-sphere only.
@@ -553,7 +565,7 @@ def is_homology_3sphere(complex_):
     if not manifold.passed:
         return SphereReport(False, None, manifold, "not a closed orientable "
                             "3-manifold: %s" % (manifold.failures,))
-    profile = homology(simplicial_chain_complex(complex_))
+    profile = homology(simplicial_chain_complex(complex_), manifold.tree)
     ok = profile == S3_PROFILE
     return SphereReport(
         ok, profile, manifold,

@@ -196,7 +196,8 @@ def manifold_report_by_stars(complex_):
     triangle of the table in other than two tetrahedra, then the least
     vertex whose star's link fails ``link_is_2sphere_from_star``, then the
     orientation walk over a dual graph built from the table once it is
-    known to be a pseudomanifold.  Errors as the library does."""
+    known to be a pseudomanifold, whose tree is the crossed triangles'
+    positions among the sorted triangles.  Errors as the library does."""
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")
     failures = []
@@ -212,13 +213,14 @@ def manifold_report_by_stars(complex_):
                if not link_is_2sphere_from_star(complex_, v)]
     if failing:
         failures.append("link of vertex %d is not a 2-sphere" % failing[0])
-    orientable, orientation = False, None
+    orientable, orientation, tree = False, None, None
     if not bad:
         dual = [[] for _ in facets]
         for t, ((a, e_a), (b, e_b)) in tri_to_facets.items():
             dual[a].append((b, t, e_a * e_b))
             dual[b].append((a, t, e_a * e_b))
         signs = {0: 1}
+        crossed = []
         stack = [0]
         mismatch = None
         while stack:
@@ -227,6 +229,7 @@ def manifold_report_by_stars(complex_):
                 want = -signs[cur] * same
                 if nb not in signs:
                     signs[nb] = want
+                    crossed.append(tri)
                     stack.append(nb)
                 elif signs[nb] != want and mismatch is None:
                     mismatch = tri
@@ -238,7 +241,10 @@ def manifold_report_by_stars(complex_):
         elif mismatch is None:
             orientable = True
             orientation = {facets[i]: s * signs[0] for i, s in signs.items()}
-    return Manifold3Report(not bad, not failing, orientable, orientation, tuple(failures))
+            position = {t: i for i, t in enumerate(sorted(tri_to_facets))}
+            tree = tuple(position[t] for t in crossed)
+    return Manifold3Report(not bad, not failing, orientable, orientation, tuple(failures),
+                           tree)
 
 
 def subdivision_face_map(k):
@@ -262,19 +268,20 @@ def validate_square(square, k):
 
 
 def eager_tables(k):
-    """The face hash (sizes <= 4), the vertex adjacency and its bit masks,
-    built eagerly from the facets and the sorted edge list: what the
-    library's tables, built on first read, must equal."""
-    small = set()
-    for f in k.facets:
-        for size in range(1, min(len(f), 4) + 1):
-            small.update(combinations(f, size))
+    """The face table (per dimension 0..3, face -> position among the sorted
+    faces of that dimension), the vertex adjacency and its bit masks, built
+    eagerly from the facets and the sorted edge list: what the library's
+    tables, built on first read, must equal."""
+    small = []
+    for size in range(1, 5):
+        faces = sorted({g for f in k.facets for g in combinations(f, size)})
+        small.append(dict(zip(faces, range(len(faces)))))
     adj = [set() for _ in range(k.vertex_count)]
-    for (u, v) in k.faces(1):
+    for (u, v) in small[1]:
         adj[u].add(v)
         adj[v].add(u)
     masks = tuple(sum(2 ** u for u in s) for s in adj)
-    return frozenset(small), tuple(frozenset(s) for s in adj), masks
+    return tuple(small), tuple(frozenset(s) for s in adj), masks
 
 
 def brute_force_is_flag(k):

@@ -15,6 +15,7 @@ from flatlink.cli import _parser, main
 from flatlink.complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union,
                                 find_squares, join)
 from flatlink.coxeter import Racg
+from flatlink.cubes import facet_cells
 from flatlink.fixtures import _cycle, fixture, fixture_names, verify_type_l
 from flatlink.homology import is_closed_orientable_3manifold
 from flatlink.links import EdgeCycleLink, LinkingMatrix
@@ -151,7 +152,21 @@ def test_pk_builds_no_cells(write_fixture, tmp_path, monkeypatch):
         assert rc == 0
         assert report["checks"]["f_vector"] == [64, 192, 192, 64]
         assert [len(c) for c in calls] == [0, 0, 1], extra
-    assert json.loads(cells.read_text()) == cubes_module.facet_cells(fixture("octahedron"))
+    assert json.loads(cells.read_text()) == {
+        "cells": list(cubes_module.facet_cells(fixture("octahedron"))), "ground": 6}
+
+
+@pytest.mark.parametrize("k", [fixture("c4"), fixture("projective-plane-6"),
+                               join(_cycle(5), _cycle(4)), SimplicialComplex(0, [])],
+                         ids=["c4", "projective-plane-6", "join(C5,C4)", "empty"])
+def test_pk_cells_out_streams_the_bytes_json_dumps_writes(k, tmp_path):
+    # written one cell at a time, the file is json.dumps of the whole list
+    complex_path, cells = tmp_path / "k.json", tmp_path / "cells.json"
+    k.dump(complex_path)
+    assert main(["pk", str(complex_path), "--cells-out", str(cells),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    whole = {"ground": k.vertex_count, "cells": list(facet_cells(k))}
+    assert cells.read_text() == json.dumps(whole, sort_keys=True) + "\n"
 
 
 def test_davis_radius_zero(write_fixture, tmp_path):
@@ -316,6 +331,35 @@ def test_one_manifold_check_per_verify_and_obstruct(write_fixture, tmp_path, mon
             c.clear()
         assert run_json([command, path], tmp_path)[0] == 0
         assert [len(c) for c in calls] == [1, 1]
+
+
+def test_one_chain_complex_and_no_top_elimination_per_verify_and_obstruct(
+        write_fixture, tmp_path, monkeypatch):
+    # the manifold check's tree stands in for the elimination of d_3, whose
+    # 600 columns are the 600-cell's facets
+    homology_module = importlib.import_module("flatlink.homology")
+    chains = _count_calls(monkeypatch, homology_module, "simplicial_chain_complex")
+    built, widths = [], []
+    init, smith = homology_module.ChainComplex.__init__, homology_module.smith_normal_form
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recording(matrix, *args, **kwargs):
+        widths.append(matrix.cols)
+        return smith(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(homology_module.ChainComplex, "__init__", counting_init)
+    for module in [m for n, m in sys.modules.items() if n.startswith("flatlink.")]:
+        if vars(module).get("smith_normal_form") is smith:
+            monkeypatch.setattr(module, "smith_normal_form", recording)
+    path = write_fixture("600-cell")
+    for command in ("verify", "obstruct"):
+        del chains[:], built[:], widths[:]
+        assert run_json([command, path], tmp_path)[0] == 0
+        assert (len(chains), len(built)) == (1, 1)
+        assert widths == [1200, 720]  # d_2 and d_1; d_3 has 600 columns
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -96,11 +96,15 @@ def _assert_tables_match_oracle(k):
     every_face = [sorted({g for f in k.facets for g in combinations(f, d + 1)})
                   for d in range(k.dim() + 1)]
     fresh = SimplicialComplex(k.vertex_count, k.facets)
-    # faces(d) scans the facets until the face hash is built, then reads it
-    assert [fresh.faces(d) for d in range(fresh.dim() + 1)] == every_face
+    # faces(d) scans the facets above dimension 3, and reads the face table,
+    # building it on the first read, up to dimension 3
+    assert [fresh.faces(d) for d in range(4, fresh.dim() + 1)] == every_face[4:]
     assert _built(fresh) == []
-    assert fresh._faces_small == small
     assert [fresh.faces(d) for d in range(fresh.dim() + 1)] == every_face
+    assert _built(fresh) == ["_small_table"]
+    assert fresh._faces_small == small
+    assert all(fresh.has_face(f) for faces in every_face for f in faces)
+    assert not fresh.has_face(())
     assert fresh._adj == adj
     assert fresh._masks == masks
     assert [fresh.neighbors(v) for v in range(k.vertex_count)] == list(adj)
@@ -134,6 +138,25 @@ def test_lazy_tables_match_eager_oracle_on_generated_complexes(k):
     _assert_tables_match_oracle(k)
 
 
+@st.composite
+def _complexes_with_a_big_facet(draw):
+    n = draw(st.integers(min_value=6, max_value=9))
+    big = draw(st.sets(st.integers(0, n - 1), min_size=5, max_size=6))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6),
+                          max_size=6))
+    faces = [tuple(sorted(f)) for f in [big] + faces] + [(v,) for v in range(n)]
+    return SimplicialComplex(n, maximal_faces(faces))
+
+
+@given(_complexes_with_a_big_facet())
+@settings(max_examples=40, deadline=None)
+def test_lazy_tables_match_eager_oracle_past_dimension_3(k):
+    # faces of 5 and 6 vertices lie outside the face table: faces(4), faces(5)
+    # and has_face on them scan the facets
+    assert k.dim() >= 4
+    _assert_tables_match_oracle(k)
+
+
 def test_construction_and_subdivision_build_no_table():
     base = fixture("sd-boundary-4-simplex")
     k = SimplicialComplex(base.vertex_count, base.facets)
@@ -153,7 +176,7 @@ def test_concurrent_first_reads_see_complete_tables():
     def read():
         barrier.wait(timeout=10)
         # copies taken at once: a table published before it is full shows here
-        seen.append((frozenset(k._faces_small), tuple(map(frozenset, k._adj)),
+        seen.append((tuple(map(dict, k._faces_small)), tuple(map(frozenset, k._adj)),
                      tuple(k._masks)))
 
     old = sys.getswitchinterval()
@@ -194,6 +217,9 @@ def test_check_hypotheses_builds_each_table_at_most_once(monkeypatch):
     assert len(keys) == len(set(keys))
     assert sorted(slot for slot, obj in builds if obj is k) == [
         "_adj_table", "_mask_table", "_small_table"]
+    # one face table, per dimension 0..3, and the chain complex's bases
+    assert [len(faces) for faces in k._small_table] == list(k.f_vector())
+    assert all(list(faces.values()) == list(range(len(faces))) for faces in k._small_table)
 
 
 # -- is_flag -----------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_closure_reconstruction_and_json_roundtrip():
                    (SimplicialComplex(1, [(0,)]), 1),
                    (SimplicialComplex(0, []), 1)):  # no facet: the lone vertex
         p = build_pk(k)
-        data = json.loads(json.dumps(facet_cells(k)))
+        data = json.loads(json.dumps({"ground": k.vertex_count, "cells": list(facet_cells(k))}))
         cells = [CubicalCell(_mask(rec["J"]), int(rec["coset"], 16)) for rec in data["cells"]]
         assert len(cells) == top
         assert cells == [c for cs in p.cells.values() for c in cs if c in cells]

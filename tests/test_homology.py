@@ -537,6 +537,45 @@ def test_s2_x_s1_is_not_homology_sphere():
     assert rep.manifold.passed  # it is a genuine closed orientable 3-manifold
 
 
+def _certified_manifolds():
+    """Every registry fixture that passes the manifold check, its barycentric
+    subdivision, and three seeded flag spheres."""
+    for name in fixture_names():
+        k = fixture(name)
+        if k.is_pure(3) and is_closed_orientable_3manifold(k).passed:
+            yield name, k
+            yield "sd(%s)" % name, barycentric_subdivision(k)
+    for seed in (1, 2, 3):
+        yield "random flag sphere %d" % seed, random_flag_sphere(seed, 16,
+                                                                 fixture("boundary-16-cell"))
+
+
+def test_tree_pivots_clear_d2_as_the_general_elimination_of_d3_does():
+    cases = list(_certified_manifolds())
+    assert len(cases) == 17
+    for case, k in cases:
+        report = is_homology_3sphere(k)
+        tree, facet_count = report.manifold.tree, len(k.facets)
+        assert len(tree) == len(set(tree)) == facet_count - 1, case
+        chain_complex = simplicial_chain_complex(k)
+        general = homology(chain_complex)
+        assert report.profile == homology(chain_complex, tree) == general, case
+        if facet_count <= 1000:
+            assert general == independent_snf_homology(chain_complex), case
+            # d_3 on the tree rows and every facet but the first: det +-1
+            d3 = chain_complex.boundary(3)
+            row = {t: i for i, t in enumerate(tree)}
+            minor = IntegerMatrix(len(tree), len(tree))
+            minor.columns = {j - 1: {row[t]: v for t, v in d3.columns[j].items() if t in row}
+                             for j in range(1, facet_count)}
+            assert smith_normal_form(minor).invariants == (1,) * len(tree), case
+    # S^2 x S^1 is certified with its own homology; the twisted bundle is not
+    s2s1 = is_homology_3sphere(fixture("s2-x-s1"))
+    assert s2s1.profile == HomologyProfile([(1, ()), (1, ()), (1, ()), (1, ())])
+    twisted = is_homology_3sphere(twisted_s2_bundle())
+    assert twisted.manifold.tree is None and twisted.profile is None
+
+
 def test_homology_sphere_note_mentions_simple_connectivity():
     rep = is_homology_3sphere(fixture("boundary-4-simplex"))
     assert rep.is_homology_sphere
