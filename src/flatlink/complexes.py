@@ -26,11 +26,10 @@ class SimplicialComplex:
     facet, and no facet contains another; construction checks this and
     builds nothing else.  The first query that needs one builds each of
     three tables: the face table, per dimension 0..3 a dict from each face
-    to its position in lex order, read off the facets; the
-    neighbours of each vertex as a frozenset and as the set bits of an int.
-    ``faces(d)``, ``has_face``, the pair scan, the manifold check and the
-    chain complex read the face table; ``faces(d)`` above dimension 3 scans
-    the facets.
+    to its position in lex order, read off the facets; the neighbours of
+    each vertex as a frozenset and as the set bits of an int.  ``faces(d)``,
+    ``has_face``, the pair scan, the manifold check and the chain complex
+    read the face table; ``faces(d)`` above dimension 3 scans the facets.
     """
 
     __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
