@@ -115,7 +115,7 @@ def cmd_obstruct(opts):
         return ("obstruct", [opts.complex], checks, {"prerequisites": "failed"},
                 EXIT_CHECK_FAILED, None)
     link = EdgeCycleLink(complex_, [s.cycle for s in report.squares])
-    matrix = linking_matrix(link, orientation=report.orientation)
+    matrix = linking_matrix(link)
     checks["component_count"] = len(link)
     checks["linking_matrix"] = matrix.to_json()
     verdicts = _obstruction(matrix, opts)

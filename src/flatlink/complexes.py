@@ -30,9 +30,11 @@ class SimplicialComplex:
     each vertex as a frozenset and as the set bits of an int.  ``faces(d)``,
     ``has_face``, the pair scan, the manifold check and the chain complex
     read the face table; ``faces(d)`` above dimension 3 scans the facets.
+    The first ``is_homology_3sphere`` call stores its report in a fourth slot.
     """
 
-    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
+    __slots__ = ("vertex_count", "facets", "_small_table", "_adj_table", "_mask_table",
+                 "_sphere_report")
 
     def __init__(self, vertex_count, facets):
         self.vertex_count = int(vertex_count)
@@ -58,7 +60,7 @@ class SimplicialComplex:
         clean.sort()
         clean.sort(key=len)  # stable: ordered by (size, lex)
         self.facets = tuple(clean)
-        self._small_table = self._adj_table = self._mask_table = None
+        self._small_table = self._adj_table = self._mask_table = self._sphere_report = None
 
         # facet vertices lie in range(vertex_count): equal sizes mean all are
         # covered, and the first uncovered vertex is at most len(covered)
@@ -82,8 +84,8 @@ class SimplicialComplex:
                         raise InvalidComplexError(
                             "facet %r contained in facet %r" % (f, tuple(sorted(g))))
 
-    # Tables built on first read: each is built in full, then stored in one
-    # assignment, so a concurrent reader sees no table or a complete one.
+    # Tables built on first read, and the sphere report: each is built in
+    # full, then stored in one assignment, so a reader sees none or all of it.
 
     @property
     def _faces_small(self):

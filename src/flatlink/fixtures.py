@@ -248,7 +248,7 @@ def verify_type_l(sigma, expected):
                                         and len(square_link) == target.m)
     matrix = None
     if flags["component_count_matches"] and flags["is_homology_3sphere"]:
-        matrix = linking_matrix(square_link, orientation=report.orientation)
+        matrix = linking_matrix(square_link)
     elif flags["component_count_matches"] and target.m == 0:
         matrix = LinkingMatrix([])
     flags["linking_matrix_matches"] = (flags["is_homology_3sphere"] and matrix is not None

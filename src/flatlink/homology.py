@@ -422,7 +422,7 @@ class Manifold3Report(NamedTuple):
     pseudomanifold: bool
     vertex_links_are_2spheres: bool
     orientable: bool
-    orientation: Optional[dict]  # facet -> +-1, lexicographically least facet positive
+    orientation: Optional[MappingProxyType]  # read-only facet -> +-1, least facet positive
     failures: tuple
     tree: Optional[tuple]  # triangle positions, in the order the walk crossed them
 
@@ -472,8 +472,8 @@ def is_closed_orientable_3manifold(complex_):
     so if it misses some while every link is one, the complex is
     disconnected: an error.  A connected complex whose dual graph is not,
     such as two 3-spheres wedged at a vertex or glued along a square, fails
-    at a vertex link instead.  The orientation is normalized so the
-    lexicographically least facet is positive.
+    at a vertex link instead.  The orientation, a read-only mapping, is
+    normalized so the lexicographically least facet is positive.
     """
     if not complex_.facets or not complex_.is_pure(3):
         raise ValueError("complex is not pure 3-dimensional")
@@ -534,8 +534,8 @@ def is_closed_orientable_3manifold(complex_):
             if links_ok:
                 raise ValueError("complex is not connected")
         elif consistent:
-            orientable = True
-            orientation, tree = {facets[i]: s for i, s in signs.items()}, tuple(crossed)
+            orientable, tree = True, tuple(crossed)
+            orientation = MappingProxyType({facets[i]: s for i, s in signs.items()})
 
     return Manifold3Report(pseudo, links_ok, orientable, orientation, tuple(failures), tree)
 
@@ -551,32 +551,34 @@ S3_PROFILE = HomologyProfile([(1, ()), (0, ()), (0, ()), (1, ())])
 
 
 def is_homology_3sphere(complex_):
-    """Verify the integral homology of the 3-sphere.
+    """Verify the integral homology of the 3-sphere, once per complex.
 
     Runs the closed-orientable-3-manifold check once and returns its
     report as ``manifold``; when it fails, the answer is no and the
     homology is not computed (``profile`` is None), else its ``tree`` gives
-    ``homology`` the pivots of d_3.  Non-pure input, and
-    disconnected input whose vertex links are all 2-spheres, raise
-    ValueError.  Simple connectivity is NOT checked; a true result
-    certifies a homology 3-sphere only.
+    ``homology`` the pivots of d_3.  The report is kept on the complex
+    object for later calls; an equal complex loaded again is certified
+    again.  Non-pure input, and disconnected input whose vertex links are
+    all 2-spheres, raise ValueError on every call.  Simple connectivity is
+    NOT checked; a true result certifies a homology 3-sphere only.
     """
+    if complex_._sphere_report is not None:
+        return complex_._sphere_report
     manifold = is_closed_orientable_3manifold(complex_)
-    if not manifold.passed:
-        return SphereReport(False, None, manifold, "not a closed orientable "
-                            "3-manifold: %s" % (manifold.failures,))
-    profile = homology(simplicial_chain_complex(complex_), manifold.tree)
+    profile = (homology(simplicial_chain_complex(complex_), manifold.tree)
+               if manifold.passed else None)
     ok = profile == S3_PROFILE
-    return SphereReport(
-        ok, profile, manifold,
-        "homology matches S^3; simple connectivity is NOT checked" if ok
-        else "homology differs from S^3")
+    note = ("not a closed orientable 3-manifold: %s" % (manifold.failures,)
+            if not manifold.passed else "homology differs from S^3" if not ok
+            else "homology matches S^3; simple connectivity is NOT checked")
+    complex_._sphere_report = report = SphereReport(ok, profile, manifold, note)
+    return report
 
 
 class HypothesisReport(NamedTuple):
+    """The chain's checks, verdict and squares; ``is_homology_3sphere(K)`` orients K."""
     checks: dict      # results and failure witnesses, in the order --human prints them
     passed: bool
-    orientation: Optional[dict]  # facet -> +-1 when the manifold check passes
     squares: list     # sorted canonical Squares
 
 
@@ -586,10 +588,10 @@ def check_hypotheses(complex_):
     In order: flag, isolated squares, closed orientable 3-manifold,
     homology 3-sphere, Caprace criterion.  One scan of the non-adjacent
     pairs yields both the squares and the Caprace witnesses; a failed
-    criterion reports the least witness and their count.  The manifold is
-    certified once.  Simple connectivity is NOT checked.  A complex above
-    dimension 3 is refused with ValueError before any check: the paper's K
-    is 3-dimensional.
+    criterion reports the least witness and their count.  The complex is
+    certified once, its report kept on it.  Simple connectivity is NOT
+    checked.  A complex above dimension 3 is refused with ValueError before
+    any check: the paper's K is 3-dimensional.
     """
     if complex_.dim() > 3:
         raise ValueError("complex has dimension %d; the hypothesis checks need "
@@ -606,7 +608,6 @@ def check_hypotheses(complex_):
     if not isolated.has_isolated_squares:
         checks["isolated_offending_vertex"] = isolated.offending_vertex
     manifold_ok = sphere_ok = False
-    orientation = None
     try:
         sphere = is_homology_3sphere(complex_)
         manifold_ok = sphere.manifold.passed
@@ -614,7 +615,6 @@ def check_hypotheses(complex_):
             checks["manifold_failures"] = list(sphere.manifold.failures)
         else:
             sphere_ok = sphere.is_homology_sphere
-            orientation = sphere.manifold.orientation
             checks["homology_profile"] = sphere.profile.to_json()
             checks["simple_connectivity"] = "not checked (homology sphere only)"
     except ValueError as exc:
@@ -628,4 +628,4 @@ def check_hypotheses(complex_):
         checks["caprace_witness_count"] = scan.caprace_witness_count
     passed = (flag.is_flag and isolated.has_isolated_squares and sphere_ok
               and not scan.caprace_witness_count)
-    return HypothesisReport(checks, passed, orientation, scan.squares)
+    return HypothesisReport(checks, passed, scan.squares)

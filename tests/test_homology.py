@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.complexes import SimplicialComplex, barycentric_subdivision, join, vertex_link
+from flatlink.complexes import (SimplicialComplex, barycentric_subdivision, disjoint_union, join,
+                                vertex_link)
 from flatlink.cubes import build_pk, cubical_chain_complex
 from flatlink.fixtures import fixture, fixture_names
 from flatlink.homology import (ChainComplex, HomologyProfile, IntegerMatrix,
@@ -582,6 +583,56 @@ def test_homology_sphere_note_mentions_simple_connectivity():
     assert "NOT checked" in rep.note
 
 
+def _counting_manifold_checks(monkeypatch):
+    """The complexes handed to the manifold check, in call order."""
+    calls = []
+    check = is_closed_orientable_3manifold
+
+    def counting(complex_):
+        calls.append(complex_)
+        return check(complex_)
+
+    monkeypatch.setattr(importlib.import_module("flatlink.homology"),
+                        "is_closed_orientable_3manifold", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["boundary-4-simplex", "s2-x-s1"])
+def test_a_complex_is_certified_once_per_object(name, monkeypatch):
+    # the report, passing or not, is kept on the complex object: an equal
+    # complex built again is certified again
+    calls = _counting_manifold_checks(monkeypatch)
+    k = SimplicialComplex(fixture(name).vertex_count, fixture(name).facets)
+    first = is_homology_3sphere(k)
+    assert is_homology_3sphere(k) is first and calls == [k]
+    twin = SimplicialComplex(k.vertex_count, k.facets)
+    assert twin == k and twin is not k
+    again = is_homology_3sphere(twin)
+    assert again is not first and again == first and calls == [k, twin]
+    assert first.is_homology_sphere is (name == "boundary-4-simplex")
+
+
+def test_a_refused_complex_raises_on_every_call(monkeypatch):
+    calls = _counting_manifold_checks(monkeypatch)
+    for k in (SimplicialComplex(3, [(0, 1, 2)]), disjoint_union(fixture("boundary-4-simplex"),
+                                                                fixture("boundary-4-simplex"))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not pure|not connected"):
+                is_homology_3sphere(k)
+        assert calls.count(k) == 2 and k._sphere_report is None
+
+
+def test_the_kept_orientation_is_read_only():
+    k = SimplicialComplex(5, fixture("boundary-4-simplex").facets)
+    orientation = is_homology_3sphere(k).manifold.orientation
+    least = k.facets[0]
+    with pytest.raises(TypeError):
+        orientation[least] = -1
+    with pytest.raises(TypeError):
+        del orientation[least]
+    assert is_homology_3sphere(k).manifold.orientation[least] == 1
+
+
 def _link_is_2sphere_oracle(complex_, v):
     """The link as its own complex: a closed surface with the homology of S^2."""
     link = vertex_link(complex_, v)
@@ -728,7 +779,7 @@ def test_hypothesis_chain_matches_the_oracles_on_random_flag_spheres(seed):
     assert checks["caprace_witness"] == {"vertices": list(vertices), "type": kind}
     manifold = manifold_report_by_stars(k)
     assert checks["is_closed_orientable_3manifold"] is manifold.passed is True
-    assert report.orientation == manifold.orientation
+    assert is_homology_3sphere(k).manifold.orientation == manifold.orientation
     assert checks["is_homology_3sphere"] is True
     assert checks["homology_profile"] == S3_PROFILE.to_json()
     assert report.passed is False

@@ -167,11 +167,14 @@ def test_test_only_helpers_live_in_the_oracles(module, owner, name):
 
 def test_a_complex_holds_three_lazy_tables_and_no_vertex_stars():
     # the manifold check and the chain complex read the one face table, and
-    # vertex_link scans the facets
+    # vertex_link scans the facets; the fourth lazy slot keeps the sphere
+    # report of is_homology_3sphere
     from flatlink.complexes import SimplicialComplex
     assert not hasattr(SimplicialComplex, "star")
     assert SimplicialComplex.__slots__ == (
-        "vertex_count", "facets", "_small_table", "_adj_table", "_mask_table")
+        "vertex_count", "facets", "_small_table", "_adj_table", "_mask_table",
+        "_sphere_report")
+    assert SimplicialComplex(1, [(0,)])._sphere_report is None
     table = SimplicialComplex(5, [(0, 1, 2, 3, 4)])._faces_small
     assert [type(faces) for faces in table] == [dict] * 4
     assert [len(faces) for faces in table] == [5, 10, 10, 5]

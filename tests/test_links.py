@@ -10,9 +10,10 @@ from flatlink.links import (EdgeCycleLink, LinkingMatrix, ObstructionVerdict,
                             PlanarDiagram, diagram_linking_matrix, linking_matrix,
                             obstruction_report)
 
-from oracles import (brunnian_diagram, hopf_diagram, simplicial_linking_number,
-                     solomon_diagram, subdivide_link, subdivision_face_map,
-                     three_chain_133_diagram, whitehead_diagram, whitehead_double_diagram)
+from oracles import (brunnian_diagram, certified_facets, hopf_diagram,
+                     simplicial_linking_number, solomon_diagram, subdivide_link,
+                     subdivision_face_map, three_chain_133_diagram, whitehead_diagram,
+                     whitehead_double_diagram)
 
 
 # -- edge cycle links ---------------------------------------------------------
@@ -210,13 +211,17 @@ def test_component_orientation_reversal_negates():
 
 
 def test_ambient_orientation_reversal_negates():
-    ambient, link = hopf_pair()
-    from flatlink.homology import is_homology_3sphere
-    orientation = is_homology_3sphere(ambient).manifold.orientation
-    flipped = {f: -s for f, s in orientation.items()}
-    base = linking_matrix(link, orientation=orientation)
-    neg = linking_matrix(link, orientation=flipped)
-    assert neg == base.negated()
+    # the complements take the orientation they are given; linking_matrix
+    # hands them the certified one
+    from flatlink.links import _Complements
+    _, link = hopf_pair()
+    facets_signed = certified_facets(link.ambient)
+    base = _Complements(link, facets_signed)
+    neg = _Complements(link, [(f, -s) for f, s in facets_signed])
+    for j in (0, 1):
+        lk = base.column(j, [1 - j])[1 - j]
+        assert lk in (1, -1) and neg.column(j, [1 - j]) == {1 - j: -lk}
+    assert linking_matrix(link).entries[0][1] == lk
 
 
 def test_single_component_matrix_is_zero():
@@ -272,12 +277,14 @@ def test_solver_aborts_loudly_when_ambient_is_not_a_sphere():
     # complement of a fiber circle has H_1 = Z but the meridian is
     # null-homologous, so the multiple is undefined and must abort
     from flatlink.homology import is_closed_orientable_3manifold
-    from flatlink.links import LinkingInternalError
+    from flatlink.links import LinkingInternalError, _Complements
     s2s1 = fixture("s2-x-s1")
     orientation = is_closed_orientable_3manifold(s2s1).orientation
     link = EdgeCycleLink(s2s1, [(0, 1, 2), (9, 10, 11)])
     with pytest.raises(LinkingInternalError):
-        linking_matrix(link, orientation=orientation)
+        _Complements(link, sorted(orientation.items())).column(0, [1])
+    with pytest.raises(ValueError, match="^ambient is not a verified homology 3-sphere"):
+        linking_matrix(link)
 
 
 def test_mixed_configuration_hopf_plus_bounding_triangle():
@@ -335,16 +342,16 @@ def test_full_complement_route_matches_second_subdivision_oracle():
     cases = [(hopf_pair(), ()), (fibers, ()), (split_pair(), ((0, 2, 4), (1, 3, 7))),
              (solomon, solomon_chords)]
     for (_, link), expected in cases:
-        assert _Complements(link).starred == expected
+        assert _Complements(link, certified_facets(link.ambient)).starred == expected
         assert linking_matrix(link) == second_subdivision_linking_matrix(link)
-    assert len(_Complements(solomon[1]).facets_signed) == 260
+    assert len(_Complements(solomon[1], certified_facets(solomon[0])).facets_signed) == 260
 
     ambient, hopf = hopf_pair()
     sd, face_map = barycentric_subdivision(ambient), subdivision_face_map(ambient)
     _, sd_hopf = subdivide_link(hopf)
     triangle = (face_map[(0, 4)], face_map[(0, 2, 4)], face_map[(0, 2, 4, 6)])
     link = EdgeCycleLink(sd, list(sd_hopf.components) + [triangle])
-    assert _Complements(link).starred == (triangle,)
+    assert _Complements(link, certified_facets(sd)).starred == (triangle,)
 
 
 def test_meridian_matches_the_edge_link_walk():
@@ -358,8 +365,8 @@ def test_meridian_matches_the_edge_link_walk():
     ambients = [sorted(is_homology_3sphere(fixture(name)).manifold.orientation.items())
                 for name in ("boundary-16-cell", "600-cell", "join-c6-c6", "join-c10-c10",
                              "sd-boundary-4-simplex")]
-    ambients += [_Complements(pair[1]).facets_signed
-                 for pair in (solomon_pair(), hopf_pair(), split_pair())]
+    ambients += [_Complements(link, certified_facets(ambient)).facets_signed
+                 for ambient, link in (solomon_pair(), hopf_pair(), split_pair())]
     count = 0
     for facets_signed in ambients:
         for a, b in sorted(_skeleton(facets_signed)[0]):
@@ -374,7 +381,7 @@ def test_an_inconsistent_orientation_is_refused():
     # every tetrahedron through (0, 2) is read: a walk that reads only the
     # least one's sign returns [[0, 1], [1, 0]] with the largest one flipped
     from flatlink.homology import is_homology_3sphere
-    from flatlink.links import _meridian
+    from flatlink.links import _Complements, _meridian
     ambient, link = hopf_pair()
     orientation = is_homology_3sphere(ambient).manifold.orientation
     with pytest.raises(ValueError, match=r"^\(0,1\) is not an edge of the ambient complex$"):
@@ -384,7 +391,7 @@ def test_an_inconsistent_orientation_is_refused():
     flipped[largest] = -flipped[largest]
     with pytest.raises(ValueError, match=r"^meridian of \(0,2\) is not a cycle: "
                        r"inconsistent orientation$"):
-        linking_matrix(link, orientation=flipped)
+        _Complements(link, sorted(flipped.items())).column(0, [1])
 
 
 def test_an_edge_link_of_two_circles_is_refused():
@@ -394,6 +401,7 @@ def test_an_edge_link_of_two_circles_is_refused():
     # copy takes the 16-cell's certified orientation through its relabelling
     from flatlink.complexes import _parity
     from flatlink.homology import is_closed_orientable_3manifold
+    from flatlink.links import _Complements
     ambient, _ = hopf_pair()
     copy = {v: 8 + i for i, v in enumerate(v for v in range(8) if v not in (0, 2))}
     copy.update({0: 0, 2: 2})
@@ -406,4 +414,49 @@ def test_an_edge_link_of_two_circles_is_refused():
     assert is_closed_orientable_3manifold(glued).orientation is None
     link = EdgeCycleLink(glued, [(0, 2, 1, 3), (4, 6, 5, 7)])
     with pytest.raises(ValueError, match=r"^edge link of \(0,2\) is not a single circle$"):
+        _Complements(link, sorted(orientation.items())).column(0, [1])
+    with pytest.raises(ValueError, match="^ambient is not a verified homology 3-sphere"):
+        linking_matrix(link)
+
+
+def test_an_ambient_glued_at_a_vertex_is_refused(tmp_path):
+    # two boundary-16-cells glued at vertex 0 only: every edge link is one
+    # circle, so the meridian cannot see the pinch, and complements built
+    # from each copy's certified orientation give the Hopf matrix.  The
+    # ambient's own certificate refuses it at the link of vertex 0
+    import json
+
+    from flatlink.cli import main
+    from flatlink.complexes import _parity
+    from flatlink.homology import is_homology_3sphere
+    from flatlink.links import _Complements
+    ambient, _ = hopf_pair()
+    copy = {v: 7 + v for v in range(1, 8)}
+    copy[0] = 0
+    certified = is_homology_3sphere(ambient).manifold.orientation
+    orientation = dict(certified)
+    for f, s in certified.items():
+        image = tuple(copy[v] for v in f)
+        orientation[tuple(sorted(image))] = s * _parity(image)
+    glued = SimplicialComplex(15, sorted(orientation))
+    assert len(glued.facets) == 32
+    components = [(0, 2, 1, 3), (4, 6, 5, 7)]
+    link = EdgeCycleLink(glued, components)
+    complements = _Complements(link, sorted(orientation.items()))
+    assert [complements.column(j, [1 - j]) for j in (0, 1)] == [{1: 1}, {0: 1}]
+    report = is_homology_3sphere(glued)
+    assert not report.is_homology_sphere
+    assert report.manifold.failures == ("link of vertex 0 is not a 2-sphere",)
+    with pytest.raises(ValueError, match="^ambient is not a verified homology 3-sphere: "
+                       "not a closed orientable 3-manifold"):
+        linking_matrix(link)
+    with pytest.raises(TypeError):
         linking_matrix(link, orientation=orientation)
+
+    cpath, lpath, out = tmp_path / "glued.json", tmp_path / "link.json", tmp_path / "out.json"
+    cpath.write_text(json.dumps(glued.to_json()))
+    lpath.write_text(json.dumps({"components": [list(c) for c in components]}))
+    assert main(["lk", "simplicial", str(cpath), str(lpath), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdicts"] == {"prerequisites": "failed"}
+    assert report["checks"]["error"].startswith("ambient is not a verified homology 3-sphere")
